@@ -24,9 +24,11 @@ double ProbeSeconds(const Catalog& catalog, const ViewCatalog& views,
                     const LevelConfig& config,
                     const std::vector<QueryDescription>& queries,
                     int64_t* total_candidates) {
-  FilterTree tree(&views.descriptions());
+  FilterTree tree;
   tree.SetLevels(config.spj, config.agg);
-  for (ViewId id = 0; id < views.num_views(); ++id) tree.AddView(id);
+  for (ViewId id = 0; id < views.num_views(); ++id) {
+    tree.AddView(views.shared_description(id));
+  }
   (void)catalog;
   auto start = std::chrono::steady_clock::now();
   int64_t candidates = 0;

@@ -195,7 +195,8 @@ int RunVerify(const std::string& dir) {
   }
 
   InvariantAuditor auditor;
-  AuditReport audit = auditor.AuditFilterTree(service.filter_tree());
+  AuditReport audit =
+      auditor.AuditFilterTree(service.filter_tree(), service.views());
   if (!audit.ok()) {
     std::cerr << "verify: invariant audit failed:\n" << audit.Summary();
     ++failures;
@@ -347,8 +348,9 @@ int RunVerifySharded(const std::string& dir) {
 
   InvariantAuditor auditor;
   for (int s = 0; s < service.num_shards(); ++s) {
+    const MatchingService& shard = service.shard_service(s);
     AuditReport audit =
-        auditor.AuditFilterTree(service.shard_service(s).filter_tree());
+        auditor.AuditFilterTree(shard.filter_tree(), shard.views());
     if (!audit.ok()) {
       std::cerr << "verify-sharded: shard " << s << " audit failed:\n"
                 << audit.Summary();

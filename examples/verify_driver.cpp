@@ -125,7 +125,8 @@ int main() {
 
   // --- 4: structural invariant audits. ---------------------------------
   InvariantAuditor auditor;
-  AuditReport tree_report = auditor.AuditFilterTree(service.filter_tree());
+  AuditReport tree_report =
+      auditor.AuditFilterTree(service.filter_tree(), service.views());
   std::printf("\nfilter tree audit: %s\n",
               tree_report.ok() ? "clean" : tree_report.Summary().c_str());
   Expect(tree_report.ok(), "filter tree invariants hold");

@@ -58,8 +58,8 @@ const char* FilterLevelName(FilterLevel level) {
   return "?";
 }
 
-FilterTree::FilterTree(const std::vector<ViewDescription>* descriptions)
-    : descriptions_(descriptions) {
+FilterTree::FilterTree()
+    : spj_root_(NewNode()), agg_root_(NewNode()) {
   spj_levels_ = {FilterLevel::kHub,           FilterLevel::kSourceTables,
                  FilterLevel::kOutputExprs,   FilterLevel::kOutputColumns,
                  FilterLevel::kResidual,      FilterLevel::kRangeConstraints};
@@ -68,34 +68,16 @@ FilterTree::FilterTree(const std::vector<ViewDescription>* descriptions)
   agg_levels_.push_back(FilterLevel::kGroupingColumns);
 }
 
-// Recursive node clone for the rebinding copy constructor. Child slots
-// may be null (lattice node ids keep their slot even when unused).
-void FilterTree::CloneNode(const Node& from, Node* to) {
-  to->index = from.index;
-  to->leaves = from.leaves;
-  to->children.clear();
-  to->children.reserve(from.children.size());
-  for (const std::unique_ptr<Node>& child : from.children) {
-    if (child == nullptr) {
-      to->children.push_back(nullptr);
-      continue;
-    }
-    auto copy = std::make_unique<Node>();
-    CloneNode(*child, copy.get());
-    to->children.push_back(std::move(copy));
-  }
-}
-
-FilterTree::FilterTree(const FilterTree& other,
-                       const std::vector<ViewDescription>* descriptions)
-    : descriptions_(descriptions),
-      spj_levels_(other.spj_levels_),
+FilterTree::FilterTree(const FilterTree& other)
+    : spj_levels_(other.spj_levels_),
       agg_levels_(other.agg_levels_),
+      spj_root_(other.spj_root_),
+      agg_root_(other.agg_root_),
       atoms_(other.atoms_),
       num_views_(other.num_views_),
       assume_backjoins_(other.assume_backjoins_) {
-  CloneNode(other.spj_root_, &spj_root_);
-  CloneNode(other.agg_root_, &agg_root_);
+  // Both trees now reach every node: neither may mutate one in place.
+  other.owner_ = NewCowOwner();
 }
 
 void FilterTree::SetLevels(std::vector<FilterLevel> spj_levels,
@@ -106,16 +88,10 @@ void FilterTree::SetLevels(std::vector<FilterLevel> spj_levels,
 }
 
 uint32_t FilterTree::Intern(const std::string& text) {
-  auto [it, inserted] =
-      atoms_.emplace(text, static_cast<uint32_t>(atoms_.size()));
-  (void)inserted;
-  return it->second;
-}
-
-std::optional<uint32_t> FilterTree::LookupAtom(const std::string& text) const {
-  auto it = atoms_.find(text);
-  if (it == atoms_.end()) return std::nullopt;
-  return it->second;
+  if (const uint32_t* atom = atoms_.Find(text)) return *atom;
+  const auto atom = static_cast<uint32_t>(atoms_.size());
+  atoms_.Insert(text, atom);
+  return atom;
 }
 
 LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
@@ -153,15 +129,17 @@ LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
   return {};
 }
 
-void FilterTree::AddView(ViewId id) {
+void FilterTree::AddView(std::shared_ptr<const ViewDescription> view) {
   MVOPT_FAILPOINT("filter_tree.add_view");
-  const ViewDescription& d = (*descriptions_)[id];
+  const ViewDescription& d = *view;
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
-  Node* node = d.is_aggregate ? &agg_root_ : &spj_root_;
+  std::shared_ptr<Node>* slot = d.is_aggregate ? &agg_root_ : &spj_root_;
   // Undo log: lattice keys this insert brought to life, so a failure
   // mid-path (allocation, failpoint) can re-erase exactly them. Keys
-  // that were already live belong to other views and must survive.
+  // that were already live belong to other views and must survive. The
+  // logged nodes are this tree's own (Mutable copied shared ones first),
+  // so the undo never touches a node another generation reaches.
   struct Step {
     Node* node;
     LatticeIndex::Key key;
@@ -171,6 +149,7 @@ void FilterTree::AddView(ViewId id) {
   steps.reserve(levels.size());
   try {
     for (size_t depth = 0; depth < levels.size(); ++depth) {
+      Node* node = Mutable(*slot);
       LatticeIndex::Key key = ViewKey(d, levels[depth]);
       const int existing = node->index.Find(key);
       const bool created = existing < 0 || !node->index.alive(existing);
@@ -182,15 +161,15 @@ void FilterTree::AddView(ViewId id) {
         if (node->leaves.size() <= static_cast<size_t>(lattice_node)) {
           node->leaves.resize(lattice_node + 1);
         }
-        node->leaves[lattice_node].push_back(id);
+        node->leaves[lattice_node].push_back(view);
       } else {
         if (node->children.size() <= static_cast<size_t>(lattice_node)) {
           node->children.resize(lattice_node + 1);
         }
         if (node->children[lattice_node] == nullptr) {
-          node->children[lattice_node] = std::make_unique<Node>();
+          node->children[lattice_node] = NewNode();
         }
-        node = node->children[lattice_node].get();
+        slot = &node->children[lattice_node];
       }
     }
   } catch (...) {
@@ -206,22 +185,24 @@ void FilterTree::AddView(ViewId id) {
   ++num_views_;
 }
 
-void FilterTree::RemoveView(ViewId id) {
-  const ViewDescription& d = (*descriptions_)[id];
+void FilterTree::RemoveView(const ViewDescription& d) {
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
-  Node* node = d.is_aggregate ? &agg_root_ : &spj_root_;
+  std::shared_ptr<Node>* slot = d.is_aggregate ? &agg_root_ : &spj_root_;
   for (size_t depth = 0; depth < levels.size(); ++depth) {
+    Node* node = Mutable(*slot);
     LatticeIndex::Key key = ViewKey(d, levels[depth]);
     int lattice_node = node->index.Find(key);
     assert(lattice_node >= 0 && "view path must exist");
     const bool last = depth + 1 == levels.size();
     if (last) {
       auto& leaf = node->leaves[lattice_node];
-      leaf.erase(std::remove(leaf.begin(), leaf.end(), id), leaf.end());
+      leaf.erase(std::remove_if(leaf.begin(), leaf.end(),
+                                [&d](const auto& v) { return v->id == d.id; }),
+                 leaf.end());
       if (leaf.empty()) node->index.Erase(key);
     } else {
-      node = node->children[lattice_node].get();
+      slot = &node->children[lattice_node];
     }
   }
   --num_views_;
@@ -331,14 +312,15 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
   }
 }
 
-bool FilterTree::PassesFullRangeCondition(ViewId id,
-                                          const SearchContext& ctx) const {
+bool FilterTree::PassesFullRangeCondition(const ViewDescription& view,
+                                          const SearchContext& ctx) {
   // Range constraint condition (§4.2.5): every range-constrained view
   // equivalence class must have a column in the query's extended range
-  // constraint list.
-  const ViewDescription& d = (*descriptions_)[id];
-  for (const auto& cls : d.range_constrained_classes) {
-    if (!Intersects(ToKey(cls), ctx.extended_range_columns)) return false;
+  // constraint list. DescribeView stores each class sorted and unique,
+  // so it is intersected as stored.
+  for (const auto& cls : view.range_constrained_classes) {
+    assert(std::is_sorted(cls.begin(), cls.end()));
+    if (!Intersects(cls, ctx.extended_range_columns)) return false;
   }
   return true;
 }
@@ -361,11 +343,11 @@ void FilterTree::Search(const Node& node,
   for (int n : qualifying) {
     if (last) {
       if (static_cast<size_t>(n) >= node.leaves.size()) continue;
-      for (ViewId id : node.leaves[n]) {
+      for (const auto& view : node.leaves[n]) {
         if (stats != nullptr) ++stats->views_range_checked;
-        if (PassesFullRangeCondition(id, ctx)) {
+        if (PassesFullRangeCondition(*view, ctx)) {
           if (budget != nullptr && budget->ConsumeCandidate()) return;
-          out->push_back(id);
+          out->push_back(view->id);
         } else if (stats != nullptr) {
           ++stats->views_range_rejected;
         }
@@ -393,8 +375,8 @@ std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
   auto intern_required = [this](const std::vector<std::string>& texts,
                                 LatticeIndex::Key* key, bool* impossible) {
     for (const auto& t : texts) {
-      auto atom = LookupAtom(t);
-      if (!atom.has_value()) {
+      const uint32_t* atom = LookupAtom(t);
+      if (atom == nullptr) {
         *impossible = true;  // no view carries this text
         return;
       }
@@ -419,8 +401,9 @@ std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
   // Residual atoms: unknown query texts can never appear in a view key,
   // so they are simply dropped from the superset-side set.
   for (const auto& t : query.residual_texts) {
-    auto atom = LookupAtom(t);
-    if (atom.has_value()) ctx.residual_atoms.push_back(*atom);
+    if (const uint32_t* atom = LookupAtom(t)) {
+      ctx.residual_atoms.push_back(*atom);
+    }
   }
   std::sort(ctx.residual_atoms.begin(), ctx.residual_atoms.end());
 
@@ -435,13 +418,13 @@ std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
   }
 
   std::vector<ViewId> out;
-  if (spj_root_.index.num_live_nodes() > 0 || !spj_root_.leaves.empty()) {
-    Search(spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &out, stats,
+  if (spj_root_->index.num_live_nodes() > 0 || !spj_root_->leaves.empty()) {
+    Search(*spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &out, stats,
            budget);
   }
   if (query.is_aggregate &&
-      (agg_root_.index.num_live_nodes() > 0 || !agg_root_.leaves.empty())) {
-    Search(agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &out, stats,
+      (agg_root_->index.num_live_nodes() > 0 || !agg_root_->leaves.empty())) {
+    Search(*agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &out, stats,
            budget);
   }
   return out;

@@ -13,13 +13,20 @@
 // output columns, residual constraints, range constraints, and (for
 // aggregation views) grouping expressions and grouping columns.
 //
-// Thread-safety: externally synchronized. The tree has no internal
-// locking; MatchingService owns the only concurrent instance and guards
-// it with its structure lock (FindCandidates under the shared lock,
-// AddView/RemoveView under the exclusive one) — expressed there as
-// MVOPT_GUARDED_BY on the filter_tree_ member, which is what the
-// thread-safety analysis checks. Standalone instances (tests, benches)
-// are single-threaded.
+// Generations (DESIGN.md §15): copying a tree is O(1) and shares every
+// node. A tree mutates in place only the nodes it created since it was
+// last copied; AddView / RemoveView copy every other node on the view's
+// root-to-leaf path first — 6 nodes for an SPJ view, 8 for an
+// aggregation view (common/cow.h states the ownership rule). A tree that
+// has been copied is therefore never changed by later mutations of the
+// copy, which is what lets MatchingService publish a clone as the next
+// catalog generation while probes still walk the previous one.
+//
+// Thread-safety: const members (FindCandidates, num_views) are safe
+// from any thread, concurrently with mutation of any copy.
+// Mutation and copying of one instance are externally synchronized —
+// MatchingService mutates only its unpublished clone, under its writer
+// mutex.
 
 #ifndef MVOPT_INDEX_FILTER_TREE_H_
 #define MVOPT_INDEX_FILTER_TREE_H_
@@ -27,11 +34,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/cow.h"
 #include "common/query_budget.h"
 #include "common/query_context.h"
 #include "index/lattice.h"
@@ -94,18 +100,11 @@ struct FilterSearchStats {
 
 class FilterTree {
  public:
-  /// `descriptions` must outlive the tree and grow append-only (it is the
-  /// ViewCatalog's description store).
-  explicit FilterTree(const std::vector<ViewDescription>* descriptions);
+  FilterTree();
 
-  /// Rebinding deep copy (the snapshot-clone path, DESIGN.md §15):
-  /// clones every node, lattice and interned atom of `other`, but points
-  /// the copy at `descriptions` — the cloned snapshot's own description
-  /// store — instead of the source tree's.
-  FilterTree(const FilterTree& other,
-             const std::vector<ViewDescription>* descriptions);
-
-  FilterTree(const FilterTree&) = delete;
+  /// Generation copy: O(1), shares every node with `other` (see the
+  /// file comment for what later mutations of either tree copy).
+  FilterTree(const FilterTree& other);
   FilterTree& operator=(const FilterTree&) = delete;
 
   /// Overrides the default level orders (primarily for the ablation
@@ -119,14 +118,15 @@ class FilterTree {
   /// necessary conditions; this disables them.
   void set_assume_backjoins(bool v) { assume_backjoins_ = v; }
 
-  /// Indexes the view with the given description index (== ViewId).
+  /// Indexes the view `view` describes under `view->id`. The leaf keeps
+  /// the description: the full range check of FindCandidates reads it.
   /// Strongly exception-safe: a failure mid-insert (allocation or
   /// failpoint) rolls the tree back to its previous state before
   /// rethrowing.
-  void AddView(ViewId id);
+  void AddView(std::shared_ptr<const ViewDescription> view);
 
   /// Removes a previously added view.
-  void RemoveView(ViewId id);
+  void RemoveView(const ViewDescription& view);
 
   /// Returns ids of views satisfying every partitioning condition for
   /// `query`, including the full range-constraint check (§4.2.5).
@@ -149,14 +149,17 @@ class FilterTree {
 
  private:
   /// The invariant auditor (src/verify) walks the private tree structure
-  /// read-only to validate it against the public search results.
+  /// read-only to validate it against the public search results, and
+  /// to measure what two generations share.
   friend class InvariantAuditor;
 
   struct Node {
+    /// Owner tag of the tree that created this node (common/cow.h).
+    uint64_t owner = 0;
     LatticeIndex index;
     /// Children / leaf payloads indexed by lattice node id.
-    std::vector<std::unique_ptr<Node>> children;
-    std::vector<std::vector<ViewId>> leaves;
+    std::vector<std::shared_ptr<Node>> children;
+    std::vector<std::vector<std::shared_ptr<const ViewDescription>>> leaves;
   };
 
   /// Interned query-side keys, computed once per search.
@@ -176,8 +179,10 @@ class FilterTree {
     bool is_aggregate = false;
   };
 
-  /// Deep-copies `from`'s subtree into `to` (rebinding copy ctor).
-  static void CloneNode(const Node& from, Node* to);
+  std::shared_ptr<Node> NewNode() const { return CowNew<Node>(owner_); }
+  Node* Mutable(std::shared_ptr<Node>& slot) {
+    return CowMutable(slot, owner_);
+  }
 
   LatticeIndex::Key ViewKey(const ViewDescription& d, FilterLevel level);
   void Search(const Node& node, const std::vector<FilterLevel>& levels,
@@ -187,17 +192,21 @@ class FilterTree {
   void SearchLevel(const Node& node, FilterLevel level,
                    const SearchContext& ctx, bool agg_tree,
                    std::vector<int>* out, FilterSearchStats* stats) const;
-  bool PassesFullRangeCondition(ViewId id, const SearchContext& ctx) const;
+  static bool PassesFullRangeCondition(const ViewDescription& view,
+                                       const SearchContext& ctx);
 
   uint32_t Intern(const std::string& text);
-  std::optional<uint32_t> LookupAtom(const std::string& text) const;
+  const uint32_t* LookupAtom(const std::string& text) const {
+    return atoms_.Find(text);
+  }
 
-  const std::vector<ViewDescription>* descriptions_;
+  /// Declared first: NewNode() stamps the roots with it.
+  mutable uint64_t owner_ = NewCowOwner();
   std::vector<FilterLevel> spj_levels_;
   std::vector<FilterLevel> agg_levels_;
-  Node spj_root_;
-  Node agg_root_;
-  std::unordered_map<std::string, uint32_t> atoms_;
+  std::shared_ptr<Node> spj_root_;
+  std::shared_ptr<Node> agg_root_;
+  CowStringMap<uint32_t> atoms_;
   int num_views_ = 0;
   bool assume_backjoins_ = false;
 };

@@ -362,7 +362,7 @@ ViewDefinition* MatchingService::AddView(const std::string& name,
   try {
     view = next->views.AddView(name, std::move(definition), error);
     if (view == nullptr) return nullptr;
-    next->tree.AddView(view->id());
+    next->tree.AddView(next->views.shared_description(view->id()));
     if (options_.compile_match_programs) {
       // Compile once, here under the writer lock — the program rides the
       // clone into publication and is shared (shared_ptr) by every later
@@ -918,10 +918,12 @@ RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
       continue;
     }
     ViewDefinition* view = nullptr;
+    bool indexed = false;
     try {
       view = next->views.AddView(image.name, std::move(*parsed), &err);
       if (view != nullptr) {
-        next->tree.AddView(view->id());
+        next->tree.AddView(next->views.shared_description(view->id()));
+        indexed = true;
         if (options_.compile_match_programs) {
           // Programs are not persisted — they are recompiled from the
           // replayed definition, so recovery lands with the same tiers
@@ -933,6 +935,10 @@ RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
         }
       }
     } catch (const std::exception& e) {
+      // Roll this entry back out of the batch generation: out of the
+      // tree first (it reads the description), then out of the catalog,
+      // so the id the next entry reuses is on no tree path.
+      if (indexed) next->tree.RemoveView(next->views.description(view->id()));
       if (view != nullptr) next->views.RemoveLastView(view->id());
       view = nullptr;
       err = e.what();
@@ -976,7 +982,7 @@ bool MatchingService::ReportChecksumMismatch(ViewId id) {
   if (!lifecycle_.ReportChecksumMismatch(id)) return false;
   if (static_cast<size_t>(id) < in_tree_.size() && in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*SnapshotLocked());
-    next->tree.RemoveView(id);
+    next->tree.RemoveView(next->views.description(id));
     in_tree_[id] = 0;
     PublishLocked(std::move(next));
   }
@@ -1009,7 +1015,7 @@ int MatchingService::RevalidationTick(
       // paying for them (probe-side quarantine entry cannot touch the
       // tree — it changes only the lifecycle registry).
       if (in_tree_[id]) {
-        next->tree.RemoveView(id);
+        next->tree.RemoveView(next->views.description(id));
         in_tree_[id] = 0;
       }
       if (!lifecycle_.DueForRetry(id, tick)) continue;
@@ -1017,7 +1023,8 @@ int MatchingService::RevalidationTick(
       try {
         ok = validate != nullptr && validate(next->views.view(id));
         if (ok) {
-          next->tree.AddView(id);  // re-insertion; strongly exception-safe
+          // Re-insertion; strongly exception-safe.
+          next->tree.AddView(next->views.shared_description(id));
           in_tree_[id] = 1;
         }
       } catch (const std::exception&) {
@@ -1055,7 +1062,7 @@ bool MatchingService::ReadmitView(ViewId id) {
   if (static_cast<size_t>(id) < in_tree_.size() && !in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*current);
     try {
-      next->tree.AddView(id);
+      next->tree.AddView(next->views.shared_description(id));
       in_tree_[id] = 1;
       PublishLocked(std::move(next));
     } catch (const std::exception&) {

@@ -11,13 +11,15 @@
 // acquisitions and zero shared writes on the probe path outside the
 // probe-atomic stats commit. Writers (AddView / recovery / lifecycle
 // readmission and quarantine) serialize on the writer mutex, clone the
-// current snapshot off-path, mutate the clone, and publish it with a
-// pointer swap; the displaced snapshot is retired into the epoch domain
-// and freed once no pin can still reference it. Probe results are always
-// computed against one consistent snapshot (the one before or after any
-// concurrent AddView). AddView stays transactional: if indexing or
-// logging fails after catalog registration, the clone is simply
-// discarded — the published snapshot never contains partial state.
+// current snapshot off-path — O(1): generations share their nodes, and
+// a write copies only the paths it touches — mutate the clone, and
+// publish it with a pointer swap; the displaced snapshot is retired into
+// the epoch domain and freed once no pin can still reference it. Probe
+// results are always computed against one consistent snapshot (the one
+// before or after any concurrent AddView). AddView stays transactional:
+// if indexing or logging fails after catalog registration, the clone is
+// simply discarded — the published snapshot never contains partial
+// state.
 // Options::probe_mode == kReaderLock selects the pre-snapshot discipline
 // (a shared lock on the writer mutex) for A/B benchmarking and the
 // byte-identity cross-check; results, ordering and stats are identical
@@ -145,18 +147,13 @@ struct VerifyStats {
 /// catalog and the filter tree built over its descriptions, bundled so
 /// one atomic pointer covers everything a probe walks. Immutable once
 /// published — writers clone, mutate the clone, and publish the clone.
-/// The clone shares the ViewDefinition objects with its source (see
-/// ViewCatalog's copy constructor) but owns its descriptions and tree.
 struct CatalogSnapshot {
-  explicit CatalogSnapshot(const Catalog* catalog)
-      : views(catalog), tree(&views.descriptions()) {}
-  /// Clone for the next generation: bumps the version, copies the
-  /// catalog (sharing definitions), deep-copies the tree rebound onto
-  /// the clone's own description store.
+  explicit CatalogSnapshot(const Catalog* catalog) : views(catalog) {}
+  /// Clone for the next generation: bumps the version and shares every
+  /// node of the catalog and the tree with `other` (O(1)); the writer's
+  /// mutations then copy only the paths they touch.
   CatalogSnapshot(const CatalogSnapshot& other)
-      : version(other.version + 1),
-        views(other.views),
-        tree(other.tree, &views.descriptions()) {}
+      : version(other.version + 1), views(other.views), tree(other.tree) {}
   CatalogSnapshot& operator=(const CatalogSnapshot&) = delete;
 
   uint64_t version = 0;  ///< publication generation (0 = initial, empty)
@@ -272,6 +269,30 @@ class MatchingService : public SubstituteSource {
     EpochPin pin(reclaim_);
     return PinnedSnapshot()->views.view(id);
   }
+
+  /// Test hook (the generation-immutability tests): a read handle on
+  /// one published generation. It holds an epoch pin, so the generation
+  /// it names stays alive — and, being published, unchanged — for the
+  /// handle's lifetime, across any number of later publications. Safe
+  /// from any thread. A held pin delays the reclamation of every later
+  /// generation, which is why production code pins per probe instead.
+  class PinnedGenerationForTest {
+   public:
+    explicit PinnedGenerationForTest(const MatchingService& service)
+        MVOPT_NO_THREAD_SAFETY_ANALYSIS  // the pin is a member, not a scope
+        : pin_(service.reclaim_),
+          snapshot_(service.snapshot_.load(std::memory_order_seq_cst)) {}
+    PinnedGenerationForTest(const PinnedGenerationForTest&) = delete;
+    PinnedGenerationForTest& operator=(const PinnedGenerationForTest&) =
+        delete;
+
+    const CatalogSnapshot& operator*() const { return *snapshot_; }
+    const CatalogSnapshot* operator->() const { return snapshot_; }
+
+   private:
+    EpochPin pin_;
+    const CatalogSnapshot* snapshot_;
+  };
 
   // --- durability ---------------------------------------------------------
 

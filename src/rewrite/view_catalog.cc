@@ -1,6 +1,5 @@
 #include "rewrite/view_catalog.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/failpoint.h"
@@ -19,54 +18,42 @@ ViewDefinition* ViewCatalog::AddView(const std::string& name,
     if (error != nullptr) *error = *invalid;
     return nullptr;
   }
-  ViewId id = static_cast<ViewId>(views_.size());
-  // Build everything fallible before the commit point: a throw from the
-  // definition, the description (or the failpoint standing in for one)
-  // leaves all three containers untouched, so views_/descriptions_/
-  // by_name_ can never disagree. The duplicate-name check is part of the
-  // same transactional commit — it is decided by the by_name_ insert
-  // itself, after every fallible step, so a duplicate rejection can
-  // never strand rollback bookkeeping set up along the way.
-  auto view = std::make_shared<ViewDefinition>(id, name, std::move(definition));
-  ViewDescription description = DescribeView(*catalog_, *view);
-  MVOPT_FAILPOINT("view_catalog.describe");
-  if (views_.size() == views_.capacity()) {
-    views_.reserve(std::max<size_t>(8, views_.size() * 2));
-  }
-  if (descriptions_.size() == descriptions_.capacity()) {
-    descriptions_.reserve(std::max<size_t>(8, descriptions_.size() * 2));
-  }
-  if (programs_.size() == programs_.capacity()) {
-    programs_.reserve(std::max<size_t>(8, programs_.size() * 2));
-  }
-  auto [it, inserted] = by_name_.emplace(name, id);  // may throw; commit point
-  (void)it;
-  if (!inserted) {
+  if (by_name_.Find(name) != nullptr) {
     if (error != nullptr) {
       *error = "view '" + name + "' is already registered";
     }
-    return nullptr;  // nothing mutated: rejection needs no rollback
+    return nullptr;
   }
-  // Capacity reserved and both element moves are noexcept: no-throw.
-  views_.push_back(std::move(view));
-  descriptions_.push_back(std::move(description));
-  programs_.emplace_back();  // compiled later (MatchingService), if at all
-  return views_.back().get();
+  const auto id = static_cast<ViewId>(entries_.size());
+  // Build everything fallible before the first container mutation: a
+  // throw from the definition, the description (or the failpoint
+  // standing in for one) leaves both containers untouched.
+  auto view = std::make_shared<ViewDefinition>(id, name, std::move(definition));
+  auto description =
+      std::make_shared<const ViewDescription>(DescribeView(*catalog_, *view));
+  MVOPT_FAILPOINT("view_catalog.describe");
+  ViewDefinition* registered = view.get();
+  // The program is compiled later (MatchingService), if at all.
+  entries_.push_back(Entry{std::move(view), std::move(description), nullptr});
+  try {
+    by_name_.Insert(name, id);
+  } catch (...) {
+    entries_.pop_back();  // its path is owned now: no allocation, no throw
+    throw;
+  }
+  return registered;
 }
 
 void ViewCatalog::RemoveLastView(ViewId id) {
-  assert(!views_.empty() && views_.back()->id() == id &&
+  assert(num_views() > 0 && view(num_views() - 1).id() == id &&
          "only the most recent registration can be rolled back");
-  (void)id;
-  by_name_.erase(views_.back()->name());
-  views_.pop_back();
-  descriptions_.pop_back();
-  programs_.pop_back();
+  by_name_.Erase(view(id).name());
+  entries_.pop_back();
 }
 
 const ViewDefinition* ViewCatalog::FindView(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : views_[it->second].get();
+  const ViewId* id = by_name_.Find(name);
+  return id == nullptr ? nullptr : &view(*id);
 }
 
 }  // namespace mvopt

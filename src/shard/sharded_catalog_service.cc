@@ -47,6 +47,12 @@ std::string ShardRecoveryReport::ToJson() const {
          "\"";
     j += ",\"detail\":\"" + JsonEscape(s.detail) + "\"";
     j += ",\"recovery_seconds\":" + FormatSeconds(s.recovery_seconds);
+    j += ",\"duplicate_names\":[";
+    for (size_t n = 0; n < s.duplicate_names.size(); ++n) {
+      if (n > 0) j += ",";
+      j += "\"" + JsonEscape(s.duplicate_names[n]) + "\"";
+    }
+    j += "]";
     j += ",\"report\":" + s.report.ToJson();
     j += "}";
   }
@@ -211,11 +217,38 @@ ViewId ShardedCatalogService::AddView(const std::string& name,
     if (error != nullptr) *error = e.what();
     return kInvalidViewId;
   }
+  // Plans name views (PhysPlan::view_name), so a name is unique across
+  // the whole catalog, not per shard: claim it before touching the shard.
+  // Concurrent registrations of one name routed to different shards
+  // race on this claim, and exactly one wins.
+  {
+    MutexLock names_lock(names_mu_);
+    if (!names_.emplace(name, NameClaim{shard_idx, false}).second) {
+      if (error != nullptr) {
+        *error = "view '" + name + "' is already registered";
+      }
+      return kInvalidViewId;
+    }
+  }
   Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
   // Registrations are writes at this layer: hold the shard's writer
   // mutex so the health verdict, the id-overflow check and the
   // delegation are atomic with respect to a concurrent scrub swap.
   MutexLock lock(shard.writer_mu);
+  // Settled under the writer mutex, so a concurrent swap of this shard
+  // (Readmit) sees the claim either pending — the registration then
+  // lands on the new service — or settled against the service it
+  // replaces.
+  auto settle = [this, &name](ViewId id) {
+    MutexLock names_lock(names_mu_);
+    auto it = names_.find(name);
+    if (id != kInvalidViewId) {
+      it->second.committed = true;
+    } else if (!it->second.committed) {
+      names_.erase(it);
+    }
+    return id;
+  };
   if (shard.health.load(std::memory_order_acquire) != ShardHealth::kHealthy) {
     // Registering elsewhere would break the routing invariant (the view
     // would be invisible to probes after the owner is readmitted), so
@@ -226,7 +259,7 @@ ViewId ShardedCatalogService::AddView(const std::string& name,
                ShardQuarantineCauseName(shard_quarantine_cause(shard_idx)) +
                ")";
     }
-    return kInvalidViewId;
+    return settle(kInvalidViewId);
   }
   // Shards hand out dense local ids, so the id this registration would
   // get is the shard's current view count. Reject BEFORE delegating when
@@ -243,12 +276,12 @@ ViewId ShardedCatalogService::AddView(const std::string& name,
                std::to_string(shard_idx) +
                " does not compose into the ViewId range";
     }
-    return kInvalidViewId;
+    return settle(kInvalidViewId);
   }
   ViewDefinition* view = shard.service->AddView(name, std::move(definition),
                                                 error);
-  if (view == nullptr) return kInvalidViewId;
-  return GlobalId(shard_idx, view->id());
+  return settle(view == nullptr ? kInvalidViewId
+                                : GlobalId(shard_idx, view->id()));
 }
 
 std::optional<ViewId> ShardedCatalogService::ComposeGlobalId(
@@ -366,26 +399,37 @@ ShardQuarantineCause ShardedCatalogService::shard_quarantine_cause(
 ShardRecoveryReport ShardedCatalogService::RecoverAll(ThreadPool* pool) {
   ShardRecoveryReport report;
   report.shards.resize(shards_.size());
+  std::vector<std::unique_ptr<MatchingService>> rebuilt(shards_.size());
   if (pool != nullptr && pool->num_workers() > 0 && shards_.size() > 1) {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
       ShardRecoveryReport::ShardOutcome* out = &report.shards[i];
+      std::unique_ptr<MatchingService>* fresh = &rebuilt[i];
       const int idx = static_cast<int>(i);
       // RecoverShard absorbs every failure into a quarantine verdict —
       // pool tasks must not throw.
-      tasks.emplace_back([this, idx, out] { RecoverShard(idx, out); });
+      tasks.emplace_back(
+          [this, idx, out, fresh] { *fresh = RecoverShard(idx, out); });
     }
     pool->RunBatch(tasks);
   } else {
     for (size_t i = 0; i < shards_.size(); ++i) {
-      RecoverShard(static_cast<int>(i), &report.shards[i]);
+      rebuilt[i] = RecoverShard(static_cast<int>(i), &report.shards[i]);
     }
+  }
+  // Readmit only once every shard is rebuilt, in shard order: where two
+  // rebuilt shards hold one view name, the lower shard keeps it (see
+  // ClaimNamesLocked), whichever task finished first.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (rebuilt[i] == nullptr) continue;
+    report.shards[i].duplicate_names =
+        Readmit(static_cast<int>(i), std::move(rebuilt[i]));
   }
   return report;
 }
 
-void ShardedCatalogService::RecoverShard(
+std::unique_ptr<MatchingService> ShardedCatalogService::RecoverShard(
     int shard_idx, ShardRecoveryReport::ShardOutcome* outcome) {
   outcome->shard = shard_idx;
   const auto start = std::chrono::steady_clock::now();
@@ -444,23 +488,23 @@ void ShardedCatalogService::RecoverShard(
         outcome->recovery_seconds);
   }
   if (cause == ShardQuarantineCause::kNone) {
-    Readmit(shard_idx, std::move(fresh));
     outcome->health = ShardHealth::kHealthy;
     outcome->cause = ShardQuarantineCause::kNone;
-  } else {
-    // Leave the store closed so the scrubber starts from a clean fd
-    // state; the files themselves are untouched (evidence preserved).
-    if (shard.store != nullptr) shard.store->Close();
-    Quarantine(shard_idx, cause, detail);
-    outcome->health = ShardHealth::kQuarantined;
-    outcome->cause = cause;
-    outcome->detail = detail;
+    return fresh;
   }
+  // Leave the store closed so the scrubber starts from a clean fd
+  // state; the files themselves are untouched (evidence preserved).
+  if (shard.store != nullptr) shard.store->Close();
+  Quarantine(shard_idx, cause, detail);
+  outcome->health = ShardHealth::kQuarantined;
+  outcome->cause = cause;
+  outcome->detail = detail;
+  return nullptr;
 }
 
 std::string ShardedCatalogService::AuditShard(MatchingService& service) const {
-  const AuditReport audit =
-      InvariantAuditor().AuditFilterTree(service.filter_tree());
+  const AuditReport audit = InvariantAuditor().AuditFilterTree(
+      service.filter_tree(), service.views());
   return audit.ok() ? std::string() : audit.Summary();
 }
 
@@ -480,18 +524,62 @@ void ShardedCatalogService::Quarantine(int shard_idx,
   UpdateQuarantineGauge();
 }
 
-void ShardedCatalogService::Readmit(int shard_idx,
-                                    std::unique_ptr<MatchingService> fresh) {
+std::vector<std::string> ShardedCatalogService::ClaimNamesLocked(
+    int shard_idx, MatchingService& fresh) {
+  // The shard's settled names were the replaced service's; the rebuilt
+  // service's names replace them. Pending claims belong to registrations
+  // still waiting for the writer mutex, which land on the rebuilt
+  // service (a pending name it already holds is settled here, and that
+  // registration then fails as a duplicate).
+  std::erase_if(names_, [shard_idx](const auto& entry) {
+    return entry.second.shard == shard_idx && entry.second.committed;
+  });
+  std::vector<std::string> duplicates;
+  const ViewCatalog& views = fresh.views();
+  for (ViewId id = 0; id < views.num_views(); ++id) {
+    const std::string& name = views.view(id).name();
+    auto it = names_.try_emplace(name, NameClaim{shard_idx, true}).first;
+    if (it->second.shard == shard_idx) {
+      it->second.committed = true;
+      continue;
+    }
+    // Another shard holds the name (or a registration there has claimed
+    // it): take only this view out of rotation, so each name serves from
+    // one shard and the rest of this one still serves. A lifecycle-only
+    // transition — probes skip it at once, the next revalidation tick
+    // unindexes it, and RevalidationTickAll readmits it only once the
+    // name is free again.
+    fresh.lifecycle().Disable(id);
+    duplicates.push_back(name);
+  }
+  return duplicates;
+}
+
+bool ShardedCatalogService::ClaimName(int shard_idx, const std::string& name) {
+  MutexLock names_lock(names_mu_);
+  auto it = names_.try_emplace(name, NameClaim{shard_idx, true}).first;
+  if (it->second.shard != shard_idx) return false;
+  it->second.committed = true;
+  return true;
+}
+
+std::vector<std::string> ShardedCatalogService::Readmit(
+    int shard_idx, std::unique_ptr<MatchingService> fresh) {
   const TableEpochClock* epochs = nullptr;
   {
     MutexLock lock(admin_mu_);
     epochs = epochs_;
   }
   if (epochs != nullptr) fresh->set_epoch_clock(epochs);
+  std::vector<std::string> duplicates;
   std::unique_ptr<MatchingService> old;
   {
     Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
     MutexLock lock(shard.writer_mu);
+    {
+      MutexLock names_lock(names_mu_);
+      duplicates = ClaimNamesLocked(shard_idx, *fresh);
+    }
     old = std::move(shard.service);
     shard.service = std::move(fresh);
     // Publish for probes before flipping health: a probe that sees
@@ -508,6 +596,7 @@ void ShardedCatalogService::Readmit(int shard_idx,
     if (old != nullptr) retired_.push_back(std::move(old));
   }
   UpdateQuarantineGauge();
+  return duplicates;
 }
 
 int ShardedCatalogService::CheckpointAll() {
@@ -670,13 +759,21 @@ void ShardedCatalogService::set_epoch_clock(const TableEpochClock* clock) {
 int ShardedCatalogService::RevalidationTickAll(
     const std::function<bool(const ViewDefinition&)>& validate) {
   int readmitted = 0;
-  for (auto& shard : shards_) {
-    if (shard->health.load(std::memory_order_acquire) !=
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    if (shard.health.load(std::memory_order_acquire) !=
         ShardHealth::kHealthy) {
       continue;
     }
-    MutexLock lock(shard->writer_mu);
-    readmitted += shard->service->RevalidationTick(validate);
+    const int shard_idx = static_cast<int>(i);
+    MutexLock lock(shard.writer_mu);
+    // A view disabled because another shard holds its name (Readmit)
+    // comes back only with its name.
+    readmitted += shard.service->RevalidationTick(
+        [this, shard_idx, &validate](const ViewDefinition& view) {
+          return ClaimName(shard_idx, view.name()) && validate != nullptr &&
+                 validate(view);
+        });
   }
   return readmitted;
 }

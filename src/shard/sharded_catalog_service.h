@@ -44,6 +44,17 @@
 // never dangles. admin_mu_ guards the scrub / quarantine bookkeeping
 // and is never held across a shard-service call.
 //
+// View names are unique catalog-wide (plans render views by name): a
+// name index under names_mu_ maps every registered name to its shard.
+// AddView claims the name before delegating and settles the claim under
+// the shard's writer mutex. A recovery or scrub swap (Readmit) replaces
+// the shard's names with the rebuilt service's; a rebuilt view whose
+// name another shard holds (a store written before names were
+// catalog-wide, or a name registered elsewhere while this shard was
+// quarantined) is disabled, not the shard: the shard is readmitted and
+// serves its other views. RecoverAll readmits in shard order after
+// every shard is rebuilt, so at startup the lower shard keeps a name.
+//
 // Failpoint sites (common/failpoint.h; crash-killed at every one by
 // tools/ci/run_crash_recovery.sh):
 //   catalog_shard.recover          per-shard recovery task entry
@@ -59,6 +70,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/enum_coverage.h"
@@ -154,6 +166,9 @@ struct ShardRecoveryReport {
     ShardQuarantineCause cause = ShardQuarantineCause::kNone;
     std::string detail;          ///< human detail for a quarantine
     double recovery_seconds = 0;  ///< wall clock of this shard's task
+    /// Views disabled at readmission because a lower shard holds their
+    /// name (stores written before names were catalog-wide).
+    std::vector<std::string> duplicate_names;
     RecoveryReport report;        ///< per-shard store recovery outcome
   };
 
@@ -220,7 +235,9 @@ class ShardedCatalogService : public SubstituteSource {
   // --- registration -------------------------------------------------------
 
   /// Validates, routes and registers a view on its owning shard; returns
-  /// the composite global id, or kInvalidViewId with *error set. Fails
+  /// the composite global id, or kInvalidViewId with *error set. A name
+  /// is unique across all shards: one registered on any shard is
+  /// rejected, with the unsharded service's error. Fails
   /// (rather than silently rehoming) when the owning shard is
   /// quarantined: a view registered elsewhere would violate the routing
   /// invariant and become unreachable after readmission. Also fails —
@@ -257,7 +274,11 @@ class ShardedCatalogService : public SubstituteSource {
   /// Parallel startup recovery: one task per shard on `pool` (null =
   /// serial), each replaying its own snapshot + WAL and auditing the
   /// rebuilt filter tree. A shard that fails is quarantined with a
-  /// machine-readable cause; the rest come up and serve. Never throws.
+  /// machine-readable cause; the rest come up and serve. The rebuilt
+  /// shards are readmitted in shard order once every task is done: a
+  /// view whose name a lower shard also holds is disabled (listed in
+  /// its shard's duplicate_names), whatever order the tasks ran in.
+  /// Never throws.
   ShardRecoveryReport RecoverAll(ThreadPool* pool = nullptr);
 
   /// Checkpoints every healthy shard, isolating per-shard failures (the
@@ -313,7 +334,8 @@ class ShardedCatalogService : public SubstituteSource {
   void set_epoch_clock(const TableEpochClock* clock);
 
   /// One revalidation tick across all healthy shards; returns the total
-  /// number of views readmitted.
+  /// number of views readmitted. A view disabled because another shard
+  /// holds its name is readmitted only once the name is free again.
   int RevalidationTickAll(
       const std::function<bool(const ViewDefinition&)>& validate);
 
@@ -382,25 +404,59 @@ class ShardedCatalogService : public SubstituteSource {
     int backoff_window = 0;     ///< current circuit-breaker window
   };
 
-  /// Recovery of one shard: replay + audit into a fresh service, then
-  /// swap it in or quarantine. Never throws (tasks run on a pool).
-  void RecoverShard(int shard, ShardRecoveryReport::ShardOutcome* outcome);
+  /// Recovery of one shard: replay + audit into a fresh service for
+  /// RecoverAll to readmit, or quarantine and null. Never throws (tasks
+  /// run on a pool).
+  std::unique_ptr<MatchingService> RecoverShard(
+      int shard, ShardRecoveryReport::ShardOutcome* outcome);
   /// Applies a quarantine verdict to shard bookkeeping + metrics.
   void Quarantine(int shard, ShardQuarantineCause cause,
                   const std::string& detail) MVOPT_EXCLUDES(admin_mu_);
-  /// Publishes a rebuilt service and marks the shard healthy.
-  void Readmit(int shard, std::unique_ptr<MatchingService> fresh)
-      MVOPT_EXCLUDES(admin_mu_);
+  /// Publishes a rebuilt service and marks the shard healthy; returns
+  /// the names of the views it disabled as duplicates (ClaimNamesLocked).
+  std::vector<std::string> Readmit(int shard,
+                                   std::unique_ptr<MatchingService> fresh)
+      MVOPT_EXCLUDES(admin_mu_, names_mu_);
+  /// Makes the names of `fresh` (rebuilt, not yet published) the shard's
+  /// settled names (see names_). A view whose name another shard holds
+  /// is disabled in `fresh` instead; returns those names.
+  std::vector<std::string> ClaimNamesLocked(int shard,
+                                            MatchingService& fresh)
+      MVOPT_REQUIRES(names_mu_);
+  /// Settles `name`, which the shard's service holds, as the shard's:
+  /// true when it was free or already the shard's, false when another
+  /// shard holds it.
+  bool ClaimName(int shard, const std::string& name)
+      MVOPT_EXCLUDES(names_mu_);
   /// Audits a rebuilt (not yet published) shard service; empty string =
   /// pass.
   std::string AuditShard(MatchingService& service) const;
   void RegisterMetrics();
   void UpdateQuarantineGauge();
 
+  /// A view name's owner in the catalog-wide name index. Pending from
+  /// AddView's claim until the registration settles; a failed
+  /// registration drops its pending claim.
+  struct NameClaim {
+    int shard = 0;
+    bool committed = false;
+  };
+
   const Catalog* catalog_;
   ShardedCatalogOptions options_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
+
+  /// Guards the catalog-wide name index. Taken after a shard's
+  /// writer_mu, never before one, and never held across a shard-service
+  /// call.
+  mutable Mutex names_mu_;
+  /// Every registered view name, and every name a registration in flight
+  /// has claimed, with the shard whose view serves under it: AddView
+  /// rejects a name registered on any shard, and Readmit restores a
+  /// rebuilt shard's names.
+  std::unordered_map<std::string, NameClaim> names_
+      MVOPT_GUARDED_BY(names_mu_);
 
   mutable Mutex admin_mu_;
   std::vector<ShardAdmin> admin_ MVOPT_GUARDED_BY(admin_mu_);

@@ -4,7 +4,10 @@
 #include <bit>
 #include <map>
 #include <set>
+#include <unordered_set>
 #include <utility>
+
+#include "common/hash_util.h"
 
 namespace mvopt {
 
@@ -162,9 +165,9 @@ AuditReport InvariantAuditor::AuditLattice(const LatticeIndex& index) const {
   return report;
 }
 
-void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
-                                     const FilterTree::Node& node,
-                                     size_t depth, size_t num_levels,
+void InvariantAuditor::CheckTreeNode(const FilterTree::Node& node,
+                                     const ViewCatalog& views, size_t depth,
+                                     size_t num_levels,
                                      bool agg_tree, const std::string& where,
                                      std::vector<ViewId>* seen,
                                      AuditReport* report) const {
@@ -191,19 +194,26 @@ void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
             at + ": leaf liveness disagrees with its view list");
       }
       if (i < node.leaves.size()) {
-        for (ViewId id : node.leaves[i]) {
-          if (id < 0 ||
-              id >= static_cast<ViewId>(tree.descriptions_->size())) {
-            report->violations.push_back(at + ": leaf holds unknown view id " +
-                                         std::to_string(id));
+        for (const auto& view : node.leaves[i]) {
+          if (view == nullptr || view->id < 0 ||
+              view->id >= views.num_views()) {
+            report->violations.push_back(
+                at + ": leaf holds unknown view id " +
+                (view == nullptr ? std::string("(null)")
+                                 : std::to_string(view->id)));
             continue;
           }
-          if ((*tree.descriptions_)[id].is_aggregate != agg_tree) {
+          if (view != views.shared_description(view->id)) {
             report->violations.push_back(
-                at + ": view " + std::to_string(id) +
+                at + ": leaf holds a description of view " +
+                std::to_string(view->id) + " the catalog does not");
+          }
+          if (view->is_aggregate != agg_tree) {
+            report->violations.push_back(
+                at + ": view " + std::to_string(view->id) +
                 " indexed in the wrong aggregation tree");
           }
-          seen->push_back(id);
+          seen->push_back(view->id);
         }
       }
       continue;
@@ -214,21 +224,22 @@ void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
       report->violations.push_back(at + ": live interior node has no child");
     }
     if (has_child) {
-      CheckTreeNode(tree, *node.children[i], depth + 1, num_levels, agg_tree,
-                    at, seen, report);
+      CheckTreeNode(*node.children[i], views, depth + 1, num_levels,
+                    agg_tree, at, seen, report);
     }
   }
 }
 
-AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree) const {
+AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree,
+                                              const ViewCatalog& views) const {
   AuditReport report;
   std::vector<ViewId> seen;
   if (!tree.spj_levels_.empty()) {
-    CheckTreeNode(tree, tree.spj_root_, 0, tree.spj_levels_.size(),
+    CheckTreeNode(*tree.spj_root_, views, 0, tree.spj_levels_.size(),
                   /*agg_tree=*/false, "spj", &seen, &report);
   }
   if (!tree.agg_levels_.empty()) {
-    CheckTreeNode(tree, tree.agg_root_, 0, tree.agg_levels_.size(),
+    CheckTreeNode(*tree.agg_root_, views, 0, tree.agg_levels_.size(),
                   /*agg_tree=*/true, "agg", &seen, &report);
   }
   std::vector<ViewId> sorted = seen;
@@ -242,6 +253,59 @@ AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree) const {
         " disagrees with num_views() " + std::to_string(tree.num_views()));
   }
   return report;
+}
+
+int64_t InvariantAuditor::CountUnsharedNodes(
+    const FilterTree& tree, const FilterTree& previous) const {
+  std::unordered_set<const FilterTree::Node*> theirs;
+  auto collect = [&theirs](auto& self, const FilterTree::Node& node) -> void {
+    theirs.insert(&node);
+    for (const auto& child : node.children) {
+      if (child != nullptr) self(self, *child);
+    }
+  };
+  collect(collect, *previous.spj_root_);
+  collect(collect, *previous.agg_root_);
+  int64_t unshared = 0;
+  auto count = [&theirs, &unshared](auto& self,
+                                    const FilterTree::Node& node) -> void {
+    // A node both trees reach is immutable, so its whole subtree is
+    // shared too.
+    if (theirs.count(&node) != 0) return;
+    ++unshared;
+    for (const auto& child : node.children) {
+      if (child != nullptr) self(self, *child);
+    }
+  };
+  count(count, *tree.spj_root_);
+  count(count, *tree.agg_root_);
+  return unshared;
+}
+
+uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
+  size_t digest = static_cast<size_t>(tree.num_views());
+  auto walk = [&digest](auto& self, const FilterTree::Node& node) -> void {
+    const int n = node.index.num_nodes();
+    HashCombine(&digest, n);
+    for (int i = 0; i < n; ++i) {
+      HashCombine(&digest, node.index.alive(i));
+      HashCombine(&digest, node.index.key(i).size());
+      for (uint32_t atom : node.index.key(i)) HashCombine(&digest, atom);
+    }
+    HashCombine(&digest, node.children.size());
+    for (const auto& child : node.children) {
+      HashCombine(&digest, child != nullptr);
+      if (child != nullptr) self(self, *child);
+    }
+    HashCombine(&digest, node.leaves.size());
+    for (const auto& leaf : node.leaves) {
+      HashCombine(&digest, leaf.size());
+      for (const auto& view : leaf) HashCombine(&digest, view->id);
+    }
+  };
+  walk(walk, *tree.spj_root_);
+  walk(walk, *tree.agg_root_);
+  return digest;
 }
 
 AuditReport InvariantAuditor::AuditMemo(

@@ -10,8 +10,10 @@
 //   - FilterTree: every level node's lattice passes the audit, interior
 //     live nodes have materialized children, live leaf nodes carry views
 //     (and dead ones carry none), each view id appears on exactly one
-//     path of the tree matching its description's aggregation class, and
-//     the leaf population adds up to num_views().
+//     path of the tree matching its description's aggregation class,
+//     every leaf holds the catalog's own description of a registered
+//     view (probes resolve each candidate id in that catalog), and the
+//     leaf population adds up to num_views().
 //   - Optimizer memo (via an exported snapshot): group keys are unique,
 //     masks are non-empty subsets of the query's table set, GET
 //     expressions are single-table, JOIN children partition the group's
@@ -30,6 +32,7 @@
 
 #include "index/filter_tree.h"
 #include "index/lattice.h"
+#include "rewrite/view_catalog.h"
 
 namespace mvopt {
 
@@ -63,7 +66,19 @@ class InvariantAuditor {
  public:
   AuditReport AuditLattice(const LatticeIndex& index) const;
 
-  AuditReport AuditFilterTree(const FilterTree& tree) const;
+  /// Audits `tree` as the index over `views`, the catalog its probes
+  /// resolve candidate ids in.
+  AuditReport AuditFilterTree(const FilterTree& tree,
+                              const ViewCatalog& views) const;
+
+  /// Structural-sharing diagnostic for generations (DESIGN.md §15): the
+  /// number of `tree`'s nodes that `previous` does not also reach.
+  int64_t CountUnsharedNodes(const FilterTree& tree,
+                             const FilterTree& previous) const;
+  /// Digest of `tree`'s whole structure — every node's lattice keys and
+  /// liveness, child slots and leaf view ids — for asserting that a
+  /// tree was left unmodified.
+  uint64_t TreeDigest(const FilterTree& tree) const;
 
   /// `full_mask` is the query's complete table-reference set,
   /// `num_agg_specs` the number of aggregation specs the optimizer
@@ -76,7 +91,7 @@ class InvariantAuditor {
  private:
   void CheckLattice(const LatticeIndex& index, const std::string& where,
                     AuditReport* report) const;
-  void CheckTreeNode(const FilterTree& tree, const FilterTree::Node& node,
+  void CheckTreeNode(const FilterTree::Node& node, const ViewCatalog& views,
                      size_t depth, size_t num_levels, bool agg_tree,
                      const std::string& where, std::vector<ViewId>* seen,
                      AuditReport* report) const;

@@ -78,7 +78,8 @@ class ConcurrencyStressTest : public ::testing::Test {
 
   void ExpectAuditGreen(const MatchingService& service) {
     InvariantAuditor auditor;
-    AuditReport report = auditor.AuditFilterTree(service.filter_tree());
+    AuditReport report =
+        auditor.AuditFilterTree(service.filter_tree(), service.views());
     EXPECT_TRUE(report.ok()) << report.Summary();
   }
 

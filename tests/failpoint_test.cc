@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,8 @@ class FailpointSiteTest : public ::testing::Test {
 
   void ExpectAuditGreen(const MatchingService& service) {
     InvariantAuditor auditor;
-    AuditReport report = auditor.AuditFilterTree(service.filter_tree());
+    AuditReport report =
+        auditor.AuditFilterTree(service.filter_tree(), service.views());
     EXPECT_TRUE(report.ok()) << report.Summary();
   }
 
@@ -198,6 +200,80 @@ TEST_F(FailpointSiteTest, InsertLeafThrowUndoesPartialTreeInsert) {
   for (const Substitute& s : subs) found = found || s.view_id == v->id();
   EXPECT_TRUE(found);
   ExpectAuditGreen(service);
+}
+
+// Generations share filter-tree nodes, and the writer copies the nodes
+// of the new view's path before mutating them. A fault anywhere on the
+// registration path — before the copy, after part of it, or after the
+// leaf insert — must leave the published generation's nodes exactly as
+// they were: the failed clone's copies are dropped, never written back.
+TEST_F(FailpointSiteTest, FaultMidRegistrationLeavesPublishedNodesUnmodified) {
+  tpch::WorkloadGenerator query_gen(&catalog_, 99);
+  std::vector<QueryDescription> queries;
+  for (int i = 0; i < 20; ++i) {
+    queries.push_back(DescribeQuery(catalog_, query_gen.GenerateQuery()));
+  }
+  queries.push_back(DescribeQuery(catalog_, SimpleLineitemDef()));
+  for (const char* site :
+       {"filter_tree.add_view", "filter_tree.insert_leaf",
+        "view_catalog.describe", "match_program.compile"}) {
+    SCOPED_TRACE(site);
+    MatchingService service(&catalog_);
+    AddWorkloadViews(&service, 40, 11);
+    MatchingService::PinnedGenerationForTest published(service);
+    const uint64_t digest = InvariantAuditor().TreeDigest(published->tree);
+    std::vector<std::vector<ViewId>> candidates;
+    for (const QueryDescription& q : queries) {
+      candidates.push_back(published->tree.FindCandidates(q));
+    }
+
+    FailpointRegistry::Instance().Enable(site);
+    std::string error;
+    EXPECT_EQ(service.AddView("victim", SimpleLineitemDef(), &error), nullptr);
+    EXPECT_NE(error.find("rolled back"), std::string::npos) << error;
+    EXPECT_EQ(service.snapshot_version(), published->version);
+    EXPECT_EQ(InvariantAuditor().TreeDigest(published->tree), digest);
+    EXPECT_EQ(published->views.num_views(), 40);
+    EXPECT_EQ(published->views.FindView("victim"), nullptr);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(published->tree.FindCandidates(queries[q]), candidates[q])
+          << "query " << q;
+    }
+    ExpectAuditGreen(service);
+  }
+}
+
+// Recovery builds ONE generation, and an entry that fails after it was
+// indexed (here: its program fails to compile) is rolled back out of the
+// tree as well as the catalog. Mid-log, the next entry reuses its id,
+// which must then sit on exactly one tree path; as the last entry, its
+// id must be on no tree path at all.
+TEST_F(FailpointSiteTest, RecoveryRollbackUnindexesTheFailedEntry) {
+  char tmpl[] = "/tmp/mvopt_failpoint_XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl);
+  {
+    MatchingService service(&catalog_);
+    CatalogStore store(dir);
+    service.AttachStore(&store);
+    AddWorkloadViews(&service, 12, 5);
+  }
+  for (int failing : {4, 11}) {
+    SCOPED_TRACE("failing entry " + std::to_string(failing));
+    FailpointConfig cfg;
+    cfg.skip = failing;  // entries before it compile
+    FailpointRegistry::Instance().Enable("match_program.compile", cfg);
+    MatchingService reborn(&catalog_);
+    CatalogStore store(dir);
+    const RecoveryReport report = reborn.RecoverFrom(&store);
+    FailpointRegistry::Instance().DisableAll();
+    ASSERT_EQ(report.quarantined.size(), 1u) << report.ToJson();
+    EXPECT_EQ(report.quarantined[0].name, "w" + std::to_string(failing));
+    EXPECT_EQ(reborn.views().num_views(), 11);
+    EXPECT_EQ(reborn.filter_tree().num_views(), 11);
+    ExpectAuditGreen(reborn);
+  }
+  std::string cmd = "rm -rf " + dir;
+  (void)::system(cmd.c_str());
 }
 
 TEST_F(FailpointSiteTest, ProbeEntryFailureIsIsolatedByOptimizer) {

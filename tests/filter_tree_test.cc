@@ -15,8 +15,7 @@ class FilterTreeTest : public ::testing::Test {
  protected:
   FilterTreeTest()
       : schema_(tpch::BuildSchema(&catalog_)),
-        views_(&catalog_),
-        tree_(&views_.descriptions()) {}
+        views_(&catalog_) {}
 
   static ExprPtr Eq(ExprPtr a, ExprPtr b) {
     return Expr::MakeCompare(CompareOp::kEq, std::move(a), std::move(b));
@@ -31,7 +30,7 @@ class FilterTreeTest : public ::testing::Test {
     ViewDefinition* v = views_.AddView(
         "v" + std::to_string(views_.num_views()), std::move(def), &error);
     EXPECT_NE(v, nullptr) << error;
-    tree_.AddView(v->id());
+    tree_.AddView(views_.shared_description(v->id()));
     return v->id();
   }
 
@@ -255,11 +254,11 @@ TEST_F(FilterTreeTest, RemoveViewDropsItFromCandidates) {
   qb.Output(qb.Col(ql, "l_orderkey"));
   SpjgQuery query = qb.Build();
   EXPECT_EQ(Candidates(query), std::vector<ViewId>{id});
-  tree_.RemoveView(id);
+  tree_.RemoveView(views_.description(id));
   EXPECT_TRUE(Candidates(query).empty());
   EXPECT_EQ(tree_.num_views(), 0);
   // Re-adding revives it.
-  tree_.AddView(id);
+  tree_.AddView(views_.shared_description(id));
   EXPECT_EQ(Candidates(query), std::vector<ViewId>{id});
 }
 

@@ -51,7 +51,7 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
   Catalog catalog;
   tpch::BuildSchema(&catalog, 0.001);
   ViewCatalog views(&catalog);
-  FilterTree tree(&views.descriptions());
+  FilterTree tree;
 
   tpch::WorkloadGenerator gen(&catalog, 1234);
   std::vector<ViewId> ids;
@@ -60,24 +60,68 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
     ViewDefinition* v =
         views.AddView("v" + std::to_string(i), gen.GenerateView(), &error);
     ASSERT_NE(v, nullptr) << error;
-    tree.AddView(v->id());
+    tree.AddView(views.shared_description(v->id()));
     ids.push_back(v->id());
   }
 
   InvariantAuditor auditor;
-  AuditReport report = tree.num_views() >= 0 ? auditor.AuditFilterTree(tree)
-                                             : AuditReport{};
+  AuditReport report = auditor.AuditFilterTree(tree, views);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
   // Remove every third view, then re-add one: liveness bookkeeping and
   // the view population must stay consistent.
-  for (size_t i = 0; i < ids.size(); i += 3) tree.RemoveView(ids[i]);
-  report = auditor.AuditFilterTree(tree);
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    tree.RemoveView(views.description(ids[i]));
+  }
+  report = auditor.AuditFilterTree(tree, views);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
-  tree.AddView(ids[0]);
-  report = auditor.AuditFilterTree(tree);
+  tree.AddView(views.shared_description(ids[0]));
+  report = auditor.AuditFilterTree(tree, views);
   EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Probes resolve every candidate id in the catalog, so a leaf must hold
+// the catalog's own description of a registered view. A registration
+// rolled back out of the catalog but left on a tree path is flagged —
+// while it is the last id, and again once the next registration reuses
+// its id.
+TEST(FilterTreeAuditTest, LeafTheCatalogDoesNotHoldIsFlagged) {
+  Catalog catalog;
+  tpch::BuildSchema(&catalog, 0.001);
+  ViewCatalog views(&catalog);
+  FilterTree tree;
+  tpch::WorkloadGenerator gen(&catalog, 77);
+  auto add = [&](const std::string& name) {
+    std::string error;
+    ViewDefinition* v = views.AddView(name, gen.GenerateView(), &error);
+    EXPECT_NE(v, nullptr) << error;
+    tree.AddView(views.shared_description(v->id()));
+    return v->id();
+  };
+  add("a");
+  add("b");
+  const ViewId last = add("c");
+  InvariantAuditor auditor;
+  ASSERT_TRUE(auditor.AuditFilterTree(tree, views).ok());
+
+  views.RemoveLastView(last);  // rolled back, but still indexed
+  AuditReport report = auditor.AuditFilterTree(tree, views);
+  EXPECT_NE(report.Summary().find("leaf holds unknown view id " +
+                                  std::to_string(last)),
+            std::string::npos)
+      << report.Summary();
+
+  EXPECT_EQ(add("d"), last);  // reuses the id
+  report = auditor.AuditFilterTree(tree, views);
+  EXPECT_NE(report.Summary().find("leaf holds a description of view " +
+                                  std::to_string(last) +
+                                  " the catalog does not"),
+            std::string::npos)
+      << report.Summary();
+  EXPECT_NE(report.Summary().find("a view id appears on more than one path"),
+            std::string::npos)
+      << report.Summary();
 }
 
 class MemoAuditTest : public ::testing::TestWithParam<uint64_t> {};

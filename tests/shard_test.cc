@@ -6,15 +6,18 @@
 // admission-layer partial-catalog shed policy.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/query_context.h"
 #include "common/thread_pool.h"
 #include "observe/metrics.h"
@@ -284,6 +287,208 @@ TEST_F(ShardTest, AddViewToQuarantinedOwnerFailsLoudly) {
     return;
   }
   GTEST_SKIP() << "every generated view routed to the quarantined shard";
+}
+
+// ---------------------------------------------------------------------
+// Catalog-wide view names: plans render views by name, so a name taken
+// on one shard is taken on all of them — at registration, under
+// concurrent registration, and after recovery and scrub rebuilds.
+// ---------------------------------------------------------------------
+
+/// One generated definition per distinct owning shard, in shard order.
+std::vector<SpjgQuery> OnePerShard(const ShardedCatalogService& service,
+                                   const std::vector<SpjgQuery>& defs) {
+  std::vector<SpjgQuery> out;
+  std::vector<bool> taken(static_cast<size_t>(service.num_shards()), false);
+  for (const SpjgQuery& def : defs) {
+    const auto shard = static_cast<size_t>(service.router().RouteView(def));
+    if (taken[shard]) continue;
+    taken[shard] = true;
+    out.push_back(def);
+  }
+  return out;
+}
+
+TEST_F(ShardTest, DuplicateNameIsRejectedAcrossShards) {
+  std::string unsharded_error;
+  {
+    MatchingService control(&catalog_);
+    ASSERT_NE(control.AddView("dup", view_defs_[0]), nullptr);
+    EXPECT_EQ(control.AddView("dup", view_defs_[1], &unsharded_error),
+              nullptr);
+  }
+  ShardedCatalogService service(&catalog_, Options(4, false));
+  const std::vector<SpjgQuery> defs = OnePerShard(service, view_defs_);
+  ASSERT_GE(defs.size(), 2u) << "the workload must span two shards";
+  std::string error;
+  ASSERT_NE(service.AddView("dup", defs[0], &error), kInvalidViewId) << error;
+  for (size_t i = 1; i < defs.size(); ++i) {
+    error.clear();
+    EXPECT_EQ(service.AddView("dup", defs[i], &error), kInvalidViewId)
+        << "owner shard " << service.router().RouteView(defs[i]);
+    EXPECT_EQ(error, unsharded_error);
+  }
+
+  // A registration that fails releases its claim on the name.
+  const int owner = service.router().RouteView(defs[1]);
+  service.ForceQuarantine(owner, ShardQuarantineCause::kForced, "test");
+  EXPECT_EQ(service.AddView("released", defs[1], &error), kInvalidViewId);
+  EXPECT_NE(service.AddView("released", defs[0], &error), kInvalidViewId)
+      << error;
+}
+
+TEST_F(ShardTest, ConcurrentDuplicateRegistrationsAdmitExactlyOne) {
+  ShardedCatalogService service(&catalog_, Options(4, false));
+  const std::vector<SpjgQuery> defs = OnePerShard(service, view_defs_);
+  ASSERT_GE(defs.size(), 2u) << "the workload must span two shards";
+  for (int round = 0; round < 20; ++round) {
+    const std::string name = "race" + std::to_string(round);
+    std::atomic<int> admitted{0};
+    std::vector<std::thread> writers;
+    for (const SpjgQuery& def : defs) {
+      writers.emplace_back([&service, &name, &admitted, def] {
+        if (service.AddView(name, def) != kInvalidViewId) ++admitted;
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    EXPECT_EQ(admitted.load(), 1) << name;
+  }
+}
+
+TEST_F(ShardTest, RecoveredAndScrubbedNamesStayCatalogWide) {
+  {
+    ShardedCatalogService service(&catalog_, Options(4, true));
+    Seed(service);
+    EXPECT_EQ(service.CheckpointAll(), 4);
+  }
+  ShardedCatalogService service(&catalog_, Options(4, true));
+  ThreadPool pool(3);
+  ASSERT_TRUE(service.RecoverAll(&pool).all_healthy());
+  const int owner = service.router().RouteView(view_defs_[0]);
+  int other = -1;
+  size_t other_def = 0;
+  for (size_t i = 1; i < view_defs_.size() && other < 0; ++i) {
+    if (service.router().RouteView(view_defs_[i]) != owner) {
+      other = service.router().RouteView(view_defs_[i]);
+      other_def = i;
+    }
+  }
+  ASSERT_GE(other, 0) << "the workload must span two shards";
+
+  // Names restored by recovery are taken on every shard.
+  std::string error;
+  EXPECT_EQ(service.AddView("v0", view_defs_[other_def], &error),
+            kInvalidViewId);
+  EXPECT_EQ(error, "view 'v0' is already registered");
+
+  // ... and so are names restored by a scrub rebuild.
+  service.ForceQuarantine(owner, ShardQuarantineCause::kForced, "test");
+  ASSERT_EQ(service.ScrubTick(), 1);
+  EXPECT_EQ(service.AddView("v0", view_defs_[other_def], &error),
+            kInvalidViewId);
+  EXPECT_NE(service.AddView("fresh", view_defs_[other_def], &error),
+            kInvalidViewId)
+      << error;
+}
+
+// A store written before names were catalog-wide can hold one name on
+// several shards. Recovery readmits every shard and disables only the
+// duplicate views: the lowest shard holding the name keeps it, however
+// the parallel recovery tasks interleave, and revalidation never brings
+// a duplicate back.
+TEST_F(ShardTest, DuplicateNamesInTheStoreResolveToTheLowestShard) {
+  std::vector<int> holders;  // shards whose store holds a view "v0"
+  {
+    ShardedCatalogService writer(&catalog_, Options(4, true));
+    Seed(writer);
+    holders.push_back(writer.router().RouteView(view_defs_[0]));
+    for (const SpjgQuery& def : OnePerShard(writer, view_defs_)) {
+      const int shard = writer.router().RouteView(def);
+      if (shard == holders.front()) continue;
+      PersistedView image;
+      image.name = "v0";
+      image.sql = def.ToSql(catalog_);
+      writer.shard_store(shard)->AppendAddView(image);
+      holders.push_back(shard);
+    }
+  }
+  ASSERT_GE(holders.size(), 2u) << "the workload must span two shards";
+  const int keeper = *std::min_element(holders.begin(), holders.end());
+
+  ThreadPool pool(3);
+  for (int run = 0; run < 6; ++run) {
+    SCOPED_TRACE(run == 0 ? "serial" : "parallel run " + std::to_string(run));
+    ShardedCatalogService reborn(&catalog_, Options(4, true));
+    const ShardRecoveryReport report =
+        reborn.RecoverAll(run == 0 ? nullptr : &pool);
+    ASSERT_TRUE(report.all_healthy()) << report.ToJson();
+    auto disabled = [&reborn](int shard) {
+      const MatchingService& service = reborn.shard_service(shard);
+      return service.IsQuarantined(service.views().FindView("v0")->id());
+    };
+    for (int shard : holders) {
+      SCOPED_TRACE("shard " + std::to_string(shard));
+      const std::vector<std::string>& duplicates =
+          report.shards[static_cast<size_t>(shard)].duplicate_names;
+      EXPECT_EQ(disabled(shard), shard != keeper);
+      EXPECT_EQ(duplicates, shard == keeper ? std::vector<std::string>{}
+                                            : std::vector<std::string>{"v0"});
+      // Only the duplicate is out; the rest of the shard serves.
+      EXPECT_EQ(reborn.shard_service(shard).verify_stats().quarantined_views,
+                shard == keeper ? 0 : 1);
+    }
+    reborn.RevalidationTickAll([](const ViewDefinition&) { return true; });
+    for (int shard : holders) {
+      EXPECT_EQ(disabled(shard), shard != keeper) << "shard " << shard;
+    }
+    std::string error;
+    EXPECT_EQ(reborn.AddView("v0", view_defs_[1], &error), kInvalidViewId);
+    EXPECT_EQ(error, "view 'v0' is already registered");
+  }
+}
+
+// A shard quarantined at startup has not restored its names, so one of
+// them can be registered on another shard while it is down — and is that
+// shard's from then on. The scrub still readmits the quarantined shard,
+// without that one view.
+TEST_F(ShardTest, ScrubReadmitsAShardWhoseNameWasTakenMeanwhile) {
+  {
+    ShardedCatalogService writer(&catalog_, Options(4, true));
+    Seed(writer);
+  }
+  ShardedCatalogService service(&catalog_, Options(4, true));
+  const int down = service.router().RouteView(view_defs_[0]);  // holds v0
+  size_t elsewhere = 0;
+  for (size_t i = 1; i < view_defs_.size() && elsewhere == 0; ++i) {
+    if (service.router().RouteView(view_defs_[i]) != down) elsewhere = i;
+  }
+  ASSERT_NE(elsewhere, 0u) << "the workload must span two shards";
+  FailpointConfig cfg;
+  cfg.skip = down;  // serial recovery: fails exactly shard `down`'s task
+  FailpointRegistry::Instance().Enable("catalog_shard.recover", cfg);
+  const ShardRecoveryReport report = service.RecoverAll(nullptr);
+  FailpointRegistry::Instance().DisableAll();
+  ASSERT_EQ(report.num_quarantined(), 1) << report.ToJson();
+  ASSERT_EQ(service.shard_health(down), ShardHealth::kQuarantined);
+
+  std::string error;
+  const ViewId taken = service.AddView("v0", view_defs_[elsewhere], &error);
+  ASSERT_NE(taken, kInvalidViewId) << error;
+
+  ASSERT_EQ(service.ScrubTick(), 1);
+  EXPECT_EQ(service.shard_health(down), ShardHealth::kHealthy);
+  const MatchingService& rebuilt = service.shard_service(down);
+  EXPECT_TRUE(rebuilt.IsQuarantined(rebuilt.views().FindView("v0")->id()));
+  EXPECT_EQ(rebuilt.verify_stats().quarantined_views, 1);
+  EXPECT_EQ(service.ResolveView(taken).name(), "v0");
+  // The readmitted shard's other names are catalog-wide again.
+  for (ViewId id = 0; id < rebuilt.views().num_views(); ++id) {
+    const std::string& name = rebuilt.views().view(id).name();
+    if (name == "v0") continue;
+    EXPECT_EQ(service.AddView(name, view_defs_[elsewhere], &error),
+              kInvalidViewId)
+        << name;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Multi-threaded stress for the lock-free probe path (DESIGN.md §15):
 // probes racing snapshot publication, epoch-based reclamation under
-// churn, lifecycle quarantine/readmission flapping mid-probe, and the
-// pooled-vs-serial stats contract on the snapshot path. Run under
+// churn, lifecycle quarantine/readmission flapping mid-probe, probes on
+// pinned older generations racing writers that copy the paths those
+// generations share, and the pooled-vs-serial stats contract on the
+// snapshot path. Run under
 // MVOPT_SANITIZE=thread in CI — the interesting failures here are
 // use-after-free of a retired snapshot and torn probe state, which TSan
 // and ASan surface even when the assertions below stay green.
@@ -22,6 +24,7 @@
 #include "index/matching_service.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
+#include "verify/invariant_auditor.h"
 
 namespace mvopt {
 namespace {
@@ -169,6 +172,67 @@ TEST_F(SnapshotStressTest, LifecycleReadmissionRacesProbes) {
               Signature(reference.FindSubstitutes(queries_[q])))
         << "query " << q;
   }
+}
+
+// Generations share filter-tree nodes and catalog entries; a writer
+// copies a shared path before mutating it. Probers pin an older
+// generation and keep re-probing it while the writer registers views
+// and flaps lifecycles (each publication copying paths the pinned
+// generation still reaches): every re-probe must answer exactly as the
+// first did. Under TSan, an in-place write to a shared node is a
+// reported race even when the answers happen to agree.
+TEST_F(SnapshotStressTest, PinnedGenerationsRaceWritersCopyingSharedPaths) {
+  MatchingService service(&catalog_);
+  AddViewRange(&service, 0, kInitialViews);
+  std::vector<QueryDescription> queries;
+  for (const SpjgQuery& q : queries_) {
+    queries.push_back(DescribeQuery(catalog_, q));
+  }
+
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    AddViewRange(&service, kInitialViews, kNumViews);
+    for (int round = 0; round < 4; ++round) {
+      for (ViewId id = 0; id < 6; ++id) {
+        (void)service.ReportChecksumMismatch(id);
+        (void)service.ReadmitView(id);
+      }
+    }
+    writer_done.store(true);
+  });
+  std::atomic<int64_t> reprobes{0};
+  std::vector<std::thread> probers;
+  for (int t = 0; t < kNumProbers; ++t) {
+    probers.emplace_back([&] {
+      do {
+        MatchingService::PinnedGenerationForTest gen(service);
+        const int num_views = gen->views.num_views();
+        const uint64_t digest = InvariantAuditor().TreeDigest(gen->tree);
+        std::vector<std::vector<ViewId>> first;
+        for (const QueryDescription& q : queries) {
+          first.push_back(gen->tree.FindCandidates(q));
+        }
+        for (int round = 0; round < 3; ++round) {
+          for (size_t q = 0; q < queries.size(); ++q) {
+            EXPECT_EQ(gen->tree.FindCandidates(queries[q]), first[q]);
+            for (ViewId id : first[q]) {
+              EXPECT_LT(id, num_views);
+              EXPECT_EQ(gen->views.description(id).id, id);
+              EXPECT_EQ(gen->views.FindView(gen->views.view(id).name()),
+                        &gen->views.view(id));
+            }
+          }
+          reprobes.fetch_add(1);
+        }
+        EXPECT_EQ(gen->views.num_views(), num_views);
+        EXPECT_EQ(InvariantAuditor().TreeDigest(gen->tree), digest);
+      } while (!writer_done.load());
+    });
+  }
+  writer.join();
+  for (std::thread& p : probers) p.join();
+  EXPECT_GT(reprobes.load(), 0);
+  EXPECT_EQ(service.views().num_views(), kNumViews);
 }
 
 // Stats determinism on the snapshot path: N concurrent pooled passes

@@ -1,11 +1,14 @@
 // Immutable-snapshot probe path (DESIGN.md §15): EpochDomain unit
-// semantics, snapshot publication/reclamation bookkeeping, and the
+// semantics, snapshot publication/reclamation bookkeeping, the
 // cross-check the refactor is held to — probe results, ordering and
 // stats byte-identical between ProbeMode::kSnapshot (lock-free, pinned
 // snapshot) and ProbeMode::kReaderLock (the pre-snapshot shared-lock
-// discipline).
+// discipline) — and the structural-sharing rule: generations share
+// nodes, a pinned generation never changes, and one AddView copies only
+// its own filter-tree path.
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "index/matching_service.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
+#include "verify/invariant_auditor.h"
 
 namespace mvopt {
 namespace {
@@ -309,6 +313,129 @@ TEST_F(SnapshotTest, FailedAddViewDiscardsTheCloneNotTheSnapshot) {
   ASSERT_NE(service.AddView("victim", view_defs_[1], &error), nullptr)
       << error;
   EXPECT_EQ(service.snapshot_version(), version + 1);
+}
+
+// ---------------------------------------------------------------------
+// Structural sharing between generations.
+// ---------------------------------------------------------------------
+
+/// Everything a reader can observe of one generation: its views and
+/// where they live, and the filter tree's answers and structure.
+struct GenerationImage {
+  int num_views = 0;
+  std::vector<const ViewDefinition*> by_name;
+  std::vector<const ViewDescription*> descriptions;
+  std::vector<const MatchProgram*> programs;
+  std::vector<std::vector<ViewId>> candidates;
+  uint64_t tree_digest = 0;
+
+  bool operator==(const GenerationImage&) const = default;
+};
+
+GenerationImage ImageOf(const CatalogSnapshot& snap,
+                        const std::vector<QueryDescription>& queries) {
+  GenerationImage image;
+  image.num_views = snap.views.num_views();
+  for (ViewId id = 0; id < image.num_views; ++id) {
+    image.by_name.push_back(snap.views.FindView(snap.views.view(id).name()));
+    image.descriptions.push_back(&snap.views.description(id));
+    image.programs.push_back(snap.views.program(id).get());
+  }
+  for (const QueryDescription& q : queries) {
+    image.candidates.push_back(snap.tree.FindCandidates(q));
+  }
+  image.tree_digest = InvariantAuditor().TreeDigest(snap.tree);
+  return image;
+}
+
+// A pinned generation answers exactly as it did at publication, however
+// many later generations copy and mutate the nodes it shares: AddView,
+// checksum quarantine, readmission and revalidation all publish here.
+TEST_F(SnapshotTest, PinnedGenerationsNeverChange) {
+  MatchingService service(&catalog_);
+  SeedViews(&service);
+  std::vector<QueryDescription> queries;
+  for (const SpjgQuery& q : queries_) {
+    queries.push_back(DescribeQuery(catalog_, q));
+  }
+  using Pinned = MatchingService::PinnedGenerationForTest;
+  std::vector<std::unique_ptr<Pinned>> pinned;
+  std::vector<GenerationImage> images;
+  auto pin = [&] {
+    pinned.push_back(std::make_unique<Pinned>(service));
+    images.push_back(ImageOf(**pinned.back(), queries));
+  };
+
+  pin();
+  tpch::WorkloadGenerator gen(&catalog_, 2024);
+  std::string error;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(service.AddView("late" + std::to_string(i), gen.GenerateView(),
+                              &error),
+              nullptr)
+        << error;
+    pin();
+  }
+  ASSERT_TRUE(service.ReportChecksumMismatch(1));
+  pin();
+  ASSERT_TRUE(service.ReadmitView(1));
+  pin();
+  ASSERT_TRUE(service.ReportChecksumMismatch(2));
+  ASSERT_TRUE(service.ReportChecksumMismatch(3));
+  pin();
+  EXPECT_EQ(service.RevalidationTick([](const ViewDefinition&) {
+              return true;
+            }),
+            2);
+  pin();
+  EXPECT_EQ((*pinned.back())->version, (*pinned.front())->version + 9);
+
+  InvariantAuditor auditor;
+  for (size_t g = 0; g < pinned.size(); ++g) {
+    SCOPED_TRACE("generation " + std::to_string((*pinned[g])->version));
+    EXPECT_TRUE(ImageOf(**pinned[g], queries) == images[g]);
+    const AuditReport report =
+        auditor.AuditFilterTree((*pinned[g])->tree, (*pinned[g])->views);
+    EXPECT_TRUE(report.ok()) << report.Summary();
+  }
+  // The views the first generation knows are the same objects in the
+  // last one: entries are shared, not copied.
+  for (ViewId id = 0; id < images.front().num_views; ++id) {
+    EXPECT_EQ(&(*pinned.back())->views.description(id),
+              images.front().descriptions[id]);
+  }
+}
+
+// One AddView leaves at most the nodes of the new view's root-to-leaf
+// path unshared with the previous generation — 6 for an SPJ view, 8 for
+// an aggregation view — however large the catalog.
+TEST_F(SnapshotTest, AddViewCopiesOnlyItsFilterTreePath) {
+  MatchingService service(&catalog_);
+  tpch::WorkloadGenerator gen(&catalog_, 97);
+  InvariantAuditor auditor;
+  std::string error;
+  int registered = 0;
+  for (int size : {100, 2000}) {
+    for (; registered < size; ++registered) {
+      ASSERT_NE(service.AddView("g" + std::to_string(registered),
+                                gen.GenerateView(), &error),
+                nullptr)
+          << error;
+    }
+    for (int k = 0; k < 10; ++k, ++registered) {
+      MatchingService::PinnedGenerationForTest before(service);
+      ViewDefinition* view = service.AddView(
+          "g" + std::to_string(registered), gen.GenerateView(), &error);
+      ASSERT_NE(view, nullptr) << error;
+      MatchingService::PinnedGenerationForTest after(service);
+      const bool aggregate = after->views.description(view->id()).is_aggregate;
+      const int64_t unshared =
+          auditor.CountUnsharedNodes(after->tree, before->tree);
+      EXPECT_GE(unshared, 1) << "catalog of " << size;
+      EXPECT_LE(unshared, aggregate ? 8 : 6) << "catalog of " << size;
+      EXPECT_EQ(&after->views.description(0), &before->views.description(0));
+    }
+  }
 }
 
 }  // namespace

@@ -252,7 +252,8 @@ class LifecycleServiceTest : public ::testing::Test {
 
   void ExpectAuditGreen(const MatchingService& service) {
     InvariantAuditor auditor;
-    AuditReport report = auditor.AuditFilterTree(service.filter_tree());
+    AuditReport report =
+        auditor.AuditFilterTree(service.filter_tree(), service.views());
     EXPECT_TRUE(report.ok()) << report.Summary();
   }
 

@@ -21,6 +21,7 @@
 
 #include "index/matching_service.h"
 #include "optimizer/optimizer.h"
+#include "rewrite/substitute_source.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
 
@@ -97,6 +98,34 @@ class Workload {
   tpch::Schema schema_;
   std::vector<SpjgQuery> views_;
   std::vector<SpjgQuery> queries_;
+};
+
+/// A SubstituteSource decorator that records every memo-group signature
+/// the optimizer's view-matching rule probes (one FindSubstitutes call
+/// per SPJG group), so the candidates the rule actually sees can be
+/// replayed.
+class RecordingSource : public SubstituteSource {
+ public:
+  explicit RecordingSource(SubstituteSource* inner) : inner_(inner) {}
+
+  std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
+                                          QueryContext& ctx) override {
+    signatures_.push_back(query);
+    return inner_->FindSubstitutes(query, ctx);
+  }
+  std::optional<UnionSubstitute> FindUnionSubstitute(
+      const SpjgQuery& query, QueryContext& ctx) override {
+    return inner_->FindUnionSubstitute(query, ctx);
+  }
+  const ViewDefinition& ResolveView(ViewId id) const override {
+    return inner_->ResolveView(id);
+  }
+
+  const std::vector<SpjgQuery>& signatures() const { return signatures_; }
+
+ private:
+  SubstituteSource* inner_;
+  std::vector<SpjgQuery> signatures_;
 };
 
 struct SweepPoint {

@@ -18,9 +18,10 @@
 //                   compiled verdict against the generic oracle
 //   --selfcheck     validate the exports and mandatory metrics — among
 //                   them the two-tier accounting invariant
-//                   compiled_hits + compiled_fallbacks == full_tests and
-//                   zero cross-check mismatches; exit nonzero on any
-//                   failure (the CI metrics smoke step)
+//                   compiled_hits + compiled_fallbacks == full_tests,
+//                   zero fallbacks when every view has a compiled
+//                   program, and zero cross-check mismatches; exit
+//                   nonzero on any failure (the CI metrics smoke step)
 //   --quiet         suppress the full exposition/trace dumps
 
 #include <cstdio>
@@ -42,7 +43,9 @@ int Fail(const std::string& what) {
 
 /// Mandatory families: present and non-negative (probe/optimize counters
 /// must be positive after a workload run).
-int SelfCheck(const MetricsRegistry& registry, const MatchingStats& stats) {
+/// `all_compiled`: every registered view has a compiled match program.
+int SelfCheck(const MetricsRegistry& registry, const MatchingStats& stats,
+              bool all_compiled) {
   const int64_t invocations = stats.invocations;
   std::string error;
   const std::string prom = registry.WritePrometheus();
@@ -109,6 +112,15 @@ int SelfCheck(const MetricsRegistry& registry, const MatchingStats& stats) {
           .value_or(-1);
   if (hits != stats.compiled_hits || fallbacks != stats.compiled_fallbacks) {
     return Fail("exported tier counters disagree with the service stats");
+  }
+  // A view with a program is decided by it, extra-table (§3.2)
+  // candidates included: with every view compiled, a fallback means a
+  // program failed to reach a verdict.
+  if (all_compiled && stats.compiled_fallbacks != 0) {
+    return Fail("every view is compiled, yet " +
+                std::to_string(stats.compiled_fallbacks) + " of " +
+                std::to_string(stats.full_tests) +
+                " full tests fell back to the generic matcher");
   }
   if (stats.cross_check_mismatches != 0) {
     return Fail("cross-check found " +
@@ -191,6 +203,10 @@ int main(int argc, char** argv) {
   }
 
   const MatchingStats stats = service->stats();
+  bool all_compiled = true;
+  for (ViewId id = 0; id < service->views().num_views(); ++id) {
+    if (service->views().program(id) == nullptr) all_compiled = false;
+  }
   if (!quiet) {
     std::printf("# --- Prometheus exposition "
                 "---------------------------------------\n");
@@ -257,7 +273,7 @@ int main(int argc, char** argv) {
         !ValidateJson(sample_trace->ToJson(), &error)) {
       return Fail("trace JSON does not parse: " + error);
     }
-    return SelfCheck(registry, stats);
+    return SelfCheck(registry, stats, all_compiled);
   }
   return 0;
 }

@@ -133,10 +133,11 @@ int main() {
 
   // 6. The two-tier match stage, observed from the outside: every
   // candidate that reached the match stage was decided by exactly one
-  // tier — the view's compiled MatchProgram or the generic oracle.
+  // tier — the view's compiled MatchProgram, or the generic oracle for a
+  // view without one.
   const MatchingStats stats = service.stats();
   std::printf("\nmatch tiers: %lld candidates = %lld compiled + %lld "
-              "generic-fallback (invariant %s)\n",
+              "generic (invariant %s)\n",
               static_cast<long long>(stats.full_tests),
               static_cast<long long>(stats.compiled_hits),
               static_cast<long long>(stats.compiled_fallbacks),

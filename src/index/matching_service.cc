@@ -155,8 +155,8 @@ void MatchingService::RegisterMetrics() {
       "Full match tests decided by a compiled MatchProgram");
   metrics_.compiled_fallbacks = r->FindOrCreateCounter(
       "mvopt_match_compiled_fallbacks_total",
-      "Full match tests decided by the generic oracle (no program, "
-      "program declined, or compiled attempt failed)");
+      "Full match tests decided by the generic oracle (the view has no "
+      "program) or aborted by an exception");
   metrics_.cross_check_mismatches = r->FindOrCreateCounter(
       "mvopt_match_cross_check_mismatches_total",
       "Compiled verdicts that disagreed with the generic oracle");
@@ -520,10 +520,8 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
   // entirely (no clock reads) when counters are off.
   const bool timed = metrics_.match_latency[0] != nullptr;
 
-  // One candidate's match test: compiled program first (when the view
-  // has one and it reaches a verdict), generic oracle otherwise. The
-  // tier records who DECIDED — a program that declines (extra view
-  // tables needing FK elimination) or throws is a fallback.
+  // One candidate's match test: a view with a compiled program is
+  // decided by it, a view without one by the generic matcher.
   auto match_one = [&](const ViewDefinition& view, MatchProgramScratch& scratch,
                        MatchOutcome& o) {
     const SteadyClock::time_point start =
@@ -532,16 +530,10 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
       MVOPT_FAILPOINT("matcher.match");
       const std::shared_ptr<const MatchProgram>& program =
           snap.views.program(view.id());
-      bool decided = false;
       if (program != nullptr) {
-        MatchExecResult ex = ExecuteMatchProgram(*program, *pctx, scratch);
-        if (ex.status == MatchExecStatus::kDecided) {
-          o.result = std::move(ex.result);
-          o.tier = MatchTier::kCompiled;
-          decided = true;
-        }
-      }
-      if (!decided) {
+        o.result = ExecuteMatchProgram(*program, *pctx, scratch);
+        o.tier = MatchTier::kCompiled;
+      } else {
         o.result = matcher_.Match(query, view);
         o.tier = MatchTier::kGeneric;
       }
@@ -642,7 +634,7 @@ void MatchingService::StageCompensate(
     delta->stats.full_tests += 1;
     // Tier attribution: every full test was decided by exactly one tier
     // (compiled_hits + compiled_fallbacks == full_tests); an exception
-    // counts as a fallback — the compiled path never reached a verdict.
+    // counts as a fallback — no tier reached a verdict.
     if (o.kind == MatchOutcome::Kind::kDone &&
         o.tier == MatchTier::kCompiled) {
       delta->stats.compiled_hits += 1;

@@ -103,10 +103,11 @@ struct MatchingStats {
   int64_t quarantine_skips = 0;    ///< candidates skipped while sidelined
   int64_t stale_tolerated = 0;     ///< stale substitutes kept (down-ranked)
   /// Two-tier matching (rewrite/match_program.h): full tests decided by
-  /// a compiled program vs. the generic oracle. Invariant:
-  /// compiled_hits + compiled_fallbacks == full_tests (every matcher
-  /// execution is attributed to exactly one tier; exceptions count as
-  /// fallbacks — the compiled path never decided).
+  /// a compiled program vs. the generic oracle (views without a
+  /// program). Invariant: compiled_hits + compiled_fallbacks ==
+  /// full_tests (every matcher execution is attributed to exactly one
+  /// tier; exceptions count as fallbacks — no verdict was reached). With
+  /// every view compiled and no exception, compiled_fallbacks is 0.
   int64_t compiled_hits = 0;       ///< candidates decided by a MatchProgram
   int64_t compiled_fallbacks = 0;  ///< candidates decided by the oracle
   int64_t cross_check_mismatches = 0;  ///< compiled verdict != oracle verdict
@@ -499,9 +500,8 @@ class MatchingService : public SubstituteSource {
     };
     Kind kind = Kind::kSkipped;
     MatchResult result;
-    /// Which tier decided `result` (kDone only): the view's MatchProgram
-    /// ran to a verdict, or the generic oracle ran (no program, program
-    /// declined, or the compiled attempt threw).
+    /// Which tier decided `result` (kDone only): the view's MatchProgram,
+    /// or the generic oracle for a view without one.
     MatchTier tier = MatchTier::kGeneric;
     /// Wall clock of this candidate's match test; < 0 when untimed
     /// (per-tier latency histograms off).

@@ -642,15 +642,19 @@ std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
     view_rows = std::max(1.0, estimator_.EstimateResult(view.query()));
   }
 
-  // Selectivity of the compensating predicates (coarse: per-predicate
-  // defaults; real systems use view statistics, which we have when the
-  // view is materialized but the classifier works on view-output columns
-  // whose stats live in the view's table definition).
+  // Selectivity of the compensating predicates, from the statistics of
+  // the table each range reads: the materialized view's own table for
+  // view outputs (table_ref 0), the base table for a column routed
+  // through backjoin j (table_ref 1 + j). Per-predicate defaults for the
+  // outputs of a view that is not materialized.
   ClassifiedPredicates preds = ClassifyConjuncts(sub.predicates);
   double sel = 1.0;
   for (const auto& p : preds.ranges) {
-    if (vt != kInvalidTableId) {
-      sel *= estimator_.RangeSelectivity(catalog_->table(vt),
+    const int32_t ref = p.column.table_ref;
+    const TableId stats_table =
+        ref == 0 ? vt : sub.backjoins[static_cast<size_t>(ref - 1)].table;
+    if (stats_table != kInvalidTableId) {
+      sel *= estimator_.RangeSelectivity(catalog_->table(stats_table),
                                          p.column.column, p.op, p.bound);
     } else {
       sel *= (p.op == CompareOp::kEq) ? 0.05 : (1.0 / 3.0);

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mvopt {
@@ -92,6 +96,7 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
     }
   }
   ctx.num_classes = ctx.query_ec.NumClasses();
+  ctx.nontrivial_classes = ctx.query_ec.NontrivialClasses();
 
   ctx.query_ranges = RangeMap::Build(ctx.query_preds.ranges, ctx.query_ec);
   std::vector<RangePred> checked = ctx.query_preds.ranges;
@@ -196,13 +201,23 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
   // equalities join the view classes exactly as in matcher.cc: the
   // constraints hold on the view's rows too.
   ClassifiedPredicates view_preds = ClassifyConjuncts(vq.conjuncts);
-  ClassifiedPredicates check_preds;
+  // Check constraints, classified per slot (classification is per
+  // conjunct, so the slots' lists concatenate to the matcher's list).
   if (options.use_check_constraints) {
-    std::vector<ExprPtr> check_conjuncts;
     for (int32_t t = 0; t < num_slots; ++t) {
-      AppendCheckConjuncts(catalog, vq.tables[t].table, t, &check_conjuncts);
+      std::vector<ExprPtr> own;
+      AppendCheckConjuncts(catalog, vq.tables[t].table, t, &own);
+      if (own.empty()) continue;
+      program->slot_checks.resize(static_cast<size_t>(num_slots));
+      ClassifiedPredicates cp = ClassifyConjuncts(own);
+      MatchProgram::SlotChecks& sc =
+          program->slot_checks[static_cast<size_t>(t)];
+      sc.equalities = std::move(cp.equalities);
+      sc.ranges = std::move(cp.ranges);
+      for (const auto& r : cp.residual) {
+        sc.residual_shapes.push_back(ComputeShape(*r));
+      }
     }
-    check_preds = ClassifyConjuncts(check_conjuncts);
   }
   EquivalenceClasses view_ec;
   for (int32_t t = 0; t < num_slots; ++t) {
@@ -210,7 +225,9 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
                                    static_cast<size_t>(t)]);
   }
   view_ec.AddEqualities(view_preds.equalities);
-  view_ec.AddEqualities(check_preds.equalities);
+  for (const MatchProgram::SlotChecks& sc : program->slot_checks) {
+    view_ec.AddEqualities(sc.equalities);
+  }
 
   int32_t base = 0;
   program->col_base.resize(static_cast<size_t>(num_slots));
@@ -293,11 +310,11 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
     }
   }
 
-  // §3.2 pre-check pool: candidate FK join edges between view slots,
-  // admitted by the same five tests as FkJoinGraph::Build — declared
-  // foreign key, referenced columns cover a unique key, every FK column
-  // equated with its key column under the view equivalence classes —
-  // except non-nullness, which is deferred per column: the edge becomes
+  // §3.2 pool: candidate FK join edges between view slots, admitted by
+  // the same five tests as FkJoinGraph::Build — declared foreign key,
+  // referenced columns cover a unique key, every FK column equated with
+  // its key column under the view equivalence classes — except
+  // non-nullness, which is deferred per column: the edge becomes
   // probe-active only when the query null-rejects each nullable FK
   // column (the relaxation the oracle applies with the query in hand).
   // With the relaxation off, nullable-FK candidates can never activate
@@ -327,6 +344,7 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
             }
             cand.nullable_fk_cols.push_back(fcol);
           }
+          cand.columns.emplace_back(fk.fk_columns[k], fk.key_columns[k]);
         }
         if (ok) program->fk_edge_candidates.push_back(std::move(cand));
       }
@@ -363,6 +381,9 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
 
 namespace {
 
+/// The query-slot members of one query class, slot-major.
+using MemberSpan = std::span<const ColumnRefId>;
+
 /// Executor state threaded through the switch loop.
 struct ExecState {
   const MatchProgram& program;
@@ -371,19 +392,36 @@ struct ExecState {
   Substitute sub;
   bool regroup = true;
   bool needs_aggregation = true;
+  /// The candidate's unified slot space (matcher.cc step 1) is the query
+  /// slots [0, num_qslots), then the eliminated extra view slots in view
+  /// order.
+  const int32_t num_qslots;
+  /// Size of the query class id space: ctx.num_classes, or the node
+  /// count once kCheckExtraTables extended the classes.
+  int32_t num_class_ids;
+  /// Set by kCheckExtraTables when the candidate's extra slots were
+  /// eliminated: classes are then read through scratch.xclass. `merged`
+  /// when an added equality joined two query classes, so class members
+  /// and query ranges are regathered per extended class.
+  bool extended = false;
+  bool merged = false;
 
   ExecState(const MatchProgram& p, const MatchProbeContext& c,
             MatchProgramScratch& s)
-      : program(p), ctx(c), scratch(s) {}
+      : program(p),
+        ctx(c),
+        scratch(s),
+        num_qslots(static_cast<int32_t>(c.slot_by_table.size())),
+        num_class_ids(c.num_classes) {}
 
-  /// The query-slot image of a view-space column reference.
+  /// The unified-slot image of a view-space column reference.
   ColumnRefId ToQuery(ColumnRefId view_col) const {
     return ColumnRefId{scratch.qslot_of_vslot[static_cast<size_t>(
                            view_col.table_ref)],
                        view_col.column};
   }
 
-  /// Dense view-class id of a query-space column.
+  /// Dense view-class id of a query-slot column.
   int32_t ViewClassOf(ColumnRefId query_col) const {
     const int32_t vslot =
         scratch.vslot_of_qslot[static_cast<size_t>(query_col.table_ref)];
@@ -391,25 +429,289 @@ struct ExecState {
         program.col_base[static_cast<size_t>(vslot)] + query_col.column)];
   }
 
+  /// The class-extension node of a unified-space column.
+  int32_t NodeOf(ColumnRefId col) const {
+    if (col.table_ref < num_qslots) return ctx.QueryClassOf(col);
+    return scratch.xnode_base[static_cast<size_t>(col.table_ref -
+                                                  num_qslots)] +
+           col.column;
+  }
+
+  /// The query class of a unified-space column: the generic matcher's
+  /// query_ec.ClassOf, including the kCheckExtraTables extension.
+  int32_t QueryClassOf(ColumnRefId col) const {
+    if (!extended) return ctx.QueryClassOf(col);
+    return scratch.xclass[static_cast<size_t>(NodeOf(col))];
+  }
+
+  /// The query-slot members of class `qc`. The compensation scans that
+  /// read them never need an extended class's extra-slot members: each
+  /// joined its class through FK or CHECK equalities, which hold in the
+  /// view classes too, so it shares a view class with a query-slot
+  /// member — or its class has no query-slot member and one view class.
+  MemberSpan QueryMembers(int32_t qc) const {
+    if (!merged) return ctx.query_ec.ClassMembers(qc);
+    const int32_t begin = scratch.member_begin[static_cast<size_t>(qc)];
+    const int32_t end = scratch.member_begin[static_cast<size_t>(qc) + 1];
+    return MemberSpan(scratch.members.data() + begin,
+                      static_cast<size_t>(end - begin));
+  }
+
+  int32_t Find(int32_t node) {
+    std::vector<int32_t>& parent = scratch.xclass;
+    while (parent[static_cast<size_t>(node)] != node) {
+      parent[static_cast<size_t>(node)] =
+          parent[static_cast<size_t>(parent[static_cast<size_t>(node)])];
+      node = parent[static_cast<size_t>(node)];
+    }
+    return node;
+  }
+
+  /// Union by smallest node: a parent always has a smaller id than its
+  /// children, and a class is labelled by its smallest node.
+  void Unite(ColumnRefId a, ColumnRefId b) {
+    const int32_t ra = Find(NodeOf(a));
+    const int32_t rb = Find(NodeOf(b));
+    if (ra < rb) {
+      scratch.xclass[static_cast<size_t>(rb)] = ra;
+    } else if (rb < ra) {
+      scratch.xclass[static_cast<size_t>(ra)] = rb;
+    }
+  }
+
+  /// matcher.cc steps 1 and 4 for a candidate whose extra slots were all
+  /// eliminated: number the extra slots after the query's, in view order,
+  /// and extend the query classes with their columns, their CHECK
+  /// equalities and the join equalities of the eliminated edges — each
+  /// extra slot's one active incoming edge (a slot with an outgoing edge
+  /// cannot be eliminated before that edge's target, so every in-edge of
+  /// an eliminated slot is alive when it goes, and it goes with one).
+  void ExtendQueryClasses() {
+    const size_t num_vslots = program.table_of_slot.size();
+    scratch.xnode_base.clear();
+    int32_t num_nodes = ctx.num_classes;
+    for (size_t v = 0; v < num_vslots; ++v) {
+      if (scratch.qslot_of_vslot[v] >= 0) continue;
+      scratch.qslot_of_vslot[v] =
+          num_qslots + static_cast<int32_t>(scratch.xnode_base.size());
+      scratch.vslot_of_qslot.push_back(static_cast<int32_t>(v));
+      scratch.xnode_base.push_back(num_nodes);
+      num_nodes += program.num_columns_of_slot[v];
+    }
+    scratch.xclass.resize(static_cast<size_t>(num_nodes));
+    std::iota(scratch.xclass.begin(), scratch.xclass.end(), 0);
+    extended = true;
+    num_class_ids = num_nodes;
+    for (size_t u = static_cast<size_t>(num_qslots);
+         u < scratch.vslot_of_qslot.size(); ++u) {
+      const int32_t v = scratch.vslot_of_qslot[u];
+      if (!program.slot_checks.empty()) {
+        for (const ColumnEqualityPred& eq :
+             program.slot_checks[static_cast<size_t>(v)].equalities) {
+          Unite(ToQuery(eq.lhs), ToQuery(eq.rhs));
+        }
+      }
+      const MatchProgram::FkEdgeCandidate& edge =
+          program.fk_edge_candidates[static_cast<size_t>(
+              scratch.fk_in_edge[static_cast<size_t>(v)])];
+      for (const auto& [fk_col, key_col] : edge.columns) {
+        Unite(ToQuery(ColumnRefId{edge.from_slot, fk_col}),
+              ToQuery(ColumnRefId{v, key_col}));
+      }
+    }
+    // Parents have smaller ids, so one ascending pass points every node
+    // at its class label.
+    for (size_t n = 0; n < scratch.xclass.size(); ++n) {
+      scratch.xclass[n] =
+          scratch.xclass[static_cast<size_t>(scratch.xclass[n])];
+    }
+    for (int32_t qc = 0; qc < ctx.num_classes; ++qc) {
+      if (scratch.xclass[static_cast<size_t>(qc)] != qc) {
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) return;
+    // Two query classes became one: regather the query-slot members per
+    // class label, slot-major (a counting sort over the query columns).
+    std::vector<int32_t>& begin = scratch.member_begin;
+    begin.assign(static_cast<size_t>(ctx.num_classes) + 1, 0);
+    for (int32_t cls : ctx.class_of) {
+      ++begin[static_cast<size_t>(scratch.xclass[static_cast<size_t>(cls)]) +
+              1];
+    }
+    for (size_t c = 1; c < begin.size(); ++c) begin[c] += begin[c - 1];
+    scratch.members.resize(ctx.class_of.size());
+    for (int32_t t = 0; t < num_qslots; ++t) {
+      const int32_t first = ctx.col_base[static_cast<size_t>(t)];
+      const int32_t last =
+          t + 1 < num_qslots ? ctx.col_base[static_cast<size_t>(t) + 1]
+                             : static_cast<int32_t>(ctx.class_of.size());
+      for (int32_t i = first; i < last; ++i) {
+        const int32_t label = scratch.xclass[static_cast<size_t>(
+            ctx.class_of[static_cast<size_t>(i)])];
+        scratch.members[static_cast<size_t>(
+            begin[static_cast<size_t>(label)]++)] = ColumnRefId{t, i - first};
+      }
+    }
+    // The fill advanced each start to the next class's; shift them back.
+    for (size_t c = begin.size() - 1; c > 0; --c) begin[c] = begin[c - 1];
+    begin[0] = 0;
+  }
+
+  /// Folds the predicates of `preds` on query class `qc` into `r` in
+  /// order, as RangeMap::Build over the extended classes does. Columns
+  /// are in view slot space when `view_space`, else in query space.
+  void FoldRanges(const std::vector<RangePred>& preds, bool view_space,
+                  int32_t qc, ValueRange* r) const {
+    for (const RangePred& p : preds) {
+      if (QueryClassOf(view_space ? ToQuery(p.column) : p.column) == qc) {
+        r->Apply(p.op, p.bound);
+      }
+    }
+  }
+
+  /// The check-strengthened query range of class `qc` (matcher.cc step
+  /// 6): query ranges, then the check ranges of the query slots and of
+  /// the eliminated extra slots.
+  ValueRange CheckedRange(int32_t qc) const {
+    if (!extended) return ctx.query_ranges_checked.Get(qc);
+    ValueRange r;
+    FoldRanges(ctx.query_preds.ranges, false, qc, &r);
+    FoldRanges(ctx.check_preds.ranges, false, qc, &r);
+    if (!program.slot_checks.empty()) {
+      for (size_t u = static_cast<size_t>(num_qslots);
+           u < scratch.vslot_of_qslot.size(); ++u) {
+        FoldRanges(program.slot_checks[static_cast<size_t>(
+                                           scratch.vslot_of_qslot[u])]
+                       .ranges,
+                   true, qc, &r);
+      }
+    }
+    return r;
+  }
+
   /// route_column through QUERY equivalences (§3.1.3): first simple view
-  /// output whose query class matches, via the kBindRouting table.
-  int32_t RouteQuery(ColumnRefId query_col) const {
-    const int32_t qc = ctx.QueryClassOf(query_col);
+  /// output in query class `qc`, via the kBindRouting table.
+  int32_t RouteClass(int32_t qc) const {
     if (scratch.route_stamp[static_cast<size_t>(qc)] != scratch.stamp) {
       return -1;
     }
     return scratch.route_of_qclass[static_cast<size_t>(qc)];
   }
 
-  /// ShapesEquivalent with `a` in query space and `b` in view space.
-  bool ShapesEquivalentViewB(const ExprShape& a, const ExprShape& b) const {
+  int32_t RouteQuery(ColumnRefId query_col) const {
+    return RouteClass(QueryClassOf(query_col));
+  }
+
+  /// ShapesEquivalent with `b` in view space and `a` in query space (in
+  /// view space too when `a_in_view`).
+  bool ShapesEquivalentViewB(const ExprShape& a, const ExprShape& b,
+                             bool a_in_view = false) const {
     if (a.text != b.text) return false;
     if (a.columns.size() != b.columns.size()) return false;
     for (size_t i = 0; i < a.columns.size(); ++i) {
-      if (ctx.QueryClassOf(a.columns[i]) !=
-          ctx.QueryClassOf(ToQuery(b.columns[i]))) {
+      const ColumnRefId ac = a_in_view ? ToQuery(a.columns[i]) : a.columns[i];
+      if (QueryClassOf(ac) != QueryClassOf(ToQuery(b.columns[i]))) {
         return false;
       }
+    }
+    return true;
+  }
+
+  /// True if a CHECK residual of an eliminated extra slot discharges the
+  /// view residual `vshape` (the query slots' are in ctx).
+  bool ExtraCheckResidualMatches(const ExprShape& vshape) const {
+    if (!extended || program.slot_checks.empty()) return false;
+    for (size_t u = static_cast<size_t>(num_qslots);
+         u < scratch.vslot_of_qslot.size(); ++u) {
+      for (const ExprShape& cs :
+           program.slot_checks[static_cast<size_t>(scratch.vslot_of_qslot[u])]
+               .residual_shapes) {
+        if (ShapesEquivalentViewB(cs, vshape, /*a_in_view=*/true)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Equality compensation for query class `qc` (matcher.cc step 5):
+  /// chain the distinct view classes inside it, each routed through VIEW
+  /// equivalences (the precompiled route_of_class). False when one is
+  /// not routable.
+  bool EmitEqualityCompensation(int32_t qc) {
+    const MemberSpan members = QueryMembers(qc);
+    if (members.size() < 2) return true;
+    scratch.dist_vclasses.clear();
+    for (ColumnRefId m : members) {
+      const int32_t vc = ViewClassOf(m);
+      if (std::find(scratch.dist_vclasses.begin(), scratch.dist_vclasses.end(),
+                    vc) == scratch.dist_vclasses.end()) {
+        scratch.dist_vclasses.push_back(vc);
+      }
+    }
+    if (scratch.dist_vclasses.size() < 2) return true;
+    scratch.routed.clear();
+    for (int32_t vc : scratch.dist_vclasses) {
+      const int32_t out = program.route_of_class[static_cast<size_t>(vc)];
+      if (out < 0) return false;
+      scratch.routed.push_back(Expr::MakeColumn(0, out));
+    }
+    for (size_t i = 0; i + 1 < scratch.routed.size(); ++i) {
+      sub.predicates.push_back(Expr::MakeCompare(
+          CompareOp::kEq, scratch.routed[i], scratch.routed[i + 1]));
+    }
+    return true;
+  }
+
+  /// Range compensation for constrained query class `qc` (matcher.cc
+  /// step 6): intersect the view ranges of the distinct view classes
+  /// inside it, enforce any differing bound, routed through query
+  /// equivalences. False when a needed bound is not routable.
+  bool EmitRangeCompensation(int32_t qc, const ValueRange& qrange) {
+    ValueRange effective;  // unconstrained
+    if (++scratch.vclass_counter == 0) {
+      std::fill(scratch.vclass_stamp.begin(), scratch.vclass_stamp.end(), 0u);
+      scratch.vclass_counter = 1;
+    }
+    for (ColumnRefId m : QueryMembers(qc)) {
+      const int32_t vc = ViewClassOf(m);
+      uint32_t& seen = scratch.vclass_stamp[static_cast<size_t>(vc)];
+      if (seen == scratch.vclass_counter) continue;
+      seen = scratch.vclass_counter;
+      const int32_t idx = program.range_index_of_class[static_cast<size_t>(vc)];
+      if (idx < 0) continue;
+      const ValueRange& vr = program.ranges[static_cast<size_t>(idx)].range;
+      if (!vr.lo.is_infinite) {
+        effective.Apply(vr.lo.inclusive ? CompareOp::kGe : CompareOp::kGt,
+                        vr.lo.value);
+      }
+      if (!vr.hi.is_infinite) {
+        effective.Apply(vr.hi.inclusive ? CompareOp::kLe : CompareOp::kLt,
+                        vr.hi.value);
+      }
+    }
+    const bool need_lo = !qrange.SameLowerBound(effective);
+    const bool need_hi = !qrange.SameUpperBound(effective);
+    if (!need_lo && !need_hi) return true;
+    const int32_t out = RouteClass(qc);
+    if (out < 0) return false;
+    ExprPtr col = Expr::MakeColumn(0, out);
+    if (qrange.IsPoint()) {
+      sub.predicates.push_back(Expr::MakeCompare(
+          CompareOp::kEq, col, Expr::MakeLiteral(qrange.lo.value)));
+      return true;
+    }
+    if (need_lo && !qrange.lo.is_infinite) {
+      sub.predicates.push_back(Expr::MakeCompare(
+          qrange.lo.inclusive ? CompareOp::kGe : CompareOp::kGt, col,
+          Expr::MakeLiteral(qrange.lo.value)));
+    }
+    if (need_hi && !qrange.hi.is_infinite) {
+      sub.predicates.push_back(Expr::MakeCompare(
+          qrange.hi.inclusive ? CompareOp::kLe : CompareOp::kLt, col,
+          Expr::MakeLiteral(qrange.hi.value)));
     }
     return true;
   }
@@ -452,18 +754,17 @@ struct ExecState {
   }
 };
 
-MatchExecResult Decided(RejectReason reason) {
-  MatchExecResult r;
-  r.status = MatchExecStatus::kDecided;
-  r.result.reason = reason;
+MatchResult Reject(RejectReason reason) {
+  MatchResult r;
+  r.reason = reason;
   return r;
 }
 
 }  // namespace
 
-MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
-                                    const MatchProbeContext& ctx,
-                                    MatchProgramScratch& scratch) {
+MatchResult ExecuteMatchProgram(const MatchProgram& program,
+                                const MatchProbeContext& ctx,
+                                MatchProgramScratch& scratch) {
   ExecState st(program, ctx, scratch);
   const SpjgQuery& query = *ctx.query;
   st.sub.view_id = program.view_id;
@@ -474,7 +775,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         // Aggregated views cannot answer pure SPJ queries (§3.3
         // requirement 3) — checked before anything else, like Match().
         if (program.view_is_aggregate && !ctx.is_aggregate) {
-          return Decided(RejectReason::kViewMoreAggregated);
+          return Reject(RejectReason::kViewMoreAggregated);
         }
         break;
       }
@@ -485,7 +786,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         // view has one reference per id, so any duplicate query id — or
         // any query id the view lacks — is infeasible. Extra view tables
         // are legal; kCheckExtraTables rules on them next.
-        if (ctx.has_dup_tables) return Decided(RejectReason::kSourceTables);
+        if (ctx.has_dup_tables) return Reject(RejectReason::kSourceTables);
         const size_t num_vslots = program.table_of_slot.size();
         const size_t num_qslots = ctx.slot_by_table.size();
         scratch.qslot_of_vslot.assign(num_vslots, -1);
@@ -498,7 +799,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
               break;
             }
           }
-          if (vslot < 0) return Decided(RejectReason::kSourceTables);
+          if (vslot < 0) return Reject(RejectReason::kSourceTables);
           scratch.qslot_of_vslot[static_cast<size_t>(vslot)] = qslot;
           scratch.vslot_of_qslot[static_cast<size_t>(qslot)] = vslot;
         }
@@ -512,9 +813,9 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         // (edges conditioned on nullable FK columns activate only when
         // the probe null-rejects them); its verdict equals the oracle's
         // because the oracle's unified-space graph is isomorphic to the
-        // view-space one and the fixpoint is labeling-independent. Only
-        // the eliminable minority — needing real §3.2 compensation —
-        // still falls back to the generic tier.
+        // view-space one and the fixpoint is labeling-independent. On
+        // success the eliminated tables' equalities extend the query
+        // classes, and the ops below read them through the extension.
         const size_t num_vslots = program.table_of_slot.size();
         if (num_vslots == ctx.slot_by_table.size()) break;
         uint64_t keep = 0;
@@ -523,7 +824,10 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         }
         scratch.fk_edges.clear();
         scratch.fk_active_to.assign(num_vslots, 0);
-        for (const auto& cand : program.fk_edge_candidates) {
+        scratch.fk_in_edge.assign(num_vslots, -1);
+        for (size_t i = 0; i < program.fk_edge_candidates.size(); ++i) {
+          const MatchProgram::FkEdgeCandidate& cand =
+              program.fk_edge_candidates[i];
           uint64_t& row =
               scratch.fk_active_to[static_cast<size_t>(cand.from_slot)];
           const uint64_t to_bit = 1ULL << cand.to_slot;
@@ -546,24 +850,26 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           row |= to_bit;
           scratch.fk_edges.push_back(
               FkJoinEdge{cand.from_slot, cand.to_slot, nullptr});
+          scratch.fk_in_edge[static_cast<size_t>(cand.to_slot)] =
+              static_cast<int32_t>(i);
         }
         const uint64_t alive = FkJoinGraph::AliveAfterElimination(
             static_cast<int>(num_vslots), scratch.fk_edges, keep);
         if (alive != keep) {
-          return Decided(RejectReason::kExtraTableElimination);
+          return Reject(RejectReason::kExtraTableElimination);
         }
-        return MatchExecResult{};  // kFallback: real compensation needed
+        st.ExtendQueryClasses();
+        break;
       }
 
       case MatchOp::kBindRouting: {
         // Per-candidate routing table: first simple view output per
         // QUERY equivalence class, in output order — route_column's
         // first-match scan under query equivalences, inverted.
-        if (scratch.route_stamp.size() <
-            static_cast<size_t>(ctx.num_classes)) {
-          scratch.route_stamp.resize(static_cast<size_t>(ctx.num_classes), 0);
-          scratch.route_of_qclass.resize(static_cast<size_t>(ctx.num_classes),
-                                         -1);
+        const size_t num_class_ids = static_cast<size_t>(st.num_class_ids);
+        if (scratch.route_stamp.size() < num_class_ids) {
+          scratch.route_stamp.resize(num_class_ids, 0);
+          scratch.route_of_qclass.resize(num_class_ids, -1);
         }
         if (++scratch.stamp == 0) {
           std::fill(scratch.route_stamp.begin(), scratch.route_stamp.end(),
@@ -571,7 +877,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           scratch.stamp = 1;
         }
         for (const auto& so : program.simple_outputs) {
-          const int32_t qc = ctx.QueryClassOf(st.ToQuery(so.column));
+          const int32_t qc = st.QueryClassOf(st.ToQuery(so.column));
           uint32_t& seen = scratch.route_stamp[static_cast<size_t>(qc)];
           if (seen != scratch.stamp) {
             seen = scratch.stamp;
@@ -593,43 +899,32 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         // lie inside one query class.
         const auto& members =
             program.class_members[static_cast<size_t>(insn.a)];
-        const int32_t qc = ctx.QueryClassOf(st.ToQuery(members[0]));
+        const int32_t qc = st.QueryClassOf(st.ToQuery(members[0]));
         for (size_t i = 1; i < members.size(); ++i) {
-          if (ctx.QueryClassOf(st.ToQuery(members[i])) != qc) {
-            return Decided(RejectReason::kEquijoinSubsumption);
+          if (st.QueryClassOf(st.ToQuery(members[i])) != qc) {
+            return Reject(RejectReason::kEquijoinSubsumption);
           }
         }
         break;
       }
 
       case MatchOp::kEmitEqualityCompensation: {
-        // Chain view classes split inside one query class, each routed
-        // through VIEW equivalences (the precompiled route_of_class).
+        // Per query class, ascending class id. Extended classes without
+        // a query-slot member hold one view class and need nothing;
+        // without a merge, neither does a one-member query class.
+        if (!st.merged) {
+          for (int qc : ctx.nontrivial_classes) {
+            if (!st.EmitEqualityCompensation(qc)) {
+              return Reject(RejectReason::kCompensationNotComputable);
+            }
+          }
+          break;
+        }
         for (int32_t qc = 0; qc < ctx.num_classes; ++qc) {
-          const auto& members = ctx.query_ec.ClassMembers(qc);
-          if (members.size() < 2) continue;
-          scratch.dist_vclasses.clear();
-          for (ColumnRefId m : members) {
-            const int32_t vc = st.ViewClassOf(m);
-            if (std::find(scratch.dist_vclasses.begin(),
-                          scratch.dist_vclasses.end(),
-                          vc) == scratch.dist_vclasses.end()) {
-              scratch.dist_vclasses.push_back(vc);
-            }
-          }
-          if (scratch.dist_vclasses.size() < 2) continue;
-          scratch.routed.clear();
-          for (int32_t vc : scratch.dist_vclasses) {
-            const int32_t out =
-                program.route_of_class[static_cast<size_t>(vc)];
-            if (out < 0) {
-              return Decided(RejectReason::kCompensationNotComputable);
-            }
-            scratch.routed.push_back(Expr::MakeColumn(0, out));
-          }
-          for (size_t i = 0; i + 1 < scratch.routed.size(); ++i) {
-            st.sub.predicates.push_back(Expr::MakeCompare(
-                CompareOp::kEq, scratch.routed[i], scratch.routed[i + 1]));
+          // A class merged into a smaller one was scanned with it.
+          if (scratch.xclass[static_cast<size_t>(qc)] != qc) continue;
+          if (!st.EmitEqualityCompensation(qc)) {
+            return Reject(RejectReason::kCompensationNotComputable);
           }
         }
         break;
@@ -642,70 +937,39 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
             program.ranges[static_cast<size_t>(insn.a)];
         const ColumnRefId col =
             program.class_members[static_cast<size_t>(cr.cls)][0];
-        const int32_t qc = ctx.QueryClassOf(st.ToQuery(col));
-        const ValueRange qrange = ctx.query_ranges_checked.Get(qc);
-        if (!cr.range.Contains(qrange)) {
-          return Decided(RejectReason::kRangeSubsumption);
+        const int32_t qc = st.QueryClassOf(st.ToQuery(col));
+        if (!cr.range.Contains(st.CheckedRange(qc))) {
+          return Reject(RejectReason::kRangeSubsumption);
         }
         break;
       }
 
       case MatchOp::kEmitRangeCompensation: {
-        // Per constrained query class (ascending class id — RangeMap is
-        // ordered): intersect the view ranges of the distinct view
-        // classes inside it, enforce any differing bound, routed through
-        // query equivalences.
-        for (const auto& [qc, qrange] : ctx.query_ranges.ranges()) {
-          ValueRange effective;  // unconstrained
-          const auto& members = ctx.query_ec.ClassMembers(qc);
-          if (++scratch.vclass_counter == 0) {
-            std::fill(scratch.vclass_stamp.begin(),
-                      scratch.vclass_stamp.end(), 0u);
-            scratch.vclass_counter = 1;
-          }
-          for (ColumnRefId m : members) {
-            const int32_t vc = st.ViewClassOf(m);
-            uint32_t& seen = scratch.vclass_stamp[static_cast<size_t>(vc)];
-            if (seen == scratch.vclass_counter) continue;
-            seen = scratch.vclass_counter;
-            const int32_t idx =
-                program.range_index_of_class[static_cast<size_t>(vc)];
-            if (idx < 0) continue;
-            const ValueRange& vr =
-                program.ranges[static_cast<size_t>(idx)].range;
-            if (!vr.lo.is_infinite) {
-              effective.Apply(
-                  vr.lo.inclusive ? CompareOp::kGe : CompareOp::kGt,
-                  vr.lo.value);
-            }
-            if (!vr.hi.is_infinite) {
-              effective.Apply(
-                  vr.hi.inclusive ? CompareOp::kLe : CompareOp::kLt,
-                  vr.hi.value);
+        // Per constrained query class, ascending class id (RangeMap is
+        // ordered). Without a merge the query classes keep their ids and
+        // ranges; after one, the ranges are refolded per extended class.
+        if (!st.merged) {
+          for (const auto& [qc, qrange] : ctx.query_ranges.ranges()) {
+            if (!st.EmitRangeCompensation(qc, qrange)) {
+              return Reject(RejectReason::kCompensationNotComputable);
             }
           }
-          const bool need_lo = !qrange.SameLowerBound(effective);
-          const bool need_hi = !qrange.SameUpperBound(effective);
-          if (!need_lo && !need_hi) continue;
-          const int32_t out = st.RouteQuery(members[0]);
-          if (out < 0) {
-            return Decided(RejectReason::kCompensationNotComputable);
-          }
-          ExprPtr col = Expr::MakeColumn(0, out);
-          if (qrange.IsPoint()) {
-            st.sub.predicates.push_back(Expr::MakeCompare(
-                CompareOp::kEq, col, Expr::MakeLiteral(qrange.lo.value)));
-            continue;
-          }
-          if (need_lo && !qrange.lo.is_infinite) {
-            st.sub.predicates.push_back(Expr::MakeCompare(
-                qrange.lo.inclusive ? CompareOp::kGe : CompareOp::kGt, col,
-                Expr::MakeLiteral(qrange.lo.value)));
-          }
-          if (need_hi && !qrange.hi.is_infinite) {
-            st.sub.predicates.push_back(Expr::MakeCompare(
-                qrange.hi.inclusive ? CompareOp::kLe : CompareOp::kLt, col,
-                Expr::MakeLiteral(qrange.hi.value)));
+          break;
+        }
+        scratch.ranged_classes.clear();
+        for (const RangePred& p : ctx.query_preds.ranges) {
+          scratch.ranged_classes.push_back(st.QueryClassOf(p.column));
+        }
+        std::sort(scratch.ranged_classes.begin(), scratch.ranged_classes.end());
+        scratch.ranged_classes.erase(
+            std::unique(scratch.ranged_classes.begin(),
+                        scratch.ranged_classes.end()),
+            scratch.ranged_classes.end());
+        for (int32_t qc : scratch.ranged_classes) {
+          ValueRange qrange;
+          st.FoldRanges(ctx.query_preds.ranges, false, qc, &qrange);
+          if (!st.EmitRangeCompensation(qc, qrange)) {
+            return Reject(RejectReason::kCompensationNotComputable);
           }
         }
         break;
@@ -732,7 +996,8 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
             }
           }
         }
-        if (!matched) return Decided(RejectReason::kResidualSubsumption);
+        if (!matched) matched = st.ExtraCheckResidualMatches(vshape);
+        if (!matched) return Reject(RejectReason::kResidualSubsumption);
         break;
       }
 
@@ -747,7 +1012,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
                 return out >= 0 ? Expr::MakeColumn(0, out) : nullptr;
               });
           if (routed == nullptr) {
-            return Decided(RejectReason::kCompensationNotComputable);
+            return Reject(RejectReason::kCompensationNotComputable);
           }
           st.sub.predicates.push_back(std::move(routed));
         }
@@ -761,7 +1026,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
         for (size_t k = 0; k < ctx.outputs.size(); ++k) {
           ExprPtr routed = st.ComputeExpr(ctx.outputs[k].value);
           if (routed == nullptr) {
-            return Decided(RejectReason::kOutputNotComputable);
+            return Reject(RejectReason::kOutputNotComputable);
           }
           st.sub.outputs.push_back(
               OutputExpr{query.outputs[k].name, std::move(routed)});
@@ -788,7 +1053,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
               }
             }
             if (match < 0) {
-              return Decided(RejectReason::kGroupingMismatch);
+              return Reject(RejectReason::kGroupingMismatch);
             }
             scratch.grouping_used[static_cast<size_t>(match)] = 1;
           }
@@ -810,7 +1075,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           for (const auto& g : ctx.group_by) {
             ExprPtr routed = st.ComputeExpr(g);
             if (routed == nullptr) {
-              return Decided(RejectReason::kOutputNotComputable);
+              return Reject(RejectReason::kOutputNotComputable);
             }
             st.sub.group_by.push_back(std::move(routed));
           }
@@ -829,7 +1094,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           if (!oi.is_aggregate) {
             ExprPtr routed = st.ComputeExpr(oi.value);
             if (routed == nullptr) {
-              return Decided(RejectReason::kOutputNotComputable);
+              return Reject(RejectReason::kOutputNotComputable);
             }
             st.sub.outputs.push_back(OutputExpr{name, std::move(routed)});
             continue;
@@ -837,7 +1102,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           const AggKind kind = oi.agg_kind;
           if (!program.allow_min_max &&
               (kind == AggKind::kMin || kind == AggKind::kMax)) {
-            return Decided(RejectReason::kAggregateNotComputable);
+            return Reject(RejectReason::kAggregateNotComputable);
           }
           if (!program.view_is_aggregate) {
             // Compensating aggregation over an SPJ view.
@@ -845,7 +1110,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
             if (kind != AggKind::kCountStar) {
               arg = st.ComputeExpr(oi.value);
               if (arg == nullptr) {
-                return Decided(RejectReason::kAggregateNotComputable);
+                return Reject(RejectReason::kAggregateNotComputable);
               }
             }
             st.sub.outputs.push_back(OutputExpr{
@@ -855,7 +1120,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
           switch (kind) {
             case AggKind::kCountStar: {
               if (program.count_ordinal < 0) {
-                return Decided(RejectReason::kAggregateNotComputable);
+                return Reject(RejectReason::kAggregateNotComputable);
               }
               ExprPtr cnt = Expr::MakeColumn(0, program.count_ordinal);
               st.sub.outputs.push_back(OutputExpr{
@@ -869,7 +1134,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
               const int32_t ordinal =
                   st.FindViewAgg(kind, oi.agg_arg_shape);
               if (ordinal < 0) {
-                return Decided(RejectReason::kAggregateNotComputable);
+                return Reject(RejectReason::kAggregateNotComputable);
               }
               ExprPtr col = Expr::MakeColumn(0, ordinal);
               ExprPtr out = col;
@@ -884,7 +1149,7 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
               const int32_t sum_ordinal =
                   st.FindViewAgg(AggKind::kSum, oi.agg_arg_shape);
               if (sum_ordinal < 0 || program.count_ordinal < 0) {
-                return Decided(RejectReason::kAggregateNotComputable);
+                return Reject(RejectReason::kAggregateNotComputable);
               }
               ExprPtr sum_col = Expr::MakeColumn(0, sum_ordinal);
               ExprPtr cnt_col = Expr::MakeColumn(0, program.count_ordinal);
@@ -906,16 +1171,16 @@ MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
       }
 
       case MatchOp::kAccept: {
-        MatchExecResult out;
-        out.status = MatchExecStatus::kDecided;
-        out.result.substitute = std::move(st.sub);
+        MatchResult out;
+        out.substitute = std::move(st.sub);
         return out;
       }
     }
   }
-  // A well-formed program always ends in kAccept; an instruction stream
-  // that falls off the end (a corrupted program) declines to the oracle.
-  return MatchExecResult{};
+  // CompileMatchProgram always ends the stream in kAccept.
+  throw std::logic_error("match program of view " +
+                         std::to_string(program.view_id) +
+                         " ends without an accept op");
 }
 
 }  // namespace mvopt

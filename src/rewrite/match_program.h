@@ -12,37 +12,42 @@
 // path performs no allocation.
 //
 // The compiled tier is an OPTIMIZATION, never a semantic fork: for every
-// (query, view) pair it either produces the byte-identical verdict —
-// same substitute expressions in the same order, same RejectReason — as
-// ViewMatcher::Match, or it declines (MatchExecStatus::kFallback) and
-// the caller runs the generic matcher. Shapes outside the compiled
-// envelope (self-join views, backjoin mode) are tagged MatchTier::kGeneric
-// at compile time by returning no program. The generic matcher is
-// retained as the oracle: MatchCrossCheck replays compiled verdicts
-// against it and (in enforce mode) quarantines a view whose program
-// disagrees.
+// (query, view) pair it produces the byte-identical verdict — same
+// substitute expressions in the same order, same RejectReason — as
+// ViewMatcher::Match. A view with a program is decided by that program;
+// shapes outside the compiled envelope (self-join views, backjoin mode,
+// more than 64 view tables) compile to no program and are decided by the
+// generic matcher (MatchTier::kGeneric). The generic matcher is retained
+// as the oracle: MatchCrossCheck replays compiled verdicts against it and
+// (in enforce mode) quarantines a view whose program disagrees.
 //
 // Why the envelope is what it is: when the view has no duplicate table
-// ids and its table set is contained in the query's, the mapping
-// enumeration of §3.2 degenerates to the single identity-by-table-id
-// mapping, and the per-candidate structures the generic matcher builds
-// (unified tables, query equivalence classes, check constraints, range
-// maps, residual shapes) depend only on the query — so they are hoisted
-// into MatchProbeContext and built once per probe. The view-side halves
-// (view equivalence classes including check equalities, output routing,
-// view ranges, residual/grouping/aggregate shapes) depend only on the
-// view and are precompiled into the program. Views with EXTRA tables
-// compile too: their candidate foreign-key join edges are precompiled,
-// so the program itself decides the common §3.2 outcome — the extra
-// tables are NOT eliminable and the candidate is rejected — and falls
-// back to the generic matcher only when elimination is actually
-// possible and real compensation must be built.
+// ids, the mapping enumeration of §3.2 degenerates to the single
+// identity-by-table-id mapping, and the query-side structures the
+// generic matcher builds per candidate (equivalence classes, check
+// constraints, range maps, residual shapes) depend only on the query —
+// so they are hoisted into MatchProbeContext and built once per probe.
+// The view-side halves (view equivalence classes including check
+// equalities, output routing, view ranges, residual/grouping/aggregate
+// shapes) depend only on the view and are precompiled into the program.
+// Views with EXTRA tables (§3.2) are decided by the program as well: it
+// runs the foreign-key elimination over a precompiled edge pool and, when
+// elimination succeeds, extends the query classes in MatchProgramScratch
+// with the extra tables' columns, CHECK constraints and the eliminated
+// join equalities — the simulated addition of the extra tables the paper
+// describes — and every later op reads classes, ranges and residual
+// shapes through that extension. With the filter tree on, such
+// candidates were 44% of the full tests on fig3_1k and views_10k, and all
+// of them fell back to the generic matcher at 10–16 µs each; now 0%
+// fall back, and on views_10k the match stage fell from ~95 to ~23 µs
+// per invocation and throughput rose 1.6–1.9× (DESIGN.md §16).
 
 #ifndef MVOPT_REWRITE_MATCH_PROGRAM_H_
 #define MVOPT_REWRITE_MATCH_PROGRAM_H_
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -58,8 +63,7 @@
 namespace mvopt {
 
 /// Which matcher decided a candidate. kCompiled = the view's MatchProgram
-/// ran to a verdict; kGeneric = the generic ViewMatcher ran (no program,
-/// or the program declined at execution time).
+/// ran; kGeneric = the generic ViewMatcher ran (the view has no program).
 enum class MatchTier : uint8_t {
   kCompiled,
   kGeneric,
@@ -123,7 +127,7 @@ static_assert(AllEnumeratorsNamed<MatchCrossCheck, MatchCrossCheckName>(
 enum class MatchOp : uint8_t {
   kCheckAggCompat,            ///< aggregated view vs. pure SPJ query
   kCheckTableSet,             ///< table-set screen + slot binding
-  kCheckExtraTables,          ///< §3.2 pre-check; decides fallback too
+  kCheckExtraTables,          ///< §3.2 elimination + query-class extension
   kBindRouting,               ///< slot permutation + query-class routing
   kCheckEquivClass,           ///< one view class ⊆ some query class (a=class)
   kEmitEqualityCompensation,  ///< chain split view classes per query class
@@ -261,27 +265,46 @@ struct MatchProgram {
   };
   std::vector<Agg> aggs;
 
-  /// §3.2 pre-check side pool (kCheckExtraTables): candidate
-  /// cardinality-preserving join edges between VIEW slots, from the
-  /// catalog's foreign keys and the view equivalence classes — exactly
-  /// the admission tests of FkJoinGraph::Build, minus the query-side
-  /// nullable-FK relaxation, which is deferred: an edge with nonempty
-  /// `nullable_fk_cols` is active at probe time only when the query
-  /// null-rejects every listed column. When the extra view tables cannot
-  /// all be eliminated even over the active edges, the program decides
-  /// RejectReason::kExtraTableElimination itself — the oracle's graph
-  /// over the unified tables is slot-for-slot isomorphic to this one, so
-  /// the (order-independent) elimination fixpoint agrees. When they CAN
-  /// be eliminated, the program declines and the generic matcher builds
-  /// the real compensation.
+  /// §3.2 side pool (kCheckExtraTables): candidate cardinality-preserving
+  /// join edges between VIEW slots, from the catalog's foreign keys and
+  /// the view equivalence classes — exactly the admission tests of
+  /// FkJoinGraph::Build, minus the query-side nullable-FK relaxation,
+  /// which is deferred: an edge with nonempty `nullable_fk_cols` is
+  /// active at probe time only when the query null-rejects every listed
+  /// column. The oracle's graph over the unified tables is slot-for-slot
+  /// isomorphic to this one, so the (order-independent) elimination
+  /// fixpoint agrees: when the extra view tables cannot all be
+  /// eliminated the program rejects (kExtraTableElimination); when they
+  /// can, each extra slot was eliminated through its one active incoming
+  /// edge, whose `columns` are the equalities the program adds to the
+  /// query classes. Before these edges carried their columns, the
+  /// eliminable case fell back to the generic matcher: 44% of the full
+  /// tests on fig3_1k and views_10k with the filter tree on, now 0%; the
+  /// match tier's time on fig3_1k's group signatures fell 7.6×
+  /// (bench/match_program_bench).
   struct FkEdgeCandidate {
     int32_t from_slot = -1;
     int32_t to_slot = -1;
     /// FK columns (view slot space) that allow NULLs; empty means the
     /// edge is unconditional.
     std::vector<ColumnRefId> nullable_fk_cols;
+    /// (FK column of from_slot, key column of to_slot) ordinals, in the
+    /// foreign key's column order.
+    std::vector<std::pair<ColumnOrdinal, ColumnOrdinal>> columns;
   };
   std::vector<FkEdgeCandidate> fk_edge_candidates;
+
+  /// Each view slot's CHECK constraints, classified (§3.1.2) in view
+  /// slot space: what the slot adds to the query side when it is an
+  /// eliminated extra table (matcher.cc folds the check constraints of
+  /// every unified table into the query classes, ranges and residuals).
+  /// Empty when no view table has a check constraint or they are off.
+  struct SlotChecks {
+    std::vector<ColumnEqualityPred> equalities;
+    std::vector<RangePred> ranges;
+    std::vector<ExprShape> residual_shapes;
+  };
+  std::vector<SlotChecks> slot_checks;
 
   /// The instruction stream executed by ExecuteMatchProgram.
   std::vector<MatchInsn> insns;
@@ -290,14 +313,15 @@ struct MatchProgram {
 /// Query-side match state, built ONCE per probe and shared read-only by
 /// every compiled candidate of that probe. Exactly the structures the
 /// generic matcher rebuilds per candidate — valid to share because, for
-/// compiled candidates (view tables ⊆ query tables, no duplicates), the
-/// generic matcher's "unified" table list is the query's own FROM list.
+/// compiled candidates (no duplicate tables), the generic matcher's
+/// "unified" table list is the query's own FROM list followed by the
+/// view's extra tables, whose contribution kCheckExtraTables adds per
+/// candidate in MatchProgramScratch.
 struct MatchProbeContext {
   const SpjgQuery* query = nullptr;
   bool is_aggregate = false;
   /// Any duplicate table id in the query's FROM list? (Always infeasible
-  /// against a compiled — duplicate-free — view: reject, don't fall
-  /// back.)
+  /// against a compiled — duplicate-free — view.)
   bool has_dup_tables = false;
   /// Query slots sorted by table id for the kCheckTableSet binary search.
   std::vector<std::pair<TableId, int32_t>> slot_by_table;
@@ -309,6 +333,9 @@ struct MatchProbeContext {
   std::vector<int32_t> col_base;
   std::vector<int32_t> class_of;
   int32_t num_classes = 0;
+  /// Classes with two or more members, ascending: the only ones that can
+  /// hold two view classes (equality compensation).
+  std::vector<int> nontrivial_classes;
   RangeMap query_ranges;          ///< plain query ranges (compensation)
   RangeMap query_ranges_checked;  ///< check-strengthened (subsumption)
   std::vector<ExprShape> query_residual_shapes;
@@ -373,18 +400,25 @@ struct MatchProgramScratch {
   /// Used-flags of the grouping-containment test (§3.3).
   std::vector<char> grouping_used;
   /// kCheckExtraTables workspace: the probe-active FK edges (dedup'd per
-  /// slot pair, fk payload unused) and the dedup bitmasks.
+  /// slot pair, fk payload unused), the dedup bitmasks, and the pool
+  /// index of the active edge into each view slot.
   std::vector<FkJoinEdge> fk_edges;
   std::vector<uint64_t> fk_active_to;
-};
-
-/// Execution verdict: decided (matched/rejected, `result` is the
-/// byte-identical MatchResult) or declined (run the generic matcher).
-enum class MatchExecStatus : uint8_t { kDecided, kFallback };
-
-struct MatchExecResult {
-  MatchExecStatus status = MatchExecStatus::kFallback;
-  MatchResult result;
+  std::vector<int32_t> fk_in_edge;
+  /// The §3.2 query-class extension of a candidate with eliminated extra
+  /// slots. Nodes are the query classes, then every extra-slot column
+  /// (extra slot k's column c is node xnode_base[k] + c); xclass maps
+  /// each node to its extended class, labelled by the class's smallest
+  /// node, so classes holding query columns keep the smallest of their
+  /// query class ids and order as the generic matcher's dense ids do.
+  std::vector<int32_t> xnode_base;
+  std::vector<int32_t> xclass;
+  /// Query-slot members per extended class label, slot-major (CSR), kept
+  /// only when the extension merged two query classes.
+  std::vector<int32_t> member_begin;
+  std::vector<ColumnRefId> members;
+  /// Extended classes with a query range, ascending (merged case only).
+  std::vector<int32_t> ranged_classes;
 };
 
 /// Builds the query-side context for one probe. `options` must be the
@@ -395,20 +429,22 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
 
 /// Compiles `view` into a match program, or returns nullptr when the
 /// view is outside the compiled envelope (self-join FROM list, backjoin
-/// mode, or a zero mapping budget) — such views match through the
-/// generic tier. Deterministic and side-effect free; called under the
-/// catalog writer lock at registration/recovery, never on a probe.
+/// mode, more than 64 tables, or a zero mapping budget) — such views
+/// match through the generic tier. Deterministic and side-effect free;
+/// called under the catalog writer lock at registration/recovery, never
+/// on a probe.
 std::shared_ptr<const MatchProgram> CompileMatchProgram(
     const Catalog& catalog, const ViewDefinition& view,
     const MatchOptions& options);
 
-/// Runs `program` against one probe's context. Returns kFallback when
-/// the candidate needs generic machinery (extra view tables requiring
-/// foreign-key elimination); otherwise the MatchResult is byte-identical
-/// to ViewMatcher::Match on the same pair.
-MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
-                                    const MatchProbeContext& ctx,
-                                    MatchProgramScratch& scratch);
+/// Runs `program` against one probe's context. The MatchResult is
+/// byte-identical to ViewMatcher::Match on the same pair. Allocates only
+/// for the substitute under construction (and to size `scratch` on first
+/// use). Throws std::logic_error on a corrupted program that never
+/// reaches kAccept.
+MatchResult ExecuteMatchProgram(const MatchProgram& program,
+                                const MatchProbeContext& ctx,
+                                MatchProgramScratch& scratch);
 
 }  // namespace mvopt
 

@@ -9,12 +9,24 @@
 
 #include "engine/database.h"
 #include "index/matching_service.h"
+#include "optimizer/cardinality.h"
+#include "optimizer/optimizer.h"
 #include "rewrite/matcher.h"
 #include "tpch/datagen.h"
 #include "tpch/schema.h"
 
 namespace mvopt {
 namespace {
+
+/// The first view-scan node of `plan` (depth first), or nullptr.
+const PhysPlan* FindViewScan(const PhysPlanPtr& plan) {
+  if (plan == nullptr) return nullptr;
+  if (plan->kind == PhysKind::kViewScan) return plan.get();
+  for (const PhysPlanPtr& child : plan->children) {
+    if (const PhysPlan* found = FindViewScan(child)) return found;
+  }
+  return nullptr;
+}
 
 std::vector<std::string> Canonicalize(const std::vector<Row>& rows) {
   std::vector<std::string> out;
@@ -188,6 +200,98 @@ TEST_F(BackjoinTest, EndToEndExecutionMatchesReference) {
   auto got = Canonicalize(
       db.ExecuteSpjg(subs[0].ToQueryOverView(v->materialized_table())));
   EXPECT_EQ(got, expected);
+}
+
+// Costing reads the statistics of the table a compensating range is on.
+// A range routed through a backjoin is on {1 + j, c}: column c of the
+// backjoined base table, which the 2-column part_slim table lacks (c is
+// p_retailprice, ordinal 7). Optimize prices every alternative, so it
+// must cost the backjoined view scan without reading past the view
+// table's columns.
+TEST_F(BackjoinTest, OptimizePricesBackjoinedRangeOnTheBaseTable) {
+  Database db(&catalog_);
+  tpch::DataGenOptions dg;
+  dg.scale_factor = 0.001;
+  tpch::GenerateData(&db, schema_, dg);
+  MatchingService::Options sopts;
+  sopts.match.enable_backjoins = true;
+  MatchingService service(&catalog_, sopts);
+  std::string error;
+  ViewDefinition* v =
+      service.AddView("part_slim", PartKeyView().query(), &error);
+  ASSERT_NE(v, nullptr) << error;
+  db.MaterializeView(v);
+
+  SpjgBuilder qb(&catalog_);
+  int p = qb.AddTable("part");
+  qb.Where(Expr::MakeCompare(CompareOp::kGt, qb.Col(p, "p_partkey"),
+                             Expr::MakeLiteral(Value::Int64(0))));
+  qb.Where(Expr::MakeCompare(CompareOp::kGt, qb.Col(p, "p_retailprice"),
+                             Expr::MakeLiteral(Value::Double(905.0))));
+  qb.Output(qb.Col(p, "p_partkey"));
+  Optimizer optimizer(&catalog_, &service);
+  OptimizationResult r = optimizer.Optimize(qb.Build());
+  ASSERT_NE(r.plan, nullptr);
+  EXPECT_GT(r.metrics.substitutes_produced, 0);
+}
+
+// The priced selectivity is the backjoined column's: an aggregation view
+// over lineitem x orders keyed by o_orderkey backjoins orders for the
+// query's o_totalprice range, and the view scan's row estimate must use
+// orders.o_totalprice statistics — not those of the view table's column
+// with the same ordinal (MIN(l_quantity) here).
+TEST_F(BackjoinTest, BackjoinedRangeIsPricedWithBaseTableStatistics) {
+  Database db(&catalog_);
+  tpch::DataGenOptions dg;
+  dg.scale_factor = 0.001;
+  tpch::GenerateData(&db, schema_, dg);
+  MatchingService::Options sopts;
+  sopts.match.enable_backjoins = true;
+  MatchingService service(&catalog_, sopts);
+
+  SpjgBuilder vb(&catalog_);
+  int vl = vb.AddTable("lineitem");
+  int vo = vb.AddTable("orders");
+  vb.Where(Eq(vb.Col(vl, "l_orderkey"), vb.Col(vo, "o_orderkey")));
+  vb.Output(vb.Col(vo, "o_orderkey"));
+  vb.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr), "cnt");
+  vb.Output(Expr::MakeAggregate(AggKind::kSum, vb.Col(vl, "l_quantity")),
+            "sumq");
+  vb.Output(Expr::MakeAggregate(AggKind::kMin, vb.Col(vl, "l_quantity")),
+            "minq");
+  vb.GroupBy(vb.Col(vo, "o_orderkey"));
+  std::string error;
+  ViewDefinition* v = service.AddView("order_qty", vb.Build(), &error);
+  ASSERT_NE(v, nullptr) << error;
+  db.MaterializeView(v);
+
+  const TableDef& orders = catalog_.table(schema_.orders);
+  const ColumnOrdinal o_totalprice = *orders.FindColumn("o_totalprice");
+  ASSERT_LT(o_totalprice, catalog_.table(v->materialized_table()).num_columns())
+      << "the regression needs an in-range ordinal of the view table";
+  const Value bound = Value::Double(100000.0);
+  SpjgBuilder qb(&catalog_);
+  int ql = qb.AddTable("lineitem");
+  int qo = qb.AddTable("orders");
+  qb.Where(Eq(qb.Col(ql, "l_orderkey"), qb.Col(qo, "o_orderkey")));
+  qb.Where(Expr::MakeCompare(CompareOp::kGt, qb.Col(qo, "o_totalprice"),
+                             Expr::MakeLiteral(bound)));
+  qb.Output(qb.Col(qo, "o_orderkey"));
+  qb.Output(Expr::MakeAggregate(AggKind::kSum, qb.Col(ql, "l_quantity")),
+            "q");
+  qb.GroupBy(qb.Col(qo, "o_orderkey"));
+
+  Optimizer optimizer(&catalog_, &service);
+  OptimizationResult r = optimizer.Optimize(qb.Build());
+  const PhysPlan* scan = FindViewScan(r.plan);
+  ASSERT_NE(scan, nullptr) << "the view plan should win";
+  ASSERT_EQ(scan->substitute.backjoins.size(), 1u);
+  ASSERT_EQ(scan->substitute.predicates.size(), 1u);
+  const double view_rows = static_cast<double>(
+      catalog_.table(v->materialized_table()).row_count());
+  const double sel = CardinalityEstimator(&catalog_).RangeSelectivity(
+      orders, o_totalprice, CompareOp::kGt, bound);
+  EXPECT_DOUBLE_EQ(scan->rows, std::max(1.0, view_rows * sel));
 }
 
 }  // namespace

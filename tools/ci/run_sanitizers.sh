@@ -66,8 +66,9 @@ run_thread() {
 run_metrics_smoke() {
   # Observability smoke: run the metrics driver over a small workload in
   # the ASan tree and let its --selfcheck validate that the Prometheus
-  # exposition parses, the JSON dumps parse, and every mandatory pipeline
-  # metric is present and non-negative (probe/optimize counters > 0).
+  # exposition parses, the JSON dumps parse, every mandatory pipeline
+  # metric is present and non-negative (probe/optimize counters > 0), and
+  # no candidate of a compiled view fell back to the generic matcher.
   local build_dir="${build_root}/address"
   echo "=== metrics smoke: build driver ==="
   cmake --build "${build_dir}" --target metrics_driver -j "${jobs}"
@@ -75,9 +76,10 @@ run_metrics_smoke() {
   ASAN_OPTIONS=detect_leaks=1 \
     "${build_dir}/examples/metrics_driver" \
     --views 100 --queries 30 --quiet --selfcheck
-  # Same workload with every compiled verdict replayed against the
-  # generic oracle: the selfcheck fails on any tier mismatch, so this is
-  # the instrumented end-to-end proof that the two tiers agree.
+  # Same workload with every compiled verdict — the §3.2 extra-table
+  # ones included — replayed against the generic oracle: the selfcheck
+  # fails on any tier mismatch, so this is the instrumented end-to-end
+  # proof that the two tiers agree.
   echo "=== metrics smoke: cross-check enforce ==="
   ASAN_OPTIONS=detect_leaks=1 \
     "${build_dir}/examples/metrics_driver" \

@@ -57,7 +57,7 @@ void BM_LinearSubsetScan(benchmark::State& state) {
     std::vector<int> out;
     const auto& probe = probes[i++ % probes.size()];
     index.LinearScan(
-        [&probe](const LatticeIndex::Key& k) {
+        [&probe](LatticeIndex::KeySpan k) {
           return LatticeIndex::IsSubset(k, probe);
         },
         &out);

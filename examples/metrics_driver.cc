@@ -20,7 +20,8 @@
 //                   them the two-tier accounting invariant
 //                   compiled_hits + compiled_fallbacks == full_tests,
 //                   zero fallbacks when every view has a compiled
-//                   program, and zero cross-check mismatches; exit
+//                   program, zero filter-level scans (backjoins are
+//                   off), and zero cross-check mismatches; exit
 //                   nonzero on any failure (the CI metrics smoke step)
 //   --quiet         suppress the full exposition/trace dumps
 
@@ -121,6 +122,15 @@ int SelfCheck(const MetricsRegistry& registry, const MatchingStats& stats,
                 std::to_string(stats.compiled_fallbacks) + " of " +
                 std::to_string(stats.full_tests) +
                 " full tests fell back to the generic matcher");
+  }
+  // Scans are the full-level walks of the levels backjoins relax; the
+  // driver runs with backjoins off, so every level walk must be a
+  // subset or superset search.
+  const int64_t scans =
+      registry.CounterValue("mvopt_filter_scan_searches_total").value_or(-1);
+  if (scans != 0) {
+    return Fail("backjoins are off, yet mvopt_filter_scan_searches_total is " +
+                std::to_string(scans));
   }
   if (stats.cross_check_mismatches != 0) {
     return Fail("cross-check found " +

@@ -132,12 +132,12 @@ int main() {
   Expect(tree_report.ok(), "filter tree invariants hold");
 
   LatticeIndex lattice;
-  lattice.Insert({1, 2});
-  lattice.Insert({1, 2, 3});
-  lattice.Insert({2, 3});
-  lattice.Insert({1});
-  lattice.Insert({3, 4});
-  lattice.Erase({1, 2});
+  lattice.Insert(LatticeIndex::Key{1, 2});
+  lattice.Insert(LatticeIndex::Key{1, 2, 3});
+  lattice.Insert(LatticeIndex::Key{2, 3});
+  lattice.Insert(LatticeIndex::Key{1});
+  lattice.Insert(LatticeIndex::Key{3, 4});
+  lattice.Erase(LatticeIndex::Key{1, 2});
   AuditReport lattice_report = auditor.AuditLattice(lattice);
   std::printf("lattice audit: %s\n",
               lattice_report.ok() ? "clean" : lattice_report.Summary().c_str());

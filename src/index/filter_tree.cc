@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/failpoint.h"
 
@@ -9,8 +10,10 @@ namespace mvopt {
 
 namespace {
 
+using KeySpan = LatticeIndex::KeySpan;
+
 // True if sorted keys `a` and `b` intersect.
-bool Intersects(const LatticeIndex::Key& a, const LatticeIndex::Key& b) {
+bool Intersects(KeySpan a, KeySpan b) {
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
@@ -24,13 +27,20 @@ bool Intersects(const LatticeIndex::Key& a, const LatticeIndex::Key& b) {
   return false;
 }
 
+// `values` as a sorted unique key, into `key`.
+template <typename T>
+void AssignKey(const std::vector<T>& values, LatticeIndex::Key* key) {
+  key->clear();
+  for (T v : values) key->push_back(static_cast<uint32_t>(v));
+  std::sort(key->begin(), key->end());
+  key->erase(std::unique(key->begin(), key->end()), key->end());
+}
+
 template <typename T>
 LatticeIndex::Key ToKey(const std::vector<T>& values) {
   LatticeIndex::Key key;
   key.reserve(values.size());
-  for (T v : values) key.push_back(static_cast<uint32_t>(v));
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
+  AssignKey(values, &key);
   return key;
 }
 
@@ -94,93 +104,221 @@ uint32_t FilterTree::Intern(const std::string& text) {
   return atom;
 }
 
-LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
-                                      FilterLevel level) {
+
+// --- keys -------------------------------------------------------------------
+
+template <typename AtomOf>
+std::optional<LatticeIndex::Key> FilterTree::LevelKey(const ViewDescription& d,
+                                                      FilterLevel level,
+                                                      AtomOf atom_of) {
+  auto texts = [&atom_of](const std::vector<std::string>& list)
+      -> std::optional<Key> {
+    Key key;
+    key.reserve(list.size());
+    for (const auto& t : list) {
+      const std::optional<uint32_t> atom = atom_of(t);
+      if (!atom.has_value()) return std::nullopt;
+      key.push_back(*atom);
+    }
+    std::sort(key.begin(), key.end());
+    return key;
+  };
   switch (level) {
     case FilterLevel::kHub:
       return ToKey(d.hub);
     case FilterLevel::kSourceTables:
       return ToKey(d.source_tables);
-    case FilterLevel::kOutputExprs: {
-      LatticeIndex::Key key;
-      for (const auto& t : d.output_expr_texts) key.push_back(Intern(t));
-      std::sort(key.begin(), key.end());
-      return key;
-    }
+    case FilterLevel::kOutputExprs:
+      return texts(d.output_expr_texts);
     case FilterLevel::kOutputColumns:
       return ToKey(d.extended_output_columns);
-    case FilterLevel::kResidual: {
-      LatticeIndex::Key key;
-      for (const auto& t : d.residual_texts) key.push_back(Intern(t));
-      std::sort(key.begin(), key.end());
-      return key;
-    }
+    case FilterLevel::kResidual:
+      return texts(d.residual_texts);
     case FilterLevel::kRangeConstraints:
       return ToKey(d.reduced_range_columns);
-    case FilterLevel::kGroupingExprs: {
-      LatticeIndex::Key key;
-      for (const auto& t : d.grouping_expr_texts) key.push_back(Intern(t));
-      std::sort(key.begin(), key.end());
-      return key;
-    }
+    case FilterLevel::kGroupingExprs:
+      return texts(d.grouping_expr_texts);
     case FilterLevel::kGroupingColumns:
       return ToKey(d.extended_grouping_columns);
   }
-  return {};
+  return Key{};
 }
 
-void FilterTree::AddView(std::shared_ptr<const ViewDescription> view) {
+LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
+                                      FilterLevel level) {
+  return *LevelKey(d, level,
+                   [this](const std::string& t) -> std::optional<uint32_t> {
+                     return Intern(t);
+                   });
+}
+
+std::optional<LatticeIndex::Key> FilterTree::LookupViewKey(
+    const ViewDescription& d, FilterLevel level) const {
+  return LevelKey(d, level,
+                  [this](const std::string& t) -> std::optional<uint32_t> {
+                    if (const uint32_t* atom = atoms_.Find(t)) return *atom;
+                    return std::nullopt;
+                  });
+}
+
+// --- leaves and tails -------------------------------------------------------
+
+bool FilterTree::Leaf::Contains(ViewId id) const {
+  bool found = false;
+  ForEach([&](ViewId v, const ClassList&) {
+    found = v == id;
+    return !found;
+  });
+  return found;
+}
+
+FilterTree::Leaf FilterTree::Leaf::With(const ViewDescription& view) const {
+  size_t size = records.size() + 2;
+  for (const auto& cls : view.range_constrained_classes) {
+    size += 1 + cls.size();
+  }
+  Leaf leaf;
+  leaf.records.reserve(size);
+  leaf.records = records;
+  leaf.records.push_back(static_cast<uint32_t>(view.id));
+  leaf.records.push_back(
+      static_cast<uint32_t>(view.range_constrained_classes.size()));
+  for (const auto& cls : view.range_constrained_classes) {
+    // DescribeView stores each class sorted and unique, so it is
+    // intersected as stored.
+    assert(std::is_sorted(cls.begin(), cls.end()));
+    leaf.records.push_back(static_cast<uint32_t>(cls.size()));
+    leaf.records.insert(leaf.records.end(), cls.begin(), cls.end());
+  }
+  return leaf;
+}
+
+FilterTree::Leaf FilterTree::Leaf::Without(ViewId id) const {
+  Leaf leaf;
+  const uint32_t* p = records.data();
+  ForEach([&](ViewId v, const ClassList& classes) {
+    if (v != id) leaf.records.insert(leaf.records.end(), p, classes.end());
+    p = classes.end();
+    return true;
+  });
+  return leaf;
+}
+
+std::shared_ptr<const FilterTree::Tail> FilterTree::MakeTail(
+    const std::vector<Key>& keys, size_t from, Leaf leaf) {
+  auto tail = std::make_shared<Tail>();
+  size_t size = 0;
+  for (size_t l = from; l < keys.size(); ++l) size += 1 + keys[l].size();
+  tail->keys.reserve(size);
+  for (size_t l = from; l < keys.size(); ++l) {
+    tail->keys.push_back(static_cast<uint32_t>(keys[l].size()));
+    tail->keys.insert(tail->keys.end(), keys[l].begin(), keys[l].end());
+  }
+  tail->leaf = std::move(leaf);
+  return tail;
+}
+
+std::shared_ptr<FilterTree::Node> FilterTree::SplitTail(
+    const Child& tail, size_t first, size_t diverge,
+    const std::vector<Key>& keys, const ViewDescription& view) const {
+  TailKeys old_keys(*tail.tail, tail.skip);
+  std::shared_ptr<Node> head = NewNode();
+  Node* node = head.get();
+  for (size_t level = first; level < diverge; ++level) {
+    node->index.Insert(old_keys.Next());
+    node->children.resize(1);
+    node->children[0].node = NewNode();
+    node = node->children[0].node.get();
+  }
+  // The old key first: the node is the one a chain of one-key nodes
+  // would hold after the same two inserts.
+  const int old_id = node->index.Insert(old_keys.Next());
+  const int new_id = node->index.Insert(keys[diverge]);
+  if (diverge + 1 == keys.size()) {
+    node->leaves.resize(2);
+    node->leaves[old_id] = tail.tail->leaf;
+    node->leaves[new_id] = Leaf().With(view);
+  } else {
+    node->children.resize(2);
+    node->children[old_id] = Child{
+        nullptr, tail.tail,
+        tail.skip + static_cast<uint32_t>(diverge + 1 - first)};
+    node->children[new_id] =
+        Child{nullptr, MakeTail(keys, diverge + 1, Leaf().With(view)), 0};
+  }
+  return head;
+}
+
+// --- mutation ---------------------------------------------------------------
+
+void FilterTree::AddView(const ViewDescription& d) {
   MVOPT_FAILPOINT("filter_tree.add_view");
-  const ViewDescription& d = *view;
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
+  std::vector<Key> keys;
+  keys.reserve(levels.size());
+  for (FilterLevel level : levels) keys.push_back(ViewKey(d, level));
   std::shared_ptr<Node>* slot = d.is_aggregate ? &agg_root_ : &spj_root_;
-  // Undo log: lattice keys this insert brought to life, so a failure
-  // mid-path (allocation, failpoint) can re-erase exactly them. Keys
-  // that were already live belong to other views and must survive. The
-  // logged nodes are this tree's own (Mutable copied shared ones first),
-  // so the undo never touches a node another generation reaches.
-  struct Step {
-    Node* node;
-    LatticeIndex::Key key;
-    bool created;
-  };
-  std::vector<Step> steps;
-  steps.reserve(levels.size());
-  try {
-    for (size_t depth = 0; depth < levels.size(); ++depth) {
-      Node* node = Mutable(*slot);
-      LatticeIndex::Key key = ViewKey(d, levels[depth]);
-      const int existing = node->index.Find(key);
-      const bool created = existing < 0 || !node->index.alive(existing);
-      int lattice_node = node->index.Insert(key);
-      steps.push_back(Step{node, std::move(key), created});
-      const bool last = depth + 1 == levels.size();
+  // Descend through branching nodes (copying the shared ones) to the
+  // level where the view's path ends. Each ending builds its
+  // replacement off the tree and attaches it with a no-throw move as
+  // the final mutation, so a failure (allocation, failpoint) leaves the
+  // view on no path; only a key this insert brought to life must be
+  // erased again.
+  for (size_t depth = 0;; ++depth) {
+    Node* node = Mutable(*slot);
+    const bool last = depth + 1 == levels.size();
+    const int existing = node->index.Find(keys[depth]);
+    if (existing >= 0 && node->index.alive(existing)) {
       if (last) {
+        Leaf leaf = node->leaves[existing].With(d);
         MVOPT_FAILPOINT("filter_tree.insert_leaf");
-        if (node->leaves.size() <= static_cast<size_t>(lattice_node)) {
-          node->leaves.resize(lattice_node + 1);
-        }
-        node->leaves[lattice_node].push_back(view);
-      } else {
-        if (node->children.size() <= static_cast<size_t>(lattice_node)) {
-          node->children.resize(lattice_node + 1);
-        }
-        if (node->children[lattice_node] == nullptr) {
-          node->children[lattice_node] = NewNode();
-        }
-        slot = &node->children[lattice_node];
+        node->leaves[existing] = std::move(leaf);
+        break;
       }
+      Child& child = node->children[existing];
+      assert(!child.empty() && "a live key leads to a subtree");
+      if (child.node != nullptr) {
+        slot = &child.node;
+        continue;
+      }
+      // The key leads to a tail: the view joins its leaf when every
+      // remaining key agrees, and splits it where the first one differs.
+      TailKeys tail_keys(*child.tail, child.skip);
+      size_t diverge = depth + 1;
+      while (diverge < levels.size() &&
+             std::ranges::equal(tail_keys.Next(), keys[diverge])) {
+        ++diverge;
+      }
+      Child replacement;
+      if (diverge == levels.size()) {
+        replacement.tail = MakeTail(keys, depth + 1, child.tail->leaf.With(d));
+      } else {
+        replacement.node = SplitTail(child, depth + 1, diverge, keys, d);
+      }
+      MVOPT_FAILPOINT("filter_tree.insert_leaf");
+      child = std::move(replacement);
+      break;
     }
-  } catch (...) {
-    // The leaf push is the final mutation, so on any failure the view id
-    // is not in a leaf yet; erasing the keys this insert created (lazy
-    // deletion keeps them as dead routing waypoints) restores the
-    // searchable state exactly.
-    for (auto rit = steps.rbegin(); rit != steps.rend(); ++rit) {
-      if (rit->created) rit->node->index.Erase(rit->key);
+    // A new or erased key: it holds the leaf, or leads to a new tail.
+    const auto id = static_cast<size_t>(node->index.Insert(keys[depth]));
+    try {
+      if (last) {
+        Leaf leaf = Leaf().With(d);
+        if (node->leaves.size() <= id) node->leaves.resize(id + 1);
+        MVOPT_FAILPOINT("filter_tree.insert_leaf");
+        node->leaves[id] = std::move(leaf);
+      } else {
+        Child child{nullptr, MakeTail(keys, depth + 1, Leaf().With(d)), 0};
+        if (node->children.size() <= id) node->children.resize(id + 1);
+        MVOPT_FAILPOINT("filter_tree.insert_leaf");
+        node->children[id] = std::move(child);
+      }
+    } catch (...) {
+      node->index.Erase(keys[depth]);
+      throw;
     }
-    throw;
+    break;
   }
   ++num_views_;
 }
@@ -189,243 +327,352 @@ void FilterTree::RemoveView(const ViewDescription& d) {
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
   std::shared_ptr<Node>* slot = d.is_aggregate ? &agg_root_ : &spj_root_;
-  for (size_t depth = 0; depth < levels.size(); ++depth) {
-    Node* node = Mutable(*slot);
-    LatticeIndex::Key key = ViewKey(d, levels[depth]);
-    int lattice_node = node->index.Find(key);
-    assert(lattice_node >= 0 && "view path must exist");
-    const bool last = depth + 1 == levels.size();
-    if (last) {
-      auto& leaf = node->leaves[lattice_node];
-      leaf.erase(std::remove_if(leaf.begin(), leaf.end(),
-                                [&d](const auto& v) { return v->id == d.id; }),
-                 leaf.end());
-      if (leaf.empty()) node->index.Erase(key);
-    } else {
-      slot = &node->children[lattice_node];
+  auto not_on_tree = [&d]() {
+    return std::logic_error("FilterTree::RemoveView: view " +
+                            std::to_string(d.id) + " is not on the tree");
+  };
+  std::vector<Key> keys;
+  keys.reserve(levels.size());
+  for (FilterLevel level : levels) {
+    std::optional<Key> key = LookupViewKey(d, level);
+    if (!key.has_value()) throw not_on_tree();
+    keys.push_back(std::move(*key));
+  }
+  // Locate the view read-only first: a view that is not on the tree
+  // changes nothing. `path[depth]` is the lattice node of its key.
+  std::vector<int> path;
+  path.reserve(levels.size());
+  for (const Node* node = slot->get();;) {
+    const size_t depth = path.size();
+    const int id = node->index.Find(keys[depth]);
+    if (id < 0 || !node->index.alive(id)) throw not_on_tree();
+    path.push_back(id);
+    if (depth + 1 == levels.size()) {
+      if (!node->leaves[id].Contains(d.id)) throw not_on_tree();
+      break;
     }
+    const Child& child = node->children[id];
+    if (child.node != nullptr) {
+      node = child.node.get();
+      continue;
+    }
+    if (child.tail == nullptr) throw not_on_tree();
+    TailKeys tail_keys(*child.tail, child.skip);
+    for (size_t level = depth + 1; level < levels.size(); ++level) {
+      if (!std::ranges::equal(tail_keys.Next(), keys[level])) {
+        throw not_on_tree();
+      }
+    }
+    if (!child.tail->leaf.Contains(d.id)) throw not_on_tree();
+    break;
+  }
+  // Copy the path and take the view out of its leaf.
+  std::vector<Node*> nodes;
+  nodes.reserve(path.size());
+  bool emptied = false;
+  for (size_t depth = 0;; ++depth) {
+    Node* node = Mutable(*slot);
+    nodes.push_back(node);
+    const int id = path[depth];
+    if (depth + 1 == path.size() && depth + 1 == levels.size()) {
+      node->leaves[id] = node->leaves[id].Without(d.id);
+      emptied = node->leaves[id].empty();
+      break;
+    }
+    Child& child = node->children[id];
+    if (depth + 1 < path.size()) {
+      slot = &child.node;
+      continue;
+    }
+    Leaf rest = child.tail->leaf.Without(d.id);
+    emptied = rest.empty();
+    child = emptied ? Child()
+                    : Child{nullptr,
+                            MakeTail(keys, depth + 1, std::move(rest)), 0};
+    break;
+  }
+  // Erase, bottom-up, every key whose subtree is now empty, dropping
+  // the subtree with it.
+  for (size_t i = nodes.size(); emptied && i-- > 0;) {
+    Node* node = nodes[i];
+    node->index.Erase(keys[i]);
+    if (i + 1 < levels.size()) node->children[path[i]] = Child();
+    emptied = node->index.num_live_nodes() == 0;
   }
   --num_views_;
 }
 
-void FilterTree::SearchLevel(const Node& node, FilterLevel level,
-                             const SearchContext& ctx, bool agg_tree,
-                             std::vector<int>* out,
-                             FilterSearchStats* stats) const {
-  // Lattice search kinds by level (the §4.4 walk each condition uses);
-  // recorded before the dispatch so impossible-key early returns still
-  // count as a performed search.
-  if (stats != nullptr) {
-    switch (level) {
-      case FilterLevel::kHub:
-      case FilterLevel::kResidual:
-      case FilterLevel::kRangeConstraints:
-        ++stats->subset_searches;
-        break;
-      case FilterLevel::kSourceTables:
-      case FilterLevel::kOutputExprs:
-      case FilterLevel::kGroupingExprs:
-        ++stats->superset_searches;
-        break;
-      case FilterLevel::kOutputColumns:
-      case FilterLevel::kGroupingColumns:
-        ++stats->scan_searches;
-        break;
-    }
-  }
-  switch (level) {
-    case FilterLevel::kHub:
-      // Hub condition (§4.2.2): hub ⊆ query source tables.
-      node.index.SearchSubsets(ctx.source_tables, out);
+// --- search -----------------------------------------------------------------
+
+namespace {
+
+// The walk a level condition performs, as FilterSearchStats counts it.
+enum class WalkKind { kSubset, kSuperset, kScan };
+
+void CountWalk(WalkKind kind, FilterSearchStats* stats) {
+  if (stats == nullptr) return;
+  switch (kind) {
+    case WalkKind::kSubset:
+      ++stats->subset_searches;
       return;
-    case FilterLevel::kSourceTables:
-      // Source table condition (§4.2.1): view tables ⊇ query tables.
-      node.index.SearchSupersets(ctx.source_tables, out);
+    case WalkKind::kSuperset:
+      ++stats->superset_searches;
       return;
-    case FilterLevel::kOutputExprs: {
-      const bool impossible = agg_tree ? ctx.output_agg_exprs_impossible
-                                       : ctx.output_exprs_impossible;
-      if (impossible) return;  // a required text exists in no view
-      const LatticeIndex::Key& atoms =
-          agg_tree ? ctx.output_agg_expr_atoms : ctx.output_expr_atoms;
-      node.index.SearchSupersets(atoms, out);
-      return;
-    }
-    case FilterLevel::kOutputColumns: {
-      // Output column condition (§4.2.3): every query output class must
-      // be hit by the view's extended output list. Upward-closed, so
-      // descend from the tops. Not applicable when backjoins can recover
-      // missing columns.
-      if (assume_backjoins_) {
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
-                              out);
-        return;
-      }
-      const auto& classes =
-          agg_tree ? ctx.output_classes_agg : ctx.output_classes_spj;
-      node.index.SearchDown(
-          [&classes](const LatticeIndex::Key& key) {
-            for (const auto& cls : classes) {
-              if (!Intersects(key, cls)) return false;
-            }
-            return true;
-          },
-          out);
-      return;
-    }
-    case FilterLevel::kResidual:
-      // Residual predicate condition (§4.2.6): view residual texts ⊆
-      // query residual texts.
-      node.index.SearchSubsets(ctx.residual_atoms, out);
-      return;
-    case FilterLevel::kRangeConstraints:
-      // Weak range constraint condition (§4.2.5); the full condition is
-      // applied per view after the leaf is reached.
-      node.index.SearchSubsets(ctx.extended_range_columns, out);
-      return;
-    case FilterLevel::kGroupingExprs:
-      if (assume_backjoins_) {
-        // The FD relaxation lets grouping expressions be recovered via
-        // backjoins; the textual containment is no longer necessary.
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
-                              out);
-        return;
-      }
-      if (ctx.grouping_exprs_impossible) return;
-      node.index.SearchSupersets(ctx.grouping_expr_atoms, out);
-      return;
-    case FilterLevel::kGroupingColumns:
-      if (assume_backjoins_) {
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
-                              out);
-        return;
-      }
-      node.index.SearchDown(
-          [&ctx](const LatticeIndex::Key& key) {
-            for (const auto& cls : ctx.grouping_classes) {
-              if (!Intersects(key, cls)) return false;
-            }
-            return true;
-          },
-          out);
+    case WalkKind::kScan:
+      ++stats->scan_searches;
       return;
   }
 }
 
-bool FilterTree::PassesFullRangeCondition(const ViewDescription& view,
-                                          const SearchContext& ctx) {
-  // Range constraint condition (§4.2.5): every range-constrained view
-  // equivalence class must have a column in the query's extended range
-  // constraint list. DescribeView stores each class sorted and unique,
-  // so it is intersected as stored.
-  for (const auto& cls : view.range_constrained_classes) {
-    assert(std::is_sorted(cls.begin(), cls.end()));
-    if (!Intersects(cls, ctx.extended_range_columns)) return false;
+}  // namespace
+
+template <typename Visit>
+decltype(auto) FilterTree::WithLevelCondition(FilterLevel level,
+                                              const SearchContext& ctx,
+                                              bool agg_tree,
+                                              Visit&& visit) const {
+  auto hits_every = [](const KeyList& classes) {
+    return [&classes](KeySpan key) {
+      return classes.All([key](KeySpan cls) { return Intersects(key, cls); });
+    };
+  };
+  auto any = [](KeySpan) { return true; };
+  switch (level) {
+    case FilterLevel::kHub:
+      // Hub condition (§4.2.2): hub ⊆ query source tables.
+      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
+        return LatticeIndex::IsSubset(key, ctx.source_tables);
+      });
+    case FilterLevel::kSourceTables:
+      // Source table condition (§4.2.1): view tables ⊇ query tables.
+      return visit(WalkKind::kSuperset, [&ctx](KeySpan key) {
+        return LatticeIndex::IsSubset(ctx.source_tables, key);
+      });
+    case FilterLevel::kOutputExprs: {
+      // A required text no view carries fails every key.
+      const bool impossible = agg_tree ? ctx.output_agg_exprs_impossible
+                                       : ctx.output_exprs_impossible;
+      const Key& atoms =
+          agg_tree ? ctx.output_agg_expr_atoms : ctx.output_expr_atoms;
+      return visit(WalkKind::kSuperset, [impossible, &atoms](KeySpan key) {
+        return !impossible && LatticeIndex::IsSubset(atoms, key);
+      });
+    }
+    case FilterLevel::kOutputColumns:
+      // Output column condition (§4.2.3): every query output class must
+      // be hit by the view's extended output list. Upward-closed, so
+      // descend from the tops. Not applicable when backjoins can recover
+      // missing columns.
+      if (assume_backjoins_) return visit(WalkKind::kScan, any);
+      return visit(WalkKind::kSuperset,
+                   hits_every(agg_tree ? ctx.output_classes_agg
+                                       : ctx.output_classes_spj));
+    case FilterLevel::kResidual:
+      // Residual predicate condition (§4.2.6): view residual texts ⊆
+      // query residual texts.
+      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
+        return LatticeIndex::IsSubset(key, ctx.residual_atoms);
+      });
+    case FilterLevel::kRangeConstraints:
+      // Weak range constraint condition (§4.2.5); the full condition is
+      // applied per view at the leaf.
+      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
+        return LatticeIndex::IsSubset(key, ctx.extended_range_columns);
+      });
+    case FilterLevel::kGroupingExprs:
+      // The FD relaxation lets grouping expressions be recovered via
+      // backjoins; the textual containment is no longer necessary.
+      if (assume_backjoins_) return visit(WalkKind::kScan, any);
+      return visit(WalkKind::kSuperset, [&ctx](KeySpan key) {
+        return !ctx.grouping_exprs_impossible &&
+               LatticeIndex::IsSubset(ctx.grouping_expr_atoms, key);
+      });
+    case FilterLevel::kGroupingColumns:
+      if (assume_backjoins_) return visit(WalkKind::kScan, any);
+      return visit(WalkKind::kSuperset, hits_every(ctx.grouping_classes));
   }
-  return true;
+  assert(false && "unknown filter level");
+  return visit(WalkKind::kScan, any);
+}
+
+bool FilterTree::ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
+                          std::vector<ViewId>* out, FilterSearchStats* stats,
+                          QueryBudget* budget) {
+  bool capped = false;
+  leaf.ForEach([&](ViewId id, const ClassList& classes) {
+    if (stats != nullptr) ++stats->views_range_checked;
+    // Range constraint condition (§4.2.5): every range-constrained view
+    // equivalence class must have a column in the query's extended
+    // range constraint list.
+    if (classes.All([&ctx](KeySpan cls) {
+          return Intersects(cls, ctx.extended_range_columns);
+        })) {
+      if (budget != nullptr && budget->ConsumeCandidate()) {
+        capped = true;
+        return false;
+      }
+      out->push_back(id);
+    } else if (stats != nullptr) {
+      ++stats->views_range_rejected;
+    }
+    return true;
+  });
+  return capped;
 }
 
 void FilterTree::Search(const Node& node,
                         const std::vector<FilterLevel>& levels, size_t depth,
                         const SearchContext& ctx, bool agg_tree,
-                        std::vector<ViewId>* out, FilterSearchStats* stats,
-                        QueryBudget* budget) const {
+                        std::vector<int>* qualifying, std::vector<ViewId>* out,
+                        FilterSearchStats* stats, QueryBudget* budget) const {
   if (budget != nullptr && budget->TickDeadline()) return;
-  std::vector<int> qualifying;
-  SearchLevel(node, levels[depth], ctx, agg_tree, &qualifying, stats);
+  // This level's qualifying keys occupy qualifying[begin, end); deeper
+  // levels stack theirs above and pop them before returning.
+  const size_t begin = qualifying->size();
+  WithLevelCondition(levels[depth], ctx, agg_tree,
+                     [&](WalkKind kind, const auto& pred) {
+                       CountWalk(kind, stats);
+                       if (kind == WalkKind::kSubset) {
+                         node.index.SearchUp(pred, qualifying);
+                       } else {
+                         node.index.SearchDown(pred, qualifying);
+                       }
+                     });
+  const size_t end = qualifying->size();
   if (stats != nullptr) {
     const size_t li = static_cast<size_t>(levels[depth]);
     ++stats->level_probes[li];
-    stats->level_qualifying[li] += static_cast<int64_t>(qualifying.size());
-    stats->lattice_nodes_visited += static_cast<int64_t>(qualifying.size());
+    stats->level_qualifying[li] += static_cast<int64_t>(end - begin);
+    stats->lattice_nodes_visited += static_cast<int64_t>(end - begin);
   }
   const bool last = depth + 1 == levels.size();
-  for (int n : qualifying) {
+  for (size_t i = begin; i < end; ++i) {
+    const int n = (*qualifying)[i];
     if (last) {
-      if (static_cast<size_t>(n) >= node.leaves.size()) continue;
-      for (const auto& view : node.leaves[n]) {
-        if (stats != nullptr) ++stats->views_range_checked;
-        if (PassesFullRangeCondition(*view, ctx)) {
-          if (budget != nullptr && budget->ConsumeCandidate()) return;
-          out->push_back(view->id);
-        } else if (stats != nullptr) {
-          ++stats->views_range_rejected;
-        }
-      }
-    } else {
-      if (static_cast<size_t>(n) >= node.children.size() ||
-          node.children[n] == nullptr) {
-        continue;
-      }
-      Search(*node.children[n], levels, depth + 1, ctx, agg_tree, out, stats,
-             budget);
-      if (budget != nullptr && budget->exhausted()) return;
+      if (ScanLeaf(node.leaves[n], ctx, out, stats, budget)) return;
+      continue;
     }
+    const Child& child = node.children[n];
+    assert(!child.empty() && "a live key leads to a subtree");
+    if (child.node != nullptr) {
+      Search(*child.node, levels, depth + 1, ctx, agg_tree, qualifying, out,
+             stats, budget);
+    } else {
+      SearchTail(*child.tail, child.skip, levels, depth + 1, ctx, agg_tree,
+                 out, stats, budget);
+    }
+    if (budget != nullptr && budget->exhausted()) return;
   }
+  qualifying->resize(begin);
 }
 
-std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
-                                               FilterSearchStats* stats,
-                                               QueryBudget* budget) const {
-  SearchContext ctx;
-  ctx.is_aggregate = query.is_aggregate;
-  ctx.source_tables = ToKey(query.source_tables);
-  ctx.extended_range_columns = ToKey(query.extended_range_columns);
-
-  auto intern_required = [this](const std::vector<std::string>& texts,
-                                LatticeIndex::Key* key, bool* impossible) {
-    for (const auto& t : texts) {
-      const uint32_t* atom = LookupAtom(t);
-      if (atom == nullptr) {
-        *impossible = true;  // no view carries this text
-        return;
+void FilterTree::SearchTail(const Tail& tail, uint32_t skip,
+                            const std::vector<FilterLevel>& levels,
+                            size_t depth, const SearchContext& ctx,
+                            bool agg_tree, std::vector<ViewId>* out,
+                            FilterSearchStats* stats,
+                            QueryBudget* budget) const {
+  // Each level evaluates exactly as a one-key node would: a deadline
+  // tick, one walk of the level's kind, one probe, and the key
+  // qualifying or ending the path.
+  TailKeys keys(tail, skip);
+  for (; depth < levels.size(); ++depth) {
+    if (budget != nullptr && budget->TickDeadline()) return;
+    const KeySpan key = keys.Next();
+    const bool qualifies = WithLevelCondition(
+        levels[depth], ctx, agg_tree, [&](WalkKind kind, const auto& pred) {
+          CountWalk(kind, stats);
+          return pred(key);
+        });
+    if (stats != nullptr) {
+      const size_t li = static_cast<size_t>(levels[depth]);
+      ++stats->level_probes[li];
+      if (qualifies) {
+        ++stats->level_qualifying[li];
+        ++stats->lattice_nodes_visited;
       }
-      key->push_back(*atom);
     }
-    std::sort(key->begin(), key->end());
-    key->erase(std::unique(key->begin(), key->end()), key->end());
-  };
-
-  intern_required(query.output_expr_texts, &ctx.output_expr_atoms,
-                  &ctx.output_exprs_impossible);
-  {
-    std::vector<std::string> combined = query.output_expr_texts;
-    combined.insert(combined.end(), query.agg_expr_texts.begin(),
-                    query.agg_expr_texts.end());
-    intern_required(combined, &ctx.output_agg_expr_atoms,
-                    &ctx.output_agg_exprs_impossible);
+    if (!qualifies) return;
   }
-  intern_required(query.grouping_expr_texts, &ctx.grouping_expr_atoms,
-                  &ctx.grouping_exprs_impossible);
+  ScanLeaf(tail.leaf, ctx, out, stats, budget);
+}
+
+void FilterTree::BuildSearchContext(const QueryDescription& query,
+                                    SearchContext* ctx) const {
+  AssignKey(query.source_tables, &ctx->source_tables);
+  AssignKey(query.extended_range_columns, &ctx->extended_range_columns);
+
+  auto intern_required =
+      [this](std::initializer_list<const std::vector<std::string>*> lists,
+             Key* key, bool* impossible) {
+        key->clear();
+        *impossible = false;
+        for (const std::vector<std::string>* texts : lists) {
+          for (const auto& t : *texts) {
+            const uint32_t* atom = atoms_.Find(t);
+            if (atom == nullptr) {
+              *impossible = true;  // no view carries this text
+              return;
+            }
+            key->push_back(*atom);
+          }
+        }
+        std::sort(key->begin(), key->end());
+        key->erase(std::unique(key->begin(), key->end()), key->end());
+      };
+  intern_required({&query.output_expr_texts}, &ctx->output_expr_atoms,
+                  &ctx->output_exprs_impossible);
+  intern_required({&query.output_expr_texts, &query.agg_expr_texts},
+                  &ctx->output_agg_expr_atoms,
+                  &ctx->output_agg_exprs_impossible);
+  intern_required({&query.grouping_expr_texts}, &ctx->grouping_expr_atoms,
+                  &ctx->grouping_exprs_impossible);
 
   // Residual atoms: unknown query texts can never appear in a view key,
   // so they are simply dropped from the superset-side set.
+  ctx->residual_atoms.clear();
   for (const auto& t : query.residual_texts) {
-    if (const uint32_t* atom = LookupAtom(t)) {
-      ctx.residual_atoms.push_back(*atom);
+    if (const uint32_t* atom = atoms_.Find(t)) {
+      ctx->residual_atoms.push_back(*atom);
     }
   }
-  std::sort(ctx.residual_atoms.begin(), ctx.residual_atoms.end());
+  std::sort(ctx->residual_atoms.begin(), ctx->residual_atoms.end());
 
-  for (const auto& cls : query.output_column_classes_spj) {
-    ctx.output_classes_spj.push_back(ToKey(cls));
-  }
-  for (const auto& cls : query.output_column_classes_agg) {
-    ctx.output_classes_agg.push_back(ToKey(cls));
-  }
-  for (const auto& cls : query.grouping_column_classes) {
-    ctx.grouping_classes.push_back(ToKey(cls));
-  }
+  auto assign_classes = [](const std::vector<std::vector<uint32_t>>& classes,
+                           KeyList* list) {
+    list->clear();
+    for (const auto& cls : classes) {
+      const auto begin = static_cast<std::ptrdiff_t>(list->atoms.size());
+      list->atoms.insert(list->atoms.end(), cls.begin(), cls.end());
+      std::sort(list->atoms.begin() + begin, list->atoms.end());
+      list->atoms.erase(
+          std::unique(list->atoms.begin() + begin, list->atoms.end()),
+          list->atoms.end());
+      list->ends.push_back(static_cast<uint32_t>(list->atoms.size()));
+    }
+  };
+  assign_classes(query.output_column_classes_spj, &ctx->output_classes_spj);
+  assign_classes(query.output_column_classes_agg, &ctx->output_classes_agg);
+  assign_classes(query.grouping_column_classes, &ctx->grouping_classes);
+}
 
+std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
+                                               QueryContext& qctx,
+                                               FilterSearchStats* stats) const {
+  // Per-thread scratch: once warm, a probe allocates only its result.
+  thread_local SearchContext ctx;
+  thread_local std::vector<int> qualifying;
+  BuildSearchContext(query, &ctx);
+  qualifying.clear();
+  QueryBudget* budget = qctx.budget();
   std::vector<ViewId> out;
-  if (spj_root_->index.num_live_nodes() > 0 || !spj_root_->leaves.empty()) {
-    Search(*spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &out, stats,
-           budget);
+  if (spj_root_->index.num_live_nodes() > 0) {
+    Search(*spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &qualifying,
+           &out, stats, budget);
   }
-  if (query.is_aggregate &&
-      (agg_root_->index.num_live_nodes() > 0 || !agg_root_->leaves.empty())) {
-    Search(*agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &out, stats,
-           budget);
+  if (query.is_aggregate && agg_root_->index.num_live_nodes() > 0) {
+    Search(*agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &qualifying,
+           &out, stats, budget);
   }
   return out;
 }

@@ -13,14 +13,25 @@
 // output columns, residual constraints, range constraints, and (for
 // aggregation views) grouping expressions and grouping columns.
 //
+// Layout (DESIGN.md §17): a subtree with one key per level down to its
+// leaf — most of a large catalog — is stored as one immutable tail
+// record holding the remaining level keys and the leaf's views with
+// their §4.2.5 range-constrained classes, all flat. Only levels that
+// branch are lattice nodes. A tail is evaluated inline with the same
+// level predicates, budget ticks and FilterSearchStats counts a chain of
+// one-key nodes would produce, so the layout changes neither the
+// candidates, nor their order, nor the statistics. An insert that
+// diverges inside a tail turns the levels down to the divergence into
+// nodes and re-references the old tail's suffix below it.
+//
 // Generations (DESIGN.md §15): copying a tree is O(1) and shares every
 // node. A tree mutates in place only the nodes it created since it was
 // last copied; AddView / RemoveView copy every other node on the view's
-// root-to-leaf path first — 6 nodes for an SPJ view, 8 for an
-// aggregation view (common/cow.h states the ownership rule). A tree that
-// has been copied is therefore never changed by later mutations of the
-// copy, which is what lets MatchingService publish a clone as the next
-// catalog generation while probes still walk the previous one.
+// path first, and replace rather than modify the tail they touch
+// (common/cow.h states the ownership rule). A tree that has been copied
+// is therefore never changed by later mutations of the copy, which is
+// what lets MatchingService publish a clone as the next catalog
+// generation while probes still walk the previous one.
 //
 // Thread-safety: const members (FindCandidates, num_views) are safe
 // from any thread, concurrently with mutation of any copy.
@@ -34,6 +45,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,8 +86,12 @@ struct FilterSearchStats {
   int64_t lattice_nodes_visited = 0;
   int64_t views_range_checked = 0;
   int64_t views_range_rejected = 0;
-  /// Lattice search calls by kind (§4.4's subset/superset walks; scans
-  /// are the backjoin-relaxed full-level walks).
+  /// Level walks by the kind performed, one per level probe: subset
+  /// walks (hub, residual, weak range), superset walks (source tables,
+  /// output and grouping expressions, and the output- and grouping-
+  /// column hitting conditions, which descend from the tops like a
+  /// superset search), and scans — the full-level walks of the levels
+  /// set_assume_backjoins(true) relaxes.
   int64_t subset_searches = 0;
   int64_t superset_searches = 0;
   int64_t scan_searches = 0;
@@ -118,32 +134,25 @@ class FilterTree {
   /// necessary conditions; this disables them.
   void set_assume_backjoins(bool v) { assume_backjoins_ = v; }
 
-  /// Indexes the view `view` describes under `view->id`. The leaf keeps
-  /// the description: the full range check of FindCandidates reads it.
-  /// Strongly exception-safe: a failure mid-insert (allocation or
-  /// failpoint) rolls the tree back to its previous state before
-  /// rethrowing.
-  void AddView(std::shared_ptr<const ViewDescription> view);
+  /// Indexes `view` under `view.id`. The leaf keeps the view's id and
+  /// range-constrained classes (the full range check of FindCandidates
+  /// reads them), not the description. Strongly exception-safe: a
+  /// failure mid-insert (allocation or failpoint) rolls the tree back to
+  /// its previous state before rethrowing.
+  void AddView(const ViewDescription& view);
 
-  /// Removes a previously added view.
+  /// Removes a previously added view, erasing every key whose subtree
+  /// it empties (re-adding revives them). Throws std::logic_error,
+  /// changing nothing, when the view is not on the tree.
   void RemoveView(const ViewDescription& view);
 
   /// Returns ids of views satisfying every partitioning condition for
-  /// `query`, including the full range-constraint check (§4.2.5).
-  /// When `budget` is given, the search stops early on deadline or
-  /// candidate-cap exhaustion and returns the candidates found so far.
-  std::vector<ViewId> FindCandidates(const QueryDescription& query,
-                                     FilterSearchStats* stats = nullptr,
-                                     QueryBudget* budget = nullptr) const;
-
-  /// Context form: the probe draws its budget (deadline + candidate cap)
-  /// from `ctx`. Preferred for new callers; the loose-parameter overload
-  /// above is kept for back-compat.
+  /// `query`, including the full range-constraint check (§4.2.5). The
+  /// probe draws its budget (deadline + candidate cap) from `ctx`: on
+  /// exhaustion it stops early and returns the candidates found so far.
   std::vector<ViewId> FindCandidates(const QueryDescription& query,
                                      QueryContext& ctx,
-                                     FilterSearchStats* stats = nullptr) const {
-    return FindCandidates(query, stats, ctx.budget());
-  }
+                                     FilterSearchStats* stats = nullptr) const;
 
   int num_views() const { return num_views_; }
 
@@ -153,30 +162,138 @@ class FilterTree {
   /// to measure what two generations share.
   friend class InvariantAuditor;
 
+  using Key = LatticeIndex::Key;
+  using KeySpan = LatticeIndex::KeySpan;
+
+  /// The classes of one leaf record: `num` classes, each [#atoms,
+  /// atoms...], starting at `data`.
+  struct ClassList {
+    const uint32_t* data;
+    uint32_t num;
+
+    /// Past the last class: where the next record starts.
+    const uint32_t* end() const {
+      const uint32_t* p = data;
+      for (uint32_t c = 0; c < num; ++c) p += 1 + *p;
+      return p;
+    }
+    /// True when `fn(class)` holds for every class.
+    template <typename Fn>
+    bool All(Fn&& fn) const {
+      const uint32_t* p = data;
+      for (uint32_t c = 0; c < num; ++c) {
+        if (!fn(KeySpan(p + 1, *p))) return false;
+        p += 1 + *p;
+      }
+      return true;
+    }
+  };
+
+  /// The views at one leaf key, each with the §4.2.5 range-constrained
+  /// classes its full range check reads, as one flat record stream:
+  /// per view, [id, #classes, then #atoms and the atoms of each class].
+  struct Leaf {
+    std::vector<uint32_t> records;
+
+    bool empty() const { return records.empty(); }
+    bool Contains(ViewId id) const;
+    /// Copies with `view`'s record appended, or without `id`'s record.
+    Leaf With(const ViewDescription& view) const;
+    Leaf Without(ViewId id) const;
+
+    /// Calls `fn(id, classes)` per view in insertion order; stops when
+    /// `fn` returns false.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      const uint32_t* p = records.data();
+      const uint32_t* const end = p + records.size();
+      while (p < end) {
+        const ClassList classes{p + 2, p[1]};
+        if (!fn(static_cast<ViewId>(p[0]), classes)) return;
+        p = classes.end();
+      }
+    }
+  };
+
+  /// A subtree with one key per level down to its leaf, as one immutable
+  /// record: the level keys back to back ([#atoms, atoms...] each), then
+  /// the leaf. A child may reference a suffix of it.
+  struct Tail {
+    std::vector<uint32_t> keys;
+    Leaf leaf;
+  };
+
+  /// Reads a tail's level keys in order, from its `skip`-th level on.
+  class TailKeys {
+   public:
+    TailKeys(const Tail& tail, uint32_t skip) : p_(tail.keys.data()) {
+      for (uint32_t i = 0; i < skip; ++i) p_ += 1 + *p_;
+    }
+    KeySpan Next() {
+      const KeySpan key(p_ + 1, *p_);
+      p_ += 1 + *p_;
+      return key;
+    }
+
+   private:
+    const uint32_t* p_;
+  };
+
+  struct Node;
+  /// What a live interior key leads to: a branching node, or the levels
+  /// of `tail` from its `skip`-th on. Empty under an erased key.
+  struct Child {
+    std::shared_ptr<Node> node;
+    std::shared_ptr<const Tail> tail;
+    uint32_t skip = 0;
+
+    bool empty() const { return node == nullptr && tail == nullptr; }
+  };
+
   struct Node {
     /// Owner tag of the tree that created this node (common/cow.h).
     uint64_t owner = 0;
     LatticeIndex index;
-    /// Children / leaf payloads indexed by lattice node id.
-    std::vector<std::shared_ptr<Node>> children;
-    std::vector<std::vector<std::shared_ptr<const ViewDescription>>> leaves;
+    /// Interior levels: the subtree under each key, by lattice node id.
+    std::vector<Child> children;
+    /// Last level: the views at each key, by lattice node id.
+    std::vector<Leaf> leaves;
+  };
+
+  /// A flat list of keys (query-side column classes).
+  struct KeyList {
+    std::vector<uint32_t> atoms;
+    std::vector<uint32_t> ends;
+
+    void clear() {
+      atoms.clear();
+      ends.clear();
+    }
+    template <typename Fn>
+    bool All(Fn&& fn) const {
+      uint32_t begin = 0;
+      for (uint32_t end : ends) {
+        if (!fn(KeySpan(atoms.data() + begin, end - begin))) return false;
+        begin = end;
+      }
+      return true;
+    }
   };
 
   /// Interned query-side keys, computed once per search.
   struct SearchContext {
-    LatticeIndex::Key source_tables;
-    LatticeIndex::Key output_expr_atoms;       // SPJ tree
+    Key source_tables;
+    Key output_expr_atoms;       // SPJ tree
     bool output_exprs_impossible = false;
-    LatticeIndex::Key output_agg_expr_atoms;   // agg tree (incl. agg texts)
+    Key output_agg_expr_atoms;   // agg tree (incl. agg texts)
     bool output_agg_exprs_impossible = false;
-    std::vector<LatticeIndex::Key> output_classes_spj;
-    std::vector<LatticeIndex::Key> output_classes_agg;
-    LatticeIndex::Key residual_atoms;          // unknown texts dropped
-    LatticeIndex::Key extended_range_columns;
-    LatticeIndex::Key grouping_expr_atoms;
+    KeyList output_classes_spj;
+    KeyList output_classes_agg;
+    Key residual_atoms;          // unknown texts dropped
+    Key extended_range_columns;
+    Key grouping_expr_atoms;
     bool grouping_exprs_impossible = false;
-    std::vector<LatticeIndex::Key> grouping_classes;
-    bool is_aggregate = false;
+    KeyList grouping_classes;
   };
 
   std::shared_ptr<Node> NewNode() const { return CowNew<Node>(owner_); }
@@ -184,21 +301,55 @@ class FilterTree {
     return CowMutable(slot, owner_);
   }
 
-  LatticeIndex::Key ViewKey(const ViewDescription& d, FilterLevel level);
+  /// `d`'s key at `level`, with `atom_of(text)` giving the atom of an
+  /// expression text, or nullopt (then so is the key).
+  template <typename AtomOf>
+  static std::optional<Key> LevelKey(const ViewDescription& d,
+                                     FilterLevel level, AtomOf atom_of);
+  /// Interns new texts.
+  Key ViewKey(const ViewDescription& d, FilterLevel level);
+  /// Without interning: nullopt when a text was never interned, so no
+  /// view with it is on the tree.
+  std::optional<Key> LookupViewKey(const ViewDescription& d,
+                                   FilterLevel level) const;
+
+  /// A tail over keys[from..] with `leaf`.
+  static std::shared_ptr<const Tail> MakeTail(const std::vector<Key>& keys,
+                                              size_t from, Leaf leaf);
+  /// The subtree replacing `tail` (a child at level `first`) when
+  /// `view`'s keys first differ from the tail's at level `diverge`: the
+  /// levels above it become one-key nodes, the divergence level a
+  /// two-key node over the old tail's suffix and a new tail for `view`.
+  std::shared_ptr<Node> SplitTail(const Child& tail, size_t first,
+                                  size_t diverge,
+                                  const std::vector<Key>& keys,
+                                  const ViewDescription& view) const;
+
+  /// Returns `visit(kind, pred)` for the walk kind and the
+  /// `bool(KeySpan)` qualification predicate of `level` for the query in
+  /// `ctx`.
+  template <typename Visit>
+  decltype(auto) WithLevelCondition(FilterLevel level,
+                                    const SearchContext& ctx, bool agg_tree,
+                                    Visit&& visit) const;
   void Search(const Node& node, const std::vector<FilterLevel>& levels,
               size_t depth, const SearchContext& ctx, bool agg_tree,
-              std::vector<ViewId>* out, FilterSearchStats* stats,
-              QueryBudget* budget) const;
-  void SearchLevel(const Node& node, FilterLevel level,
-                   const SearchContext& ctx, bool agg_tree,
-                   std::vector<int>* out, FilterSearchStats* stats) const;
-  static bool PassesFullRangeCondition(const ViewDescription& view,
-                                       const SearchContext& ctx);
+              std::vector<int>* qualifying, std::vector<ViewId>* out,
+              FilterSearchStats* stats, QueryBudget* budget) const;
+  void SearchTail(const Tail& tail, uint32_t skip,
+                  const std::vector<FilterLevel>& levels, size_t depth,
+                  const SearchContext& ctx, bool agg_tree,
+                  std::vector<ViewId>* out, FilterSearchStats* stats,
+                  QueryBudget* budget) const;
+  /// The full range check of each view at `leaf`; true when the
+  /// candidate cap ran out.
+  static bool ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
+                       std::vector<ViewId>* out, FilterSearchStats* stats,
+                       QueryBudget* budget);
+  void BuildSearchContext(const QueryDescription& query,
+                          SearchContext* ctx) const;
 
   uint32_t Intern(const std::string& text);
-  const uint32_t* LookupAtom(const std::string& text) const {
-    return atoms_.Find(text);
-  }
 
   /// Declared first: NewNode() stamps the roots with it.
   mutable uint64_t owner_ = NewCowOwner();

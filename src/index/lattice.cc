@@ -7,27 +7,18 @@ namespace mvopt {
 
 namespace {
 
-// Visited-marking scratch for the graph searches. Thread-local so
-// concurrent const searches over the same index share no mutable state;
-// the monotone counter makes clearing O(1), and because every search
-// draws a fresh counter value, stale marks left by other indexes (or
-// earlier searches) can never collide.
-struct VisitScratch {
-  std::vector<uint64_t> mark;
-  uint64_t counter = 0;
-
-  // Returns the stamp for this search; `mark[n] == stamp` <=> visited.
-  uint64_t Begin(size_t num_nodes) {
-    if (mark.size() < num_nodes) mark.resize(num_nodes, 0);
-    return ++counter;
-  }
-};
-
-thread_local VisitScratch t_visit_scratch;
+bool SameKey(LatticeIndex::KeySpan a, LatticeIndex::KeySpan b) {
+  return std::ranges::equal(a, b);
+}
 
 }  // namespace
 
-bool LatticeIndex::IsSubset(const Key& a, const Key& b) {
+LatticeIndex::WalkScratch& LatticeIndex::ThreadScratch() {
+  thread_local WalkScratch scratch;
+  return scratch;
+}
+
+bool LatticeIndex::IsSubset(KeySpan a, KeySpan b) {
   if (a.size() > b.size()) return false;
   size_t i = 0;
   size_t j = 0;
@@ -44,77 +35,88 @@ bool LatticeIndex::IsSubset(const Key& a, const Key& b) {
   return i == a.size();
 }
 
-int LatticeIndex::Find(const Key& key) const {
-  auto it = by_key_.find(key);
-  return it == by_key_.end() ? -1 : it->second;
+bool LatticeIndex::Contains(std::span<const int> list, int target) {
+  return std::find(list.begin(), list.end(), target) != list.end();
 }
 
-void LatticeIndex::CollectSupersetsOf(const Key& key,
-                                      std::vector<int>* out) const {
-  // Structural descent from tops; includes erased nodes (they still route).
-  VisitScratch& scratch = t_visit_scratch;
-  const uint64_t stamp = scratch.Begin(nodes_.size());
-  std::vector<int> stack = tops_;
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    if (scratch.mark[n] == stamp) continue;
-    scratch.mark[n] = stamp;
-    if (!IsSubset(key, nodes_[n].key)) continue;  // subsets fail too
-    out->push_back(n);
-    for (int c : nodes_[n].subsets) stack.push_back(c);
+size_t LatticeIndex::KeyPosition(KeySpan key) const {
+  auto it = std::lower_bound(
+      by_key_.begin(), by_key_.end(), key, [this](int n, KeySpan k) {
+        return std::ranges::lexicographical_compare(this->key(n), k);
+      });
+  return static_cast<size_t>(it - by_key_.begin());
+}
+
+int LatticeIndex::Find(KeySpan key) const {
+  const size_t pos = KeyPosition(key);
+  if (pos < by_key_.size() && SameKey(this->key(by_key_[pos]), key)) {
+    return by_key_[pos];
   }
+  return -1;
 }
 
-void LatticeIndex::CollectSubsetsOf(const Key& key,
-                                    std::vector<int>* out) const {
-  VisitScratch& scratch = t_visit_scratch;
-  const uint64_t stamp = scratch.Begin(nodes_.size());
-  std::vector<int> stack = roots_;
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    if (scratch.mark[n] == stamp) continue;
-    scratch.mark[n] = stamp;
-    if (!IsSubset(nodes_[n].key, key)) continue;  // supersets fail too
-    out->push_back(n);
-    for (int p : nodes_[n].supersets) stack.push_back(p);
+void LatticeIndex::AddEdge(EdgeList* list, int target) {
+  if (list->size == list->capacity) {
+    // Move the list to the pool's end with room to grow; the old slot
+    // is left behind.
+    const auto begin = static_cast<uint32_t>(edges_.size());
+    const uint32_t capacity = std::max<uint32_t>(2, list->capacity * 2);
+    edges_.resize(edges_.size() + capacity);
+    std::copy_n(edges_.begin() + list->begin, list->size,
+                edges_.begin() + begin);
+    list->begin = begin;
+    list->capacity = capacity;
   }
+  edges_[list->begin + list->size] = target;
+  ++list->size;
 }
 
-int LatticeIndex::Insert(const Key& key) {
+void LatticeIndex::RemoveEdge(EdgeList* list, int target) {
+  auto first = edges_.begin() + list->begin;
+  auto last = first + list->size;
+  list->size = static_cast<uint32_t>(std::remove(first, last, target) - first);
+}
+
+int LatticeIndex::Insert(KeySpan key) {
   assert(std::is_sorted(key.begin(), key.end()));
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    Node& node = nodes_[it->second];
+  const size_t pos = KeyPosition(key);
+  if (pos < by_key_.size() && SameKey(this->key(by_key_[pos]), key)) {
+    Node& node = nodes_[by_key_[pos]];
     if (!node.alive) {
       node.alive = true;
       ++num_live_;
     }
-    return it->second;
+    return by_key_[pos];
   }
 
-  // Locate minimal supersets M and maximal subsets X of the new key.
-  std::vector<int> supersets;
-  CollectSupersetsOf(key, &supersets);
-  std::vector<int> minimal;
+  // Locate minimal supersets M and maximal subsets X of the new key:
+  // structural walks that include erased nodes (they still route).
+  thread_local std::vector<int> supersets;
+  thread_local std::vector<int> subsets;
+  thread_local std::vector<int> minimal;
+  thread_local std::vector<int> maximal;
+  supersets.clear();
+  subsets.clear();
+  minimal.clear();
+  maximal.clear();
+  Walk</*kDown=*/true, /*kLiveOnly=*/false>(
+      [key](KeySpan k) { return IsSubset(key, k); }, &supersets);
   for (int s : supersets) {
     bool is_minimal = true;
     for (int s2 : supersets) {
-      if (s2 != s && IsSubset(nodes_[s2].key, nodes_[s].key)) {
+      if (s2 != s && IsSubset(this->key(s2), this->key(s))) {
         is_minimal = false;
         break;
       }
     }
     if (is_minimal) minimal.push_back(s);
   }
-  std::vector<int> subsets;
-  CollectSubsetsOf(key, &subsets);
-  std::vector<int> maximal;
+  Walk</*kDown=*/false, /*kLiveOnly=*/false>(
+      [key](KeySpan k) { return IsSubset(k, key); }, &subsets);
   for (int s : subsets) {
     bool is_maximal = true;
     for (int s2 : subsets) {
-      if (s2 != s && IsSubset(nodes_[s].key, nodes_[s2].key)) {
+      if (s2 != s && IsSubset(this->key(s), this->key(s2))) {
         is_maximal = false;
         break;
       }
@@ -123,141 +125,88 @@ int LatticeIndex::Insert(const Key& key) {
   }
 
   const int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{key, {}, {}, true});
-  by_key_[key] = id;
+  Node node;
+  node.key_begin = static_cast<uint32_t>(atoms_.size());
+  node.key_size = static_cast<uint32_t>(key.size());
+  atoms_.insert(atoms_.end(), key.begin(), key.end());
+  nodes_.push_back(node);
+  by_key_.insert(by_key_.begin() + static_cast<std::ptrdiff_t>(pos), id);
   ++num_live_;
-
-  auto erase_from = [](std::vector<int>* v, int x) {
-    v->erase(std::remove(v->begin(), v->end(), x), v->end());
-  };
 
   // Remove cover edges between X and M now that the new node interposes.
   for (int x : maximal) {
     for (int m : minimal) {
-      if (std::find(nodes_[x].supersets.begin(), nodes_[x].supersets.end(),
-                    m) != nodes_[x].supersets.end()) {
-        erase_from(&nodes_[x].supersets, m);
-        erase_from(&nodes_[m].subsets, x);
+      if (Contains(Edges(nodes_[x].up), m)) {
+        RemoveEdge(&nodes_[x].up, m);
+        RemoveEdge(&nodes_[m].down, x);
       }
     }
   }
+  auto erase_from = [](std::vector<int>* v, int x) {
+    v->erase(std::remove(v->begin(), v->end(), x), v->end());
+  };
   // Wire the new node in.
   for (int m : minimal) {
-    if (nodes_[m].subsets.empty()) erase_from(&roots_, m);
-    nodes_[id].supersets.push_back(m);
-    nodes_[m].subsets.push_back(id);
+    if (nodes_[m].down.size == 0) erase_from(&roots_, m);
+    AddEdge(&nodes_[id].up, m);
+    AddEdge(&nodes_[m].down, id);
   }
   for (int x : maximal) {
-    if (nodes_[x].supersets.empty()) erase_from(&tops_, x);
-    nodes_[x].supersets.push_back(id);
-    nodes_[id].subsets.push_back(x);
+    if (nodes_[x].up.size == 0) erase_from(&tops_, x);
+    AddEdge(&nodes_[x].up, id);
+    AddEdge(&nodes_[id].down, x);
   }
   if (minimal.empty()) tops_.push_back(id);
   if (maximal.empty()) roots_.push_back(id);
   return id;
 }
 
-bool LatticeIndex::Erase(const Key& key) {
-  auto it = by_key_.find(key);
-  if (it == by_key_.end() || !nodes_[it->second].alive) return false;
-  nodes_[it->second].alive = false;
+bool LatticeIndex::Erase(KeySpan key) {
+  const int n = Find(key);
+  if (n < 0 || !nodes_[n].alive) return false;
+  nodes_[n].alive = false;
   --num_live_;
   return true;
-}
-
-void LatticeIndex::SearchDown(const NodePredicate& pred,
-                              std::vector<int>* out) const {
-  VisitScratch& scratch = t_visit_scratch;
-  const uint64_t stamp = scratch.Begin(nodes_.size());
-  std::vector<int> stack = tops_;
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    if (scratch.mark[n] == stamp) continue;
-    scratch.mark[n] = stamp;
-    if (!pred(nodes_[n].key)) continue;  // all subsets fail
-    if (nodes_[n].alive) out->push_back(n);
-    for (int c : nodes_[n].subsets) stack.push_back(c);
-  }
-}
-
-void LatticeIndex::SearchUp(const NodePredicate& pred,
-                            std::vector<int>* out) const {
-  VisitScratch& scratch = t_visit_scratch;
-  const uint64_t stamp = scratch.Begin(nodes_.size());
-  std::vector<int> stack = roots_;
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    if (scratch.mark[n] == stamp) continue;
-    scratch.mark[n] = stamp;
-    if (!pred(nodes_[n].key)) continue;  // all supersets fail
-    if (nodes_[n].alive) out->push_back(n);
-    for (int p : nodes_[n].supersets) stack.push_back(p);
-  }
-}
-
-void LatticeIndex::SearchSubsets(const Key& query,
-                                 std::vector<int>* out) const {
-  SearchUp([&query](const Key& k) { return IsSubset(k, query); }, out);
-}
-
-void LatticeIndex::SearchSupersets(const Key& query,
-                                   std::vector<int>* out) const {
-  SearchDown([&query](const Key& k) { return IsSubset(query, k); }, out);
-}
-
-void LatticeIndex::LinearScan(const NodePredicate& pred,
-                              std::vector<int>* out) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive && pred(nodes_[i].key)) {
-      out->push_back(static_cast<int>(i));
-    }
-  }
 }
 
 std::string LatticeIndex::CheckStructure() const {
   auto describe = [this](int n) {
     std::string s = "node " + std::to_string(n) + " {";
-    for (uint32_t a : nodes_[n].key) s += std::to_string(a) + ",";
+    for (uint32_t a : key(n)) s += std::to_string(a) + ",";
     return s + "}";
   };
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    for (int m : nodes_[i].supersets) {
-      if (!IsSubset(nodes_[i].key, nodes_[m].key) ||
-          nodes_[i].key == nodes_[m].key) {
-        return describe(static_cast<int>(i)) + " superset edge to non-strict-"
-               "superset " + describe(m);
+  const int n = num_nodes();
+  for (int i = 0; i < n; ++i) {
+    for (int m : supersets(i)) {
+      if (!IsSubset(key(i), key(m)) || SameKey(key(i), key(m))) {
+        return describe(i) + " superset edge to non-strict-superset " +
+               describe(m);
       }
       // Cover property: nothing strictly between.
-      for (size_t z = 0; z < nodes_.size(); ++z) {
-        if (z == i || static_cast<int>(z) == m) continue;
-        if (IsSubset(nodes_[i].key, nodes_[z].key) &&
-            nodes_[z].key != nodes_[i].key &&
-            IsSubset(nodes_[z].key, nodes_[m].key) &&
-            nodes_[z].key != nodes_[m].key) {
-          return describe(static_cast<int>(i)) + " -> " + describe(m) +
-                 " is not a cover edge: " + describe(static_cast<int>(z)) +
-                 " lies between";
+      for (int z = 0; z < n; ++z) {
+        if (z == i || z == m) continue;
+        if (IsSubset(key(i), key(z)) && !SameKey(key(z), key(i)) &&
+            IsSubset(key(z), key(m)) && !SameKey(key(z), key(m))) {
+          return describe(i) + " -> " + describe(m) +
+                 " is not a cover edge: " + describe(z) + " lies between";
         }
       }
-      const auto& back = nodes_[m].subsets;
-      if (std::find(back.begin(), back.end(), static_cast<int>(i)) ==
-          back.end()) {
+      if (!Contains(subsets(m), i)) {
         return "missing back pointer " + describe(m);
       }
     }
-    bool is_top = nodes_[i].supersets.empty();
-    bool in_tops = std::find(tops_.begin(), tops_.end(),
-                             static_cast<int>(i)) != tops_.end();
-    if (is_top != in_tops) return describe(static_cast<int>(i)) + " tops mismatch";
-    bool is_root = nodes_[i].subsets.empty();
-    bool in_roots = std::find(roots_.begin(), roots_.end(),
-                              static_cast<int>(i)) != roots_.end();
-    if (is_root != in_roots) {
-      return describe(static_cast<int>(i)) + " roots mismatch";
+    const bool is_top = supersets(i).empty();
+    if (is_top != Contains(tops_, i)) return describe(i) + " tops mismatch";
+    const bool is_root = subsets(i).empty();
+    if (is_root != Contains(roots_, i)) return describe(i) + " roots mismatch";
+  }
+  for (size_t k = 0; k < by_key_.size(); ++k) {
+    if (k > 0 && !std::ranges::lexicographical_compare(key(by_key_[k - 1]),
+                                                        key(by_key_[k]))) {
+      return describe(by_key_[k]) + " out of key order";
     }
   }
+  if (by_key_.size() != nodes_.size()) return "key order misses nodes";
   return "";
 }
 

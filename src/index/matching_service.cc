@@ -362,7 +362,7 @@ ViewDefinition* MatchingService::AddView(const std::string& name,
   try {
     view = next->views.AddView(name, std::move(definition), error);
     if (view == nullptr) return nullptr;
-    next->tree.AddView(next->views.shared_description(view->id()));
+    next->tree.AddView(next->views.description(view->id()));
     if (options_.compile_match_programs) {
       // Compile once, here under the writer lock — the program rides the
       // clone into publication and is shared (shared_ptr) by every later
@@ -436,7 +436,7 @@ std::vector<ViewId> MatchingService::StageProbe(const CatalogSnapshot& snap,
   if (snap.views.num_views() == 0) return candidates;
   if (options_.use_filter_tree) {
     QueryDescription qd = DescribeQuery(*catalog_, query);
-    candidates = snap.tree.FindCandidates(qd, fstats, ctx.budget());
+    candidates = snap.tree.FindCandidates(qd, ctx, fstats);
   } else {
     // Without the index every view description must be considered; the
     // only cheap pre-test retained is the aggregation/table-set screen
@@ -914,7 +914,7 @@ RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
     try {
       view = next->views.AddView(image.name, std::move(*parsed), &err);
       if (view != nullptr) {
-        next->tree.AddView(next->views.shared_description(view->id()));
+        next->tree.AddView(next->views.description(view->id()));
         indexed = true;
         if (options_.compile_match_programs) {
           // Programs are not persisted — they are recompiled from the
@@ -1016,7 +1016,7 @@ int MatchingService::RevalidationTick(
         ok = validate != nullptr && validate(next->views.view(id));
         if (ok) {
           // Re-insertion; strongly exception-safe.
-          next->tree.AddView(next->views.shared_description(id));
+          next->tree.AddView(next->views.description(id));
           in_tree_[id] = 1;
         }
       } catch (const std::exception&) {
@@ -1054,7 +1054,7 @@ bool MatchingService::ReadmitView(ViewId id) {
   if (static_cast<size_t>(id) < in_tree_.size() && !in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*current);
     try {
-      next->tree.AddView(next->views.shared_description(id));
+      next->tree.AddView(next->views.description(id));
       in_tree_[id] = 1;
       PublishLocked(std::move(next));
     } catch (const std::exception&) {

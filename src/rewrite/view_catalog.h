@@ -56,11 +56,6 @@ class ViewCatalog {
   const ViewDescription& description(ViewId id) const {
     return *entries_[id].description;
   }
-  /// The description as the filter tree holds it (FilterTree::AddView).
-  const std::shared_ptr<const ViewDescription>& shared_description(
-      ViewId id) const {
-    return entries_[id].description;
-  }
 
   /// Compiled match program of `id`, or nullptr (generic tier). Programs
   /// are immutable and shared across generations like the definitions:

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -23,7 +24,10 @@ std::string AuditReport::Summary() const {
 
 namespace {
 
-std::string KeyText(const LatticeIndex::Key& key) {
+using Key = LatticeIndex::Key;
+using KeySpan = LatticeIndex::KeySpan;
+
+std::string KeyText(KeySpan key) {
   std::string out = "{";
   for (size_t i = 0; i < key.size(); ++i) {
     if (i > 0) out += ",";
@@ -32,8 +36,14 @@ std::string KeyText(const LatticeIndex::Key& key) {
   return out + "}";
 }
 
-bool ProperSubset(const LatticeIndex::Key& a, const LatticeIndex::Key& b) {
+bool ProperSubset(KeySpan a, KeySpan b) {
   return a.size() < b.size() && LatticeIndex::IsSubset(a, b);
+}
+
+std::vector<int> Sorted(std::span<const int> ids) {
+  std::vector<int> out(ids.begin(), ids.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
@@ -44,16 +54,16 @@ void InvariantAuditor::CheckLattice(const LatticeIndex& index,
   const int n = index.num_nodes();
 
   // Keys: sorted, duplicate-free, and unique across nodes.
-  std::set<LatticeIndex::Key> distinct;
+  std::set<Key> distinct;
   for (int i = 0; i < n; ++i) {
-    const auto& key = index.key(i);
+    const KeySpan key = index.key(i);
     if (!std::is_sorted(key.begin(), key.end()) ||
         std::adjacent_find(key.begin(), key.end()) != key.end()) {
       report->violations.push_back(where + ": node " + std::to_string(i) +
                                    " key " + KeyText(key) +
                                    " is not sorted unique");
     }
-    if (!distinct.insert(key).second) {
+    if (!distinct.insert(Key(key.begin(), key.end())).second) {
       report->violations.push_back(where + ": duplicate key " + KeyText(key));
     }
   }
@@ -90,23 +100,19 @@ void InvariantAuditor::CheckLattice(const LatticeIndex& index,
       }
       if (covering) expected_down.push_back(j);
     }
-    std::vector<int> stored_up = index.supersets(i);
-    std::vector<int> stored_down = index.subsets(i);
-    std::sort(stored_up.begin(), stored_up.end());
-    std::sort(stored_down.begin(), stored_down.end());
-    if (stored_up != expected_up) {
+    if (Sorted(index.supersets(i)) != expected_up) {
       report->violations.push_back(where + ": node " + std::to_string(i) +
                                    " superset cover edges disagree with the "
                                    "Hasse diagram");
     }
-    if (stored_down != expected_down) {
+    if (Sorted(index.subsets(i)) != expected_down) {
       report->violations.push_back(where + ": node " + std::to_string(i) +
                                    " subset cover edges disagree with the "
                                    "Hasse diagram");
     }
   }
 
-  // The index's own structure check (tops/roots consistency).
+  // The index's own structure check (tops/roots consistency, key order).
   std::string self_check = index.CheckStructure();
   if (!self_check.empty()) {
     report->violations.push_back(where + ": " + self_check);
@@ -115,27 +121,25 @@ void InvariantAuditor::CheckLattice(const LatticeIndex& index,
   // Search completeness: the pruned searches must return exactly the
   // linear-scan answer for every stored key (plus the empty key and the
   // union of all keys, which exercise the extremes).
-  std::vector<LatticeIndex::Key> probes;
+  std::vector<Key> probes;
   probes.push_back({});
-  LatticeIndex::Key all;
+  Key all;
   for (int i = 0; i < n; ++i) {
-    probes.push_back(index.key(i));
-    all.insert(all.end(), index.key(i).begin(), index.key(i).end());
+    const KeySpan key = index.key(i);
+    probes.emplace_back(key.begin(), key.end());
+    all.insert(all.end(), key.begin(), key.end());
   }
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
   probes.push_back(all);
-  for (const auto& probe : probes) {
+  for (const Key& probe : probes) {
     std::vector<int> fast;
     std::vector<int> slow;
     index.SearchSubsets(probe, &fast);
     index.LinearScan(
-        [&](const LatticeIndex::Key& k) {
-          return LatticeIndex::IsSubset(k, probe);
-        },
+        [&probe](KeySpan k) { return LatticeIndex::IsSubset(k, probe); },
         &slow);
     std::sort(fast.begin(), fast.end());
-    std::sort(slow.begin(), slow.end());
     if (fast != slow) {
       report->violations.push_back(where + ": SearchSubsets(" +
                                    KeyText(probe) +
@@ -145,12 +149,9 @@ void InvariantAuditor::CheckLattice(const LatticeIndex& index,
     slow.clear();
     index.SearchSupersets(probe, &fast);
     index.LinearScan(
-        [&](const LatticeIndex::Key& k) {
-          return LatticeIndex::IsSubset(probe, k);
-        },
+        [&probe](KeySpan k) { return LatticeIndex::IsSubset(probe, k); },
         &slow);
     std::sort(fast.begin(), fast.end());
-    std::sort(slow.begin(), slow.end());
     if (fast != slow) {
       report->violations.push_back(where + ": SearchSupersets(" +
                                    KeyText(probe) +
@@ -165,86 +166,147 @@ AuditReport InvariantAuditor::AuditLattice(const LatticeIndex& index) const {
   return report;
 }
 
+/// State of one filter-tree audit walk.
+struct InvariantAuditor::TreeWalk {
+  const FilterTree& tree;
+  const ViewCatalog& views;
+  const std::vector<FilterLevel>& levels;
+  bool agg_tree;
+  /// Keys of the path walked so far, one per level above the cursor.
+  std::vector<Key> path;
+  std::vector<ViewId> seen;
+  AuditReport* report;
+};
+
+void InvariantAuditor::CheckLeaf(const FilterTree::Leaf& leaf,
+                                 const std::string& where,
+                                 TreeWalk* walk) const {
+  auto flag = [walk, &where](const std::string& what) {
+    walk->report->violations.push_back(where + ": " + what);
+  };
+  leaf.ForEach([&](ViewId id, const FilterTree::ClassList& classes) {
+    walk->seen.push_back(id);
+    if (id < 0 || id >= walk->views.num_views()) {
+      flag("leaf holds unknown view id " + std::to_string(id));
+      return true;
+    }
+    // The record must be the catalog's view: a record left behind by a
+    // rolled-back registration whose id was reused describes another.
+    const ViewDescription& d = walk->views.description(id);
+    auto disagrees = [&](const std::string& what) {
+      flag("leaf record of view " + std::to_string(id) +
+           " disagrees with its catalog description: " + what);
+    };
+    if (d.is_aggregate != walk->agg_tree) {
+      disagrees("indexed in the wrong aggregation tree");
+      return true;
+    }
+    for (size_t l = 0; l < walk->levels.size(); ++l) {
+      const std::optional<Key> key =
+          walk->tree.LookupViewKey(d, walk->levels[l]);
+      if (!key.has_value() || *key != walk->path[l]) {
+        disagrees(std::string("its ") + FilterLevelName(walk->levels[l]) +
+                  " key differs from the path's");
+        return true;
+      }
+    }
+    std::vector<std::vector<uint32_t>> inline_classes;
+    classes.All([&inline_classes](KeySpan cls) {
+      inline_classes.emplace_back(cls.begin(), cls.end());
+      return true;
+    });
+    if (inline_classes != d.range_constrained_classes) {
+      disagrees("its inline range-constrained classes differ");
+    }
+    return true;
+  });
+}
+
 void InvariantAuditor::CheckTreeNode(const FilterTree::Node& node,
-                                     const ViewCatalog& views, size_t depth,
-                                     size_t num_levels,
-                                     bool agg_tree, const std::string& where,
-                                     std::vector<ViewId>* seen,
-                                     AuditReport* report) const {
-  CheckLattice(node.index, where, report);
+                                     size_t depth, const std::string& where,
+                                     TreeWalk* walk) const {
+  auto flag = [walk](const std::string& what) {
+    walk->report->violations.push_back(what);
+  };
+  CheckLattice(node.index, where, walk->report);
   const size_t n = static_cast<size_t>(node.index.num_nodes());
-  const bool last = depth + 1 == num_levels;
+  const bool last = depth + 1 == walk->levels.size();
   if (node.leaves.size() > n || node.children.size() > n) {
-    report->violations.push_back(where +
-                                 ": payload arrays exceed the lattice");
+    flag(where + ": payload arrays exceed the lattice");
   }
-  if (last && !node.children.empty()) {
-    report->violations.push_back(where + ": leaf level has children");
-  }
+  if (last && !node.children.empty()) flag(where + ": leaf level has children");
   if (!last && !node.leaves.empty()) {
-    report->violations.push_back(where + ": interior level has leaves");
+    flag(where + ": interior level has leaves");
   }
   for (size_t i = 0; i < n; ++i) {
     const std::string at = where + "#" + std::to_string(i);
+    const bool alive = node.index.alive(static_cast<int>(i));
+    const KeySpan key = node.index.key(static_cast<int>(i));
+    walk->path.emplace_back(key.begin(), key.end());
+    const size_t seen_before = walk->seen.size();
     if (last) {
-      const bool populated =
-          i < node.leaves.size() && !node.leaves[i].empty();
-      if (node.index.alive(static_cast<int>(i)) != populated) {
-        report->violations.push_back(
-            at + ": leaf liveness disagrees with its view list");
+      if (i < node.leaves.size()) CheckLeaf(node.leaves[i], at, walk);
+    } else if (i < node.children.size()) {
+      const FilterTree::Child& child = node.children[i];
+      if (child.node != nullptr && child.tail != nullptr) {
+        flag(at + ": key leads to both a node and a tail");
       }
-      if (i < node.leaves.size()) {
-        for (const auto& view : node.leaves[i]) {
-          if (view == nullptr || view->id < 0 ||
-              view->id >= views.num_views()) {
-            report->violations.push_back(
-                at + ": leaf holds unknown view id " +
-                (view == nullptr ? std::string("(null)")
-                                 : std::to_string(view->id)));
-            continue;
+      if (child.node != nullptr) {
+        CheckTreeNode(*child.node, depth + 1, at, walk);
+      } else if (child.tail != nullptr) {
+        // Exactly one key per remaining level, each sorted unique.
+        const std::vector<uint32_t>& stream = child.tail->keys;
+        size_t pos = 0;
+        bool well_formed = true;
+        for (size_t l = 0; l < child.skip + (walk->levels.size() - depth - 1);
+             ++l) {
+          if (pos >= stream.size() || pos + 1 + stream[pos] > stream.size()) {
+            well_formed = false;
+            break;
           }
-          if (view != views.shared_description(view->id)) {
-            report->violations.push_back(
-                at + ": leaf holds a description of view " +
-                std::to_string(view->id) + " the catalog does not");
+          const KeySpan tail_key(stream.data() + pos + 1, stream[pos]);
+          if (!std::is_sorted(tail_key.begin(), tail_key.end()) ||
+              std::adjacent_find(tail_key.begin(), tail_key.end()) !=
+                  tail_key.end()) {
+            flag(at + ": tail key " + KeyText(tail_key) +
+                 " is not sorted unique");
           }
-          if (view->is_aggregate != agg_tree) {
-            report->violations.push_back(
-                at + ": view " + std::to_string(view->id) +
-                " indexed in the wrong aggregation tree");
+          if (l >= child.skip) {
+            walk->path.emplace_back(tail_key.begin(), tail_key.end());
           }
-          seen->push_back(view->id);
+          pos += 1 + stream[pos];
         }
+        if (!well_formed || pos != stream.size()) {
+          flag(at + ": tail does not hold one key per remaining level");
+        } else {
+          CheckLeaf(child.tail->leaf, at + "/tail", walk);
+        }
+        walk->path.resize(depth + 1);
       }
-      continue;
     }
-    const bool has_child =
-        i < node.children.size() && node.children[i] != nullptr;
-    if (node.index.alive(static_cast<int>(i)) && !has_child) {
-      report->violations.push_back(at + ": live interior node has no child");
+    const size_t held = walk->seen.size() - seen_before;
+    if (alive && held == 0) {
+      flag(at + ": live key " + KeyText(key) +
+           " leads to a subtree holding no view");
     }
-    if (has_child) {
-      CheckTreeNode(*node.children[i], views, depth + 1, num_levels,
-                    agg_tree, at, seen, report);
+    if (!alive && held > 0) {
+      flag(at + ": erased key " + KeyText(key) + " still holds views");
     }
+    walk->path.pop_back();
   }
 }
 
 AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree,
                                               const ViewCatalog& views) const {
   AuditReport report;
-  std::vector<ViewId> seen;
-  if (!tree.spj_levels_.empty()) {
-    CheckTreeNode(*tree.spj_root_, views, 0, tree.spj_levels_.size(),
-                  /*agg_tree=*/false, "spj", &seen, &report);
-  }
-  if (!tree.agg_levels_.empty()) {
-    CheckTreeNode(*tree.agg_root_, views, 0, tree.agg_levels_.size(),
-                  /*agg_tree=*/true, "agg", &seen, &report);
-  }
-  std::vector<ViewId> sorted = seen;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+  TreeWalk spj{tree, views, tree.spj_levels_, false, {}, {}, &report};
+  TreeWalk agg{tree, views, tree.agg_levels_, true, {}, {}, &report};
+  if (!tree.spj_levels_.empty()) CheckTreeNode(*tree.spj_root_, 0, "spj", &spj);
+  if (!tree.agg_levels_.empty()) CheckTreeNode(*tree.agg_root_, 0, "agg", &agg);
+  std::vector<ViewId> seen = spj.seen;
+  seen.insert(seen.end(), agg.seen.begin(), agg.seen.end());
+  std::sort(seen.begin(), seen.end());
+  if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
     report.violations.push_back("a view id appears on more than one path");
   }
   if (static_cast<int>(seen.size()) != tree.num_views()) {
@@ -255,36 +317,54 @@ AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree,
   return report;
 }
 
+template <typename NodeFn, typename TailFn>
+void InvariantAuditor::ForEachRecord(const FilterTree::Node& node,
+                                     NodeFn&& node_fn, TailFn&& tail_fn) {
+  if (!node_fn(node)) return;
+  for (const FilterTree::Child& child : node.children) {
+    if (child.node != nullptr) {
+      ForEachRecord(*child.node, node_fn, tail_fn);
+    } else if (child.tail != nullptr) {
+      tail_fn(child);
+    }
+  }
+}
+
 int64_t InvariantAuditor::CountUnsharedNodes(
     const FilterTree& tree, const FilterTree& previous) const {
-  std::unordered_set<const FilterTree::Node*> theirs;
-  auto collect = [&theirs](auto& self, const FilterTree::Node& node) -> void {
+  std::unordered_set<const void*> theirs;
+  auto collect_node = [&theirs](const FilterTree::Node& node) {
     theirs.insert(&node);
-    for (const auto& child : node.children) {
-      if (child != nullptr) self(self, *child);
-    }
+    return true;
   };
-  collect(collect, *previous.spj_root_);
-  collect(collect, *previous.agg_root_);
-  int64_t unshared = 0;
-  auto count = [&theirs, &unshared](auto& self,
-                                    const FilterTree::Node& node) -> void {
-    // A node both trees reach is immutable, so its whole subtree is
-    // shared too.
-    if (theirs.count(&node) != 0) return;
-    ++unshared;
-    for (const auto& child : node.children) {
-      if (child != nullptr) self(self, *child);
-    }
+  auto collect_tail = [&theirs](const FilterTree::Child& child) {
+    theirs.insert(child.tail.get());
   };
-  count(count, *tree.spj_root_);
-  count(count, *tree.agg_root_);
-  return unshared;
+  ForEachRecord(*previous.spj_root_, collect_node, collect_tail);
+  ForEachRecord(*previous.agg_root_, collect_node, collect_tail);
+  std::unordered_set<const void*> unshared;
+  // A node both trees reach is immutable, so its whole subtree is
+  // shared too; tails are immutable, so a tail both reach is shared.
+  auto count_node = [&](const FilterTree::Node& node) {
+    if (theirs.count(&node) != 0) return false;
+    unshared.insert(&node);
+    return true;
+  };
+  auto count_tail = [&](const FilterTree::Child& child) {
+    if (theirs.count(child.tail.get()) == 0) unshared.insert(child.tail.get());
+  };
+  ForEachRecord(*tree.spj_root_, count_node, count_tail);
+  ForEachRecord(*tree.agg_root_, count_node, count_tail);
+  return static_cast<int64_t>(unshared.size());
 }
 
 uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
   size_t digest = static_cast<size_t>(tree.num_views());
-  auto walk = [&digest](auto& self, const FilterTree::Node& node) -> void {
+  auto hash_words = [&digest](const std::vector<uint32_t>& words) {
+    HashCombine(&digest, words.size());
+    for (uint32_t w : words) HashCombine(&digest, w);
+  };
+  auto walk = [&](auto& self, const FilterTree::Node& node) -> void {
     const int n = node.index.num_nodes();
     HashCombine(&digest, n);
     for (int i = 0; i < n; ++i) {
@@ -293,19 +373,44 @@ uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
       for (uint32_t atom : node.index.key(i)) HashCombine(&digest, atom);
     }
     HashCombine(&digest, node.children.size());
-    for (const auto& child : node.children) {
-      HashCombine(&digest, child != nullptr);
-      if (child != nullptr) self(self, *child);
+    for (const FilterTree::Child& child : node.children) {
+      HashCombine(&digest, child.node != nullptr);
+      HashCombine(&digest, child.tail != nullptr);
+      if (child.node != nullptr) self(self, *child.node);
+      if (child.tail != nullptr) {
+        HashCombine(&digest, child.skip);
+        hash_words(child.tail->keys);
+        hash_words(child.tail->leaf.records);
+      }
     }
     HashCombine(&digest, node.leaves.size());
-    for (const auto& leaf : node.leaves) {
-      HashCombine(&digest, leaf.size());
-      for (const auto& view : leaf) HashCombine(&digest, view->id);
-    }
+    for (const FilterTree::Leaf& leaf : node.leaves) hash_words(leaf.records);
   };
   walk(walk, *tree.spj_root_);
   walk(walk, *tree.agg_root_);
   return digest;
+}
+
+std::vector<ViewId> InvariantAuditor::IndexedViews(
+    const FilterTree& tree) const {
+  std::vector<ViewId> ids;
+  auto collect = [&ids](const FilterTree::Leaf& leaf) {
+    leaf.ForEach([&ids](ViewId id, const FilterTree::ClassList&) {
+      ids.push_back(id);
+      return true;
+    });
+  };
+  auto node_fn = [&collect](const FilterTree::Node& node) {
+    for (const FilterTree::Leaf& leaf : node.leaves) collect(leaf);
+    return true;
+  };
+  auto tail_fn = [&collect](const FilterTree::Child& child) {
+    collect(child.tail->leaf);
+  };
+  ForEachRecord(*tree.spj_root_, node_fn, tail_fn);
+  ForEachRecord(*tree.agg_root_, node_fn, tail_fn);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 AuditReport InvariantAuditor::AuditMemo(

@@ -7,13 +7,15 @@
 //     of the key sets (minimal supersets / maximal subsets), keys are
 //     sorted duplicate-free, and the pruned subset/superset searches
 //     return exactly what a linear scan returns.
-//   - FilterTree: every level node's lattice passes the audit, interior
-//     live nodes have materialized children, live leaf nodes carry views
-//     (and dead ones carry none), each view id appears on exactly one
-//     path of the tree matching its description's aggregation class,
-//     every leaf holds the catalog's own description of a registered
-//     view (probes resolve each candidate id in that catalog), and the
-//     leaf population adds up to num_views().
+//   - FilterTree: every level node's lattice passes the audit; a live
+//     key leads to a subtree holding at least one view and an erased key
+//     to none; a tail holds exactly one key per remaining level; each
+//     view id appears on exactly one path of the tree matching its
+//     description's aggregation class; every leaf record names a
+//     registered view (probes resolve each candidate id in the catalog)
+//     whose catalog description spells the record's path and carries
+//     its inline range-constrained classes; and the leaf population
+//     adds up to num_views().
 //   - Optimizer memo (via an exported snapshot): group keys are unique,
 //     masks are non-empty subsets of the query's table set, GET
 //     expressions are single-table, JOIN children partition the group's
@@ -72,13 +74,16 @@ class InvariantAuditor {
                               const ViewCatalog& views) const;
 
   /// Structural-sharing diagnostic for generations (DESIGN.md §15): the
-  /// number of `tree`'s nodes that `previous` does not also reach.
+  /// number of `tree`'s nodes and tails that `previous` does not also
+  /// reach (a tail counts as one node).
   int64_t CountUnsharedNodes(const FilterTree& tree,
                              const FilterTree& previous) const;
   /// Digest of `tree`'s whole structure — every node's lattice keys and
-  /// liveness, child slots and leaf view ids — for asserting that a
-  /// tree was left unmodified.
+  /// liveness, child slots, tail keys and leaf records — for asserting
+  /// that a tree was left unmodified.
   uint64_t TreeDigest(const FilterTree& tree) const;
+  /// Sorted ids of the views on `tree`'s paths.
+  std::vector<ViewId> IndexedViews(const FilterTree& tree) const;
 
   /// `full_mask` is the query's complete table-reference set,
   /// `num_agg_specs` the number of aggregation specs the optimizer
@@ -91,10 +96,19 @@ class InvariantAuditor {
  private:
   void CheckLattice(const LatticeIndex& index, const std::string& where,
                     AuditReport* report) const;
-  void CheckTreeNode(const FilterTree::Node& node, const ViewCatalog& views,
-                     size_t depth, size_t num_levels, bool agg_tree,
-                     const std::string& where, std::vector<ViewId>* seen,
-                     AuditReport* report) const;
+  struct TreeWalk;
+  /// Audits the subtree of `node` at `depth`, appending the ids it
+  /// holds to `walk->seen`.
+  void CheckTreeNode(const FilterTree::Node& node, size_t depth,
+                     const std::string& where, TreeWalk* walk) const;
+  void CheckLeaf(const FilterTree::Leaf& leaf, const std::string& where,
+                 TreeWalk* walk) const;
+  /// Calls `node_fn(node)` for each node of the subtree under `node`
+  /// (descending only where it returns true) and `tail_fn(child)` for
+  /// each tail child, depth first.
+  template <typename NodeFn, typename TailFn>
+  static void ForEachRecord(const FilterTree::Node& node, NodeFn&& node_fn,
+                            TailFn&& tail_fn);
 };
 
 }  // namespace mvopt

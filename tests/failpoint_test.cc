@@ -224,7 +224,8 @@ TEST_F(FailpointSiteTest, FaultMidRegistrationLeavesPublishedNodesUnmodified) {
     const uint64_t digest = InvariantAuditor().TreeDigest(published->tree);
     std::vector<std::vector<ViewId>> candidates;
     for (const QueryDescription& q : queries) {
-      candidates.push_back(published->tree.FindCandidates(q));
+      QueryContext ctx;
+      candidates.push_back(published->tree.FindCandidates(q, ctx));
     }
 
     FailpointRegistry::Instance().Enable(site);
@@ -236,7 +237,8 @@ TEST_F(FailpointSiteTest, FaultMidRegistrationLeavesPublishedNodesUnmodified) {
     EXPECT_EQ(published->views.num_views(), 40);
     EXPECT_EQ(published->views.FindView("victim"), nullptr);
     for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(published->tree.FindCandidates(queries[q]), candidates[q])
+      QueryContext ctx;
+      EXPECT_EQ(published->tree.FindCandidates(queries[q], ctx), candidates[q])
           << "query " << q;
     }
     ExpectAuditGreen(service);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "bench/harness.h"
 #include "rewrite/matcher.h"
 #include "rewrite/view_catalog.h"
+#include "tests/filter_oracle.h"
 #include "tpch/schema.h"
+#include "verify/invariant_auditor.h"
 
 namespace mvopt {
 namespace {
@@ -30,12 +34,13 @@ class FilterTreeTest : public ::testing::Test {
     ViewDefinition* v = views_.AddView(
         "v" + std::to_string(views_.num_views()), std::move(def), &error);
     EXPECT_NE(v, nullptr) << error;
-    tree_.AddView(views_.shared_description(v->id()));
+    tree_.AddView(views_.description(v->id()));
     return v->id();
   }
 
   std::vector<ViewId> Candidates(const SpjgQuery& query) {
-    auto out = tree_.FindCandidates(DescribeQuery(catalog_, query));
+    QueryContext ctx;
+    auto out = tree_.FindCandidates(DescribeQuery(catalog_, query), ctx);
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -258,7 +263,7 @@ TEST_F(FilterTreeTest, RemoveViewDropsItFromCandidates) {
   EXPECT_TRUE(Candidates(query).empty());
   EXPECT_EQ(tree_.num_views(), 0);
   // Re-adding revives it.
-  tree_.AddView(views_.shared_description(id));
+  tree_.AddView(views_.description(id));
   EXPECT_EQ(Candidates(query), std::vector<ViewId>{id});
 }
 
@@ -280,12 +285,345 @@ TEST_F(FilterTreeTest, StatsReportRangeRejections) {
   qb.Where(Eq(qb.Col(ql, "l_orderkey"), qb.Col(qo, "o_orderkey")));
   qb.Output(qb.Col(ql, "l_orderkey"));
   FilterSearchStats stats;
-  auto out = tree_.FindCandidates(DescribeQuery(catalog_, qb.Build()),
-                                  &stats);
+  QueryContext ctx;
+  auto out =
+      tree_.FindCandidates(DescribeQuery(catalog_, qb.Build()), ctx, &stats);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.views_range_checked, 1);
   EXPECT_EQ(stats.views_range_rejected, 1);
 }
+
+// The search-kind counters count the walk each level performs: with
+// backjoins off no level scans (the column hitting conditions descend
+// from the tops like superset searches); with them on, each probe of a
+// relaxed level is one scan. Every level probe is one walk of one kind.
+TEST_F(FilterTreeTest, ScanCountsOnlyBackjoinRelaxedLevels) {
+  SpjgBuilder sb(&catalog_);
+  int sl = sb.AddTable("lineitem");
+  sb.Output(sb.Col(sl, "l_suppkey"));
+  Add(sb.Build());
+  SpjgBuilder vb(&catalog_);
+  int l = vb.AddTable("lineitem");
+  vb.Output(vb.Col(l, "l_suppkey"));
+  vb.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr), "cnt");
+  vb.GroupBy(vb.Col(l, "l_suppkey"));
+  Add(vb.Build());
+
+  SpjgBuilder qb(&catalog_);
+  int ql = qb.AddTable("lineitem");
+  qb.Output(qb.Col(ql, "l_suppkey"));
+  qb.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr), "n");
+  qb.GroupBy(qb.Col(ql, "l_suppkey"));
+  const QueryDescription query = DescribeQuery(catalog_, qb.Build());
+  auto probe = [&](bool backjoins) {
+    tree_.set_assume_backjoins(backjoins);
+    FilterSearchStats stats;
+    QueryContext ctx;
+    EXPECT_EQ(tree_.FindCandidates(query, ctx, &stats).size(), 2u);
+    int64_t probes = 0;
+    for (int64_t p : stats.level_probes) probes += p;
+    EXPECT_EQ(stats.subset_searches + stats.superset_searches +
+                  stats.scan_searches,
+              probes);
+    return stats;
+  };
+  const FilterSearchStats off = probe(false);
+  EXPECT_EQ(off.scan_searches, 0);
+  const FilterSearchStats on = probe(true);
+  auto at = [](const FilterSearchStats& s, FilterLevel level) {
+    return s.level_probes[static_cast<size_t>(level)];
+  };
+  // One output-column scan per tree, grouping scans in the agg tree.
+  EXPECT_EQ(on.scan_searches, 4);
+  EXPECT_EQ(on.scan_searches, at(on, FilterLevel::kOutputColumns) +
+                                  at(on, FilterLevel::kGroupingExprs) +
+                                  at(on, FilterLevel::kGroupingColumns));
+  EXPECT_EQ(on.superset_searches + on.scan_searches,
+            off.superset_searches);
+}
+
+TEST_F(FilterTreeTest, RemovingAViewNotOnTheTreeThrowsAndChangesNothing) {
+  SpjgBuilder vb(&catalog_);
+  int l = vb.AddTable("lineitem");
+  vb.Output(vb.Col(l, "l_orderkey"));
+  const ViewId on_tree = Add(vb.Build());
+  SpjgBuilder wb(&catalog_);
+  int w = wb.AddTable("orders");
+  wb.Output(wb.Col(w, "o_orderkey"));
+  std::string error;
+  ViewDefinition* off_tree = views_.AddView("off", wb.Build(), &error);
+  ASSERT_NE(off_tree, nullptr) << error;
+
+  InvariantAuditor auditor;
+  const uint64_t digest = auditor.TreeDigest(tree_);
+  EXPECT_THROW(tree_.RemoveView(views_.description(off_tree->id())),
+               std::logic_error);
+  EXPECT_EQ(auditor.TreeDigest(tree_), digest);
+  tree_.RemoveView(views_.description(on_tree));
+  EXPECT_THROW(tree_.RemoveView(views_.description(on_tree)),
+               std::logic_error);
+  EXPECT_EQ(tree_.num_views(), 0);
+}
+
+// --- tails ------------------------------------------------------------------
+
+// Hand-built descriptions: view `Base()` and, for each level j of the
+// SPJ order, a view that agrees with it above j and differs at j, so a
+// second insert splits the first view's tail exactly there.
+class TailSplitTest : public ::testing::Test {
+ protected:
+  static ViewDescription Base(ViewId id) {
+    ViewDescription d;
+    d.id = id;
+    d.hub = {1};
+    d.source_tables = {1};
+    d.output_expr_texts = {"a"};
+    d.extended_output_columns = {10};
+    d.residual_texts = {"r"};
+    d.reduced_range_columns = {20};
+    d.range_constrained_classes = {{20}};
+    return d;
+  }
+  static ViewDescription DivergingAt(size_t level, ViewId id) {
+    ViewDescription d = Base(id);
+    switch (oracle::PaperSpjLevels()[level]) {
+      case FilterLevel::kHub:
+        d.hub = {2};
+        break;
+      case FilterLevel::kSourceTables:
+        d.source_tables = {1, 2};
+        break;
+      case FilterLevel::kOutputExprs:
+        d.output_expr_texts = {"b"};
+        break;
+      case FilterLevel::kOutputColumns:
+        d.extended_output_columns = {10, 11};
+        break;
+      case FilterLevel::kResidual:
+        d.residual_texts = {"s"};
+        break;
+      default:
+        d.reduced_range_columns = {21};
+        d.range_constrained_classes = {{21}};
+        break;
+    }
+    return d;
+  }
+  /// Admits the base view and every diverging one but the hub's.
+  static QueryDescription Query() {
+    QueryDescription q;
+    q.source_tables = {1};
+    q.residual_texts = {"r", "s"};
+    q.extended_range_columns = {20, 21};
+    return q;
+  }
+  static std::vector<ViewId> Candidates(const FilterTree& tree) {
+    QueryContext ctx;
+    std::vector<ViewId> out = tree.FindCandidates(Query(), ctx);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  static std::vector<ViewId> Expected(const std::vector<ViewDescription>& on) {
+    std::vector<ViewId> out;
+    const uint32_t required = oracle::RequiredMask(oracle::PaperSpjLevels());
+    for (const ViewDescription& d : on) {
+      if ((oracle::PassMask(d, Query(), false) & required) == required) {
+        out.push_back(d.id);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+TEST_F(TailSplitTest, SplitAtEachLevelCopiesOnlyThePathAndSharesTheSuffix) {
+  InvariantAuditor auditor;
+  const size_t num_levels = oracle::PaperSpjLevels().size();
+  for (size_t j = 0; j < num_levels; ++j) {
+    SCOPED_TRACE("diverging at level " + std::to_string(j));
+    FilterTree tree;
+    const ViewDescription base = Base(0);
+    const ViewDescription diverging = DivergingAt(j, 1);
+    tree.AddView(base);  // the root's one key leads to a tail
+    FilterTree before(tree);
+    const uint64_t digest = auditor.TreeDigest(before);
+    tree.AddView(diverging);
+    // Unshared: the root, one new node per tail level down to the split
+    // (the split level's node holds both keys), and the new view's tail
+    // below it; the old tail's suffix is re-referenced, not copied. A
+    // split at the last level holds both leaves inline.
+    const int64_t expected =
+        j == 0 ? 2 : static_cast<int64_t>(std::min(j + 2, num_levels));
+    EXPECT_EQ(auditor.CountUnsharedNodes(tree, before), expected);
+    EXPECT_EQ(auditor.TreeDigest(before), digest);
+    EXPECT_EQ(Candidates(before), Expected({base}));
+    EXPECT_EQ(Candidates(tree), Expected({base, diverging}));
+    EXPECT_EQ(auditor.IndexedViews(tree), (std::vector<ViewId>{0, 1}));
+
+    // A view with the base's keys joins its leaf: one new tail.
+    FilterTree with_twin(tree);
+    with_twin.AddView(Base(2));
+    EXPECT_LE(auditor.CountUnsharedNodes(with_twin, tree),
+              static_cast<int64_t>(num_levels));
+    EXPECT_EQ(Candidates(with_twin), Expected({base, diverging, Base(2)}));
+
+    // Removing either side keeps the other; removing both empties the
+    // tree, and re-adding revives the keys.
+    tree.RemoveView(base);
+    EXPECT_EQ(Candidates(tree), Expected({diverging}));
+    tree.RemoveView(diverging);
+    EXPECT_EQ(tree.num_views(), 0);
+    FilterSearchStats stats;
+    QueryContext ctx;
+    EXPECT_TRUE(tree.FindCandidates(Query(), ctx, &stats).empty());
+    for (int64_t probes : stats.level_probes) EXPECT_EQ(probes, 0);
+    tree.AddView(diverging);
+    tree.AddView(base);
+    EXPECT_EQ(Candidates(tree), Expected({base, diverging}));
+  }
+}
+
+// A tail that was split re-references the old tail's suffix; splitting
+// that suffix again, deeper, must still answer like the oracle.
+TEST_F(TailSplitTest, RepeatedSplitsOfOneTailAnswerLikeTheOracle) {
+  FilterTree tree;
+  std::vector<ViewDescription> on = {Base(0)};
+  tree.AddView(on.back());
+  const size_t num_levels = oracle::PaperSpjLevels().size();
+  for (size_t j = 1; j < num_levels; ++j) {
+    on.push_back(DivergingAt(j, static_cast<ViewId>(j)));
+    tree.AddView(on.back());
+    EXPECT_EQ(Candidates(tree), Expected(on)) << "after level " << j;
+  }
+  for (size_t j = 1; j < num_levels; ++j) {
+    tree.RemoveView(on[j]);
+  }
+  EXPECT_EQ(Candidates(tree), Expected({on[0]}));
+}
+
+// --- brute-force §4.2 oracle ------------------------------------------------
+
+struct LevelOrder {
+  const char* name;
+  std::vector<FilterLevel> spj;
+  std::vector<FilterLevel> agg;
+};
+
+// The level orders bench/ablate_levels compares.
+std::vector<LevelOrder> AblationOrders() {
+  using FL = FilterLevel;
+  const std::vector<FL> spj = oracle::PaperSpjLevels();
+  const std::vector<FL> agg = oracle::PaperAggLevels();
+  return {
+      {"paper", spj, agg},
+      {"reversed", {spj.rbegin(), spj.rend()}, {agg.rbegin(), agg.rend()}},
+      {"tables-only",
+       {FL::kHub, FL::kSourceTables},
+       {FL::kHub, FL::kSourceTables}},
+      {"source-tables-only", {FL::kSourceTables}, {FL::kSourceTables}},
+      {"columns-first",
+       {FL::kOutputColumns, FL::kRangeConstraints, FL::kResidual,
+        FL::kOutputExprs, FL::kSourceTables, FL::kHub},
+       {FL::kGroupingColumns, FL::kGroupingExprs, FL::kOutputColumns,
+        FL::kRangeConstraints, FL::kResidual, FL::kOutputExprs,
+        FL::kSourceTables, FL::kHub}},
+  };
+}
+
+class OracleSweepTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Every memo-group signature of a 1,000-view §5 workload (the ones the
+// view-matching rule probes), for both trees, with and without the
+// backjoin relaxation, under every ablation level order, and after 10%
+// of the views are removed and again after they are re-added:
+// FindCandidates returns exactly the views the oracle admits.
+TEST_P(OracleSweepTest, FindCandidatesEqualsBruteForceOnGroupSignatures) {
+  bench::Workload workload(/*num_views=*/1000, /*num_queries=*/150,
+                           GetParam());
+  auto service = workload.MakeService(1000, /*use_filter_tree=*/true);
+  const ViewCatalog& views = service->views();
+  ASSERT_EQ(views.num_views(), 1000);
+  bench::RecordingSource recorder(service.get());
+  Optimizer optimizer(&workload.catalog(), &recorder);
+  for (const SpjgQuery& q : workload.queries()) (void)optimizer.Optimize(q);
+  std::vector<QueryDescription> signatures;
+  for (const SpjgQuery& sig : recorder.signatures()) {
+    signatures.push_back(DescribeQuery(workload.catalog(), sig));
+  }
+  ASSERT_FALSE(signatures.empty());
+
+  // PassMask per (backjoins, signature, view), shared by every order.
+  std::vector<std::vector<uint32_t>> masks[2];
+  for (int b = 0; b < 2; ++b) {
+    for (const QueryDescription& q : signatures) {
+      masks[b].emplace_back();
+      for (ViewId id = 0; id < views.num_views(); ++id) {
+        masks[b].back().push_back(
+            oracle::PassMask(views.description(id), q, b == 1));
+      }
+    }
+  }
+  std::vector<ViewId> removed;
+  for (ViewId id = 0; id < views.num_views(); id += 10) removed.push_back(id);
+
+  InvariantAuditor auditor;
+  int64_t candidates = 0;
+  for (const LevelOrder& order : AblationOrders()) {
+    for (int b = 0; b < 2; ++b) {
+      SCOPED_TRACE(std::string(order.name) + (b == 1 ? " +backjoins" : ""));
+      FilterTree tree;
+      tree.SetLevels(order.spj, order.agg);
+      tree.set_assume_backjoins(b == 1);
+      for (ViewId id = 0; id < views.num_views(); ++id) {
+        tree.AddView(views.description(id));
+      }
+      const uint32_t spj_required = oracle::RequiredMask(order.spj);
+      const uint32_t agg_required = oracle::RequiredMask(order.agg);
+      auto check = [&](const std::string& phase,
+                       const std::vector<bool>& absent) {
+        for (size_t s = 0; s < signatures.size(); ++s) {
+          const QueryDescription& q = signatures[s];
+          std::vector<ViewId> expected;
+          for (ViewId id = 0; id < views.num_views(); ++id) {
+            const ViewDescription& v = views.description(id);
+            if (absent[id] || (v.is_aggregate && !q.is_aggregate)) continue;
+            const uint32_t required = v.is_aggregate ? agg_required
+                                                     : spj_required;
+            if ((masks[b][s][id] & required) == required) {
+              expected.push_back(id);
+            }
+          }
+          QueryContext ctx;
+          std::vector<ViewId> got = tree.FindCandidates(q, ctx);
+          std::sort(got.begin(), got.end());
+          candidates += static_cast<int64_t>(got.size());
+          ASSERT_EQ(got, expected) << phase << ", signature " << s;
+        }
+      };
+      std::vector<bool> absent(views.num_views(), false);
+      check("all views", absent);
+      for (ViewId id : removed) {
+        tree.RemoveView(views.description(id));
+        absent[id] = true;
+      }
+      check("10% removed", absent);
+      for (ViewId id : removed) {
+        tree.AddView(views.description(id));
+        absent[id] = false;
+      }
+      check("re-added", absent);
+      if (order.spj.size() == 6 && b == 0 &&
+          std::string(order.name) == "paper") {
+        const AuditReport report = auditor.AuditFilterTree(tree, views);
+        EXPECT_TRUE(report.ok()) << report.Summary();
+      }
+    }
+  }
+  EXPECT_GT(candidates, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweepTest,
+                         ::testing::Values(1, 2, 3, 17));
 
 }  // namespace
 }  // namespace mvopt

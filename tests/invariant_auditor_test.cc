@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 
 namespace mvopt {
 namespace {
+
+using Key = LatticeIndex::Key;
 
 TEST(LatticeAuditTest, BuiltLatticePassesIncludingAfterErase) {
   LatticeIndex index;
@@ -34,15 +37,15 @@ TEST(LatticeAuditTest, BuiltLatticePassesIncludingAfterErase) {
       << auditor.AuditLattice(index).Summary();
 
   // Lazy deletion keeps erased nodes as waypoints; structure must hold.
-  index.Erase({1, 2});
-  index.Erase({3, 4});
-  index.Erase({});
+  index.Erase(Key{1, 2});
+  index.Erase(Key{3, 4});
+  index.Erase(Key{});
   EXPECT_TRUE(auditor.AuditLattice(index).ok())
       << auditor.AuditLattice(index).Summary();
 
   // Revival.
-  index.Insert({1, 2});
-  index.Insert({2, 3, 4});
+  index.Insert(Key{1, 2});
+  index.Insert(Key{2, 3, 4});
   EXPECT_TRUE(auditor.AuditLattice(index).ok())
       << auditor.AuditLattice(index).Summary();
 }
@@ -60,7 +63,7 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
     ViewDefinition* v =
         views.AddView("v" + std::to_string(i), gen.GenerateView(), &error);
     ASSERT_NE(v, nullptr) << error;
-    tree.AddView(views.shared_description(v->id()));
+    tree.AddView(views.description(v->id()));
     ids.push_back(v->id());
   }
 
@@ -76,16 +79,68 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
   report = auditor.AuditFilterTree(tree, views);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
-  tree.AddView(views.shared_description(ids[0]));
+  tree.AddView(views.description(ids[0]));
   report = auditor.AuditFilterTree(tree, views);
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// Probes resolve every candidate id in the catalog, so a leaf must hold
-// the catalog's own description of a registered view. A registration
-// rolled back out of the catalog but left on a tree path is flagged —
-// while it is the last id, and again once the next registration reuses
-// its id.
+// A removal erases every key whose subtree it empties, not just the
+// leaf's, so probes stop walking emptied subtrees: with every view
+// removed no key is live, no level is probed, and the audit (which flags
+// a live key over a subtree holding no view) stays green throughout.
+// Re-adding revives the keys.
+TEST(FilterTreeAuditTest, RemovalErasesEveryKeyItEmpties) {
+  Catalog catalog;
+  tpch::BuildSchema(&catalog, 0.001);
+  ViewCatalog views(&catalog);
+  FilterTree tree;
+  tpch::WorkloadGenerator gen(&catalog, 4321);
+  std::vector<ViewId> ids;
+  for (int i = 0; i < 40; ++i) {
+    std::string error;
+    ViewDefinition* v =
+        views.AddView("v" + std::to_string(i), gen.GenerateView(), &error);
+    ASSERT_NE(v, nullptr) << error;
+    tree.AddView(views.description(v->id()));
+    ids.push_back(v->id());
+  }
+  InvariantAuditor auditor;
+  auto probe_own = [&](ViewId id, FilterSearchStats* stats) {
+    QueryContext ctx;
+    return tree.FindCandidates(DescribeQuery(catalog, views.view(id).query()),
+                               ctx, stats);
+  };
+  for (ViewId id : ids) {
+    tree.RemoveView(views.description(id));
+    const AuditReport report = auditor.AuditFilterTree(tree, views);
+    ASSERT_TRUE(report.ok()) << "after removing view " << id << ": "
+                             << report.Summary();
+  }
+  EXPECT_EQ(tree.num_views(), 0);
+  for (ViewId id : ids) {
+    FilterSearchStats stats;
+    EXPECT_TRUE(probe_own(id, &stats).empty());
+    for (size_t l = 0; l < stats.level_probes.size(); ++l) {
+      EXPECT_EQ(stats.level_probes[l], 0)
+          << "view " << id << " level " << FilterLevelName(
+                                                 static_cast<FilterLevel>(l));
+    }
+  }
+  for (ViewId id : ids) tree.AddView(views.description(id));
+  const AuditReport report = auditor.AuditFilterTree(tree, views);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  for (ViewId id : ids) {
+    const std::vector<ViewId> found = probe_own(id, nullptr);
+    EXPECT_NE(std::find(found.begin(), found.end(), id), found.end())
+        << "view " << id;
+  }
+}
+
+// Probes resolve every candidate id in the catalog, so a leaf record
+// must name a registered view and agree with the catalog's description
+// of it. A registration rolled back out of the catalog but left on a
+// tree path is flagged — while it is the last id, and again once the
+// next registration reuses its id.
 TEST(FilterTreeAuditTest, LeafTheCatalogDoesNotHoldIsFlagged) {
   Catalog catalog;
   tpch::BuildSchema(&catalog, 0.001);
@@ -96,7 +151,7 @@ TEST(FilterTreeAuditTest, LeafTheCatalogDoesNotHoldIsFlagged) {
     std::string error;
     ViewDefinition* v = views.AddView(name, gen.GenerateView(), &error);
     EXPECT_NE(v, nullptr) << error;
-    tree.AddView(views.shared_description(v->id()));
+    tree.AddView(views.description(v->id()));
     return v->id();
   };
   add("a");
@@ -114,9 +169,9 @@ TEST(FilterTreeAuditTest, LeafTheCatalogDoesNotHoldIsFlagged) {
 
   EXPECT_EQ(add("d"), last);  // reuses the id
   report = auditor.AuditFilterTree(tree, views);
-  EXPECT_NE(report.Summary().find("leaf holds a description of view " +
+  EXPECT_NE(report.Summary().find("leaf record of view " +
                                   std::to_string(last) +
-                                  " the catalog does not"),
+                                  " disagrees with its catalog description"),
             std::string::npos)
       << report.Summary();
   EXPECT_NE(report.Summary().find("a view id appears on more than one path"),

@@ -11,6 +11,7 @@ namespace mvopt {
 namespace {
 
 using Key = LatticeIndex::Key;
+using KeySpan = LatticeIndex::KeySpan;
 
 // The paper's Figure 1 key sets: A,B,D,AB,BE,ABC,ABF,BCDE with atoms
 // A=1,B=2,C=3,D=4,E=5,F=6.
@@ -20,7 +21,7 @@ std::vector<Key> Figure1Keys() {
 
 std::set<Key> KeysOf(const LatticeIndex& idx, const std::vector<int>& nodes) {
   std::set<Key> out;
-  for (int n : nodes) out.insert(idx.key(n));
+  for (int n : nodes) out.insert(Key(idx.key(n).begin(), idx.key(n).end()));
   return out;
 }
 
@@ -31,7 +32,7 @@ TEST(LatticeTest, Figure1SupersetSearch) {
 
   // Supersets of AB are ABC, ABF and AB itself (paper §4.1 walkthrough).
   std::vector<int> found;
-  idx.SearchSupersets({1, 2}, &found);
+  idx.SearchSupersets(Key{1, 2}, &found);
   EXPECT_EQ(KeysOf(idx, found),
             (std::set<Key>{{1, 2}, {1, 2, 3}, {1, 2, 6}}));
 }
@@ -41,59 +42,59 @@ TEST(LatticeTest, Figure1SubsetSearch) {
   for (const auto& k : Figure1Keys()) idx.Insert(k);
   // Subsets of BCDE: B, D, BE, BCDE.
   std::vector<int> found;
-  idx.SearchSubsets({2, 3, 4, 5}, &found);
+  idx.SearchSubsets(Key{2, 3, 4, 5}, &found);
   EXPECT_EQ(KeysOf(idx, found),
             (std::set<Key>{{2}, {4}, {2, 5}, {2, 3, 4, 5}}));
 }
 
 TEST(LatticeTest, EmptyKeyIsSubsetOfAll) {
   LatticeIndex idx;
-  idx.Insert({});
-  idx.Insert({1});
-  idx.Insert({1, 2});
+  idx.Insert(Key{});
+  idx.Insert(Key{1});
+  idx.Insert(Key{1, 2});
   EXPECT_EQ(idx.CheckStructure(), "");
   std::vector<int> found;
-  idx.SearchSubsets({9}, &found);  // only {} qualifies
+  idx.SearchSubsets(Key{9}, &found);  // only {} qualifies
   EXPECT_EQ(KeysOf(idx, found), (std::set<Key>{{}}));
   found.clear();
-  idx.SearchSupersets({}, &found);
+  idx.SearchSupersets(Key{}, &found);
   EXPECT_EQ(found.size(), 3u);
 }
 
 TEST(LatticeTest, DuplicateInsertReturnsSameNode) {
   LatticeIndex idx;
-  int a = idx.Insert({1, 2});
-  int b = idx.Insert({1, 2});
+  int a = idx.Insert(Key{1, 2});
+  int b = idx.Insert(Key{1, 2});
   EXPECT_EQ(a, b);
   EXPECT_EQ(idx.num_live_nodes(), 1);
 }
 
 TEST(LatticeTest, EraseIsLazyAndRevivable) {
   LatticeIndex idx;
-  idx.Insert({1});
-  idx.Insert({1, 2});
-  idx.Insert({1, 2, 3});
-  ASSERT_TRUE(idx.Erase({1, 2}));
+  idx.Insert(Key{1});
+  idx.Insert(Key{1, 2});
+  idx.Insert(Key{1, 2, 3});
+  ASSERT_TRUE(idx.Erase(Key{1, 2}));
   EXPECT_EQ(idx.num_live_nodes(), 2);
   // Erased node no longer returned but still routes searches.
   std::vector<int> found;
-  idx.SearchSupersets({1}, &found);
+  idx.SearchSupersets(Key{1}, &found);
   EXPECT_EQ(KeysOf(idx, found), (std::set<Key>{{1}, {1, 2, 3}}));
   // Reviving brings it back.
-  idx.Insert({1, 2});
+  idx.Insert(Key{1, 2});
   found.clear();
-  idx.SearchSupersets({1}, &found);
+  idx.SearchSupersets(Key{1}, &found);
   EXPECT_EQ(found.size(), 3u);
-  EXPECT_FALSE(idx.Erase({9, 9}));
+  EXPECT_FALSE(idx.Erase(Key{9, 9}));
 }
 
 TEST(LatticeTest, InsertBetweenRelinksCoverEdges) {
   LatticeIndex idx;
-  idx.Insert({1});
-  idx.Insert({1, 2, 3});
+  idx.Insert(Key{1});
+  idx.Insert(Key{1, 2, 3});
   EXPECT_EQ(idx.CheckStructure(), "");
   // Inserting {1,2} must break the {1} -> {1,2,3} cover edge.
-  idx.Insert({1, 2});
+  idx.Insert(Key{1, 2});
   EXPECT_EQ(idx.CheckStructure(), "");
 }
 
@@ -102,7 +103,7 @@ TEST(LatticeTest, MonotonePredicateSearches) {
   for (const auto& k : Figure1Keys()) idx.Insert(k);
   // Downward search with a hitting predicate: key must contain atom 2.
   std::vector<int> found;
-  idx.SearchDown([](const Key& k) {
+  idx.SearchDown([](KeySpan k) {
     return std::find(k.begin(), k.end(), 2u) != k.end();
   }, &found);
   EXPECT_EQ(KeysOf(idx, found),
@@ -178,7 +179,7 @@ TEST(LatticeTest, RandomizedWithErasures) {
     }
   }
   std::vector<int> found;
-  idx.SearchSupersets({}, &found);
+  idx.SearchSupersets(Key{}, &found);
   EXPECT_EQ(KeysOf(idx, found), live);
   EXPECT_EQ(idx.num_live_nodes(), static_cast<int>(live.size()));
 }
@@ -191,7 +192,7 @@ TEST(LatticeTest, LinearScanMatchesSearch) {
   idx.SearchSupersets(probe, &fast);
   std::vector<int> slow;
   idx.LinearScan(
-      [&probe](const Key& k) { return LatticeIndex::IsSubset(probe, k); },
+      [&probe](KeySpan k) { return LatticeIndex::IsSubset(probe, k); },
       &slow);
   EXPECT_EQ(KeysOf(idx, fast), KeysOf(idx, slow));
 }

@@ -158,8 +158,9 @@ TEST_P(GroupSignatureSweepTest, CompiledVerdictEqualsOracleOnFilterCandidates) {
   int64_t tests = 0, extra_table_tests = 0, extra_table_accepts = 0;
   for (const SpjgQuery& sig : recorder.signatures()) {
     const MatchProbeContext pctx = BuildMatchProbeContext(catalog, sig, mopts);
-    for (ViewId id :
-         service->filter_tree().FindCandidates(DescribeQuery(catalog, sig))) {
+    QueryContext ctx;
+    for (ViewId id : service->filter_tree().FindCandidates(
+             DescribeQuery(catalog, sig), ctx)) {
       const ViewDefinition& view = service->views().view(id);
       const std::shared_ptr<const MatchProgram>& program =
           service->views().program(id);

@@ -22,6 +22,7 @@
 #include "common/query_context.h"
 #include "common/thread_pool.h"
 #include "index/matching_service.h"
+#include "tests/filter_oracle.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
 #include "verify/invariant_auditor.h"
@@ -176,30 +177,71 @@ TEST_F(SnapshotStressTest, LifecycleReadmissionRacesProbes) {
 
 // Generations share filter-tree nodes and catalog entries; a writer
 // copies a shared path before mutating it. Probers pin an older
-// generation and keep re-probing it while the writer registers views
-// and flaps lifecycles (each publication copying paths the pinned
-// generation still reaches): every re-probe must answer exactly as the
-// first did. Under TSan, an in-place write to a shared node is a
-// reported race even when the answers happen to agree.
+// generation and keep re-probing it while the writer registers views —
+// near-copies of registered ones among them, whose inserts split the
+// originals' tails or join their leaves — and quarantines and readmits
+// views (each removal empties or shrinks a tail, or drops it and erases
+// its keys). Every re-probe must answer exactly as the first did, and
+// that answer must be what the brute-force §4.2 oracle admits among the
+// views on the pinned tree. Under TSan, an in-place write to a shared
+// node is a reported race even when the answers happen to agree.
 TEST_F(SnapshotStressTest, PinnedGenerationsRaceWritersCopyingSharedPaths) {
   MatchingService service(&catalog_);
   AddViewRange(&service, 0, kInitialViews);
+  // Per registered view: its twin (same keys: joins its leaf), a range-
+  // constrained variant (diverges at the range level, or at the hub when
+  // the new predicate pins an eliminable table), and for SPJ views one
+  // with an extra output expression (diverges at the output-expression
+  // level).
+  std::vector<SpjgQuery> variants;
+  for (int i = 0; i < kInitialViews; ++i) {
+    variants.push_back(view_defs_[i]);
+    SpjgQuery ranged = view_defs_[i];
+    ranged.conjuncts.push_back(
+        Expr::MakeCompare(CompareOp::kGt, Expr::MakeColumn(0, 0),
+                          Expr::MakeLiteral(Value::Int64(7))));
+    variants.push_back(std::move(ranged));
+    if (!view_defs_[i].is_aggregate) {
+      SpjgQuery widened = view_defs_[i];
+      widened.outputs.push_back(
+          {"widened", Expr::MakeArith(ArithOp::kMul, Expr::MakeColumn(0, 0),
+                                      Expr::MakeLiteral(Value::Int64(2)))});
+      variants.push_back(std::move(widened));
+    }
+  }
   std::vector<QueryDescription> queries;
   for (const SpjgQuery& q : queries_) {
     queries.push_back(DescribeQuery(catalog_, q));
   }
+  for (const SpjgQuery& v : variants) {
+    queries.push_back(DescribeQuery(catalog_, v));
+  }
 
+  std::atomic<int> variants_added{0};
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
     AddViewRange(&service, kInitialViews, kNumViews);
-    for (int round = 0; round < 4; ++round) {
-      for (ViewId id = 0; id < 6; ++id) {
-        (void)service.ReportChecksumMismatch(id);
-        (void)service.ReadmitView(id);
+    for (size_t v = 0; v < variants.size(); ++v) {
+      std::string error;
+      if (service.AddView("variant" + std::to_string(v), variants[v],
+                          &error) != nullptr) {
+        variants_added.fetch_add(1);
       }
     }
+    // Quarantine the originals and the first variants (tail removals),
+    // then readmit them.
+    for (int round = 0; round < 4; ++round) {
+      for (ViewId id : {0, 1, 2, 3, 4, 5, kNumViews, kNumViews + 1,
+                        kNumViews + 2, kNumViews + 3}) {
+        (void)service.ReportChecksumMismatch(id);
+        if (round % 2 == 1) (void)service.ReadmitView(id);
+      }
+    }
+    for (ViewId id = 0; id < kNumViews + 4; ++id) (void)service.ReadmitView(id);
     writer_done.store(true);
   });
+  const std::vector<FilterLevel> spj_levels = oracle::PaperSpjLevels();
+  const std::vector<FilterLevel> agg_levels = oracle::PaperAggLevels();
   std::atomic<int64_t> reprobes{0};
   std::vector<std::thread> probers;
   for (int t = 0; t < kNumProbers; ++t) {
@@ -207,14 +249,23 @@ TEST_F(SnapshotStressTest, PinnedGenerationsRaceWritersCopyingSharedPaths) {
       do {
         MatchingService::PinnedGenerationForTest gen(service);
         const int num_views = gen->views.num_views();
-        const uint64_t digest = InvariantAuditor().TreeDigest(gen->tree);
+        InvariantAuditor auditor;
+        const uint64_t digest = auditor.TreeDigest(gen->tree);
+        const std::vector<ViewId> indexed = auditor.IndexedViews(gen->tree);
         std::vector<std::vector<ViewId>> first;
         for (const QueryDescription& q : queries) {
-          first.push_back(gen->tree.FindCandidates(q));
+          QueryContext ctx;
+          first.push_back(gen->tree.FindCandidates(q, ctx));
+          std::vector<ViewId> sorted = first.back();
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(sorted, oracle::Candidates(gen->views, indexed, q,
+                                               spj_levels, agg_levels,
+                                               /*backjoins=*/false));
         }
         for (int round = 0; round < 3; ++round) {
           for (size_t q = 0; q < queries.size(); ++q) {
-            EXPECT_EQ(gen->tree.FindCandidates(queries[q]), first[q]);
+            QueryContext ctx;
+            EXPECT_EQ(gen->tree.FindCandidates(queries[q], ctx), first[q]);
             for (ViewId id : first[q]) {
               EXPECT_LT(id, num_views);
               EXPECT_EQ(gen->views.description(id).id, id);
@@ -225,14 +276,19 @@ TEST_F(SnapshotStressTest, PinnedGenerationsRaceWritersCopyingSharedPaths) {
           reprobes.fetch_add(1);
         }
         EXPECT_EQ(gen->views.num_views(), num_views);
-        EXPECT_EQ(InvariantAuditor().TreeDigest(gen->tree), digest);
+        EXPECT_EQ(auditor.TreeDigest(gen->tree), digest);
       } while (!writer_done.load());
     });
   }
   writer.join();
   for (std::thread& p : probers) p.join();
   EXPECT_GT(reprobes.load(), 0);
-  EXPECT_EQ(service.views().num_views(), kNumViews);
+  EXPECT_EQ(variants_added.load(), static_cast<int>(variants.size()));
+  EXPECT_EQ(service.views().num_views(),
+            kNumViews + static_cast<int>(variants.size()));
+  const AuditReport report =
+      InvariantAuditor().AuditFilterTree(service.filter_tree(), service.views());
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 // Stats determinism on the snapshot path: N concurrent pooled passes

@@ -342,7 +342,8 @@ GenerationImage ImageOf(const CatalogSnapshot& snap,
     image.programs.push_back(snap.views.program(id).get());
   }
   for (const QueryDescription& q : queries) {
-    image.candidates.push_back(snap.tree.FindCandidates(q));
+    QueryContext ctx;
+    image.candidates.push_back(snap.tree.FindCandidates(q, ctx));
   }
   image.tree_digest = InvariantAuditor().TreeDigest(snap.tree);
   return image;

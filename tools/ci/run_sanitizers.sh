@@ -67,8 +67,9 @@ run_metrics_smoke() {
   # Observability smoke: run the metrics driver over a small workload in
   # the ASan tree and let its --selfcheck validate that the Prometheus
   # exposition parses, the JSON dumps parse, every mandatory pipeline
-  # metric is present and non-negative (probe/optimize counters > 0), and
-  # no candidate of a compiled view fell back to the generic matcher.
+  # metric is present and non-negative (probe/optimize counters > 0), no
+  # candidate of a compiled view fell back to the generic matcher, and no
+  # filter level scanned (backjoins are off).
   local build_dir="${build_root}/address"
   echo "=== metrics smoke: build driver ==="
   cmake --build "${build_dir}" --target metrics_driver -j "${jobs}"

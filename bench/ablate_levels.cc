@@ -125,7 +125,10 @@ int Main() {
         workload.MakeService(config.max_views, /*use_filter_tree=*/true);
     RecordingSource recorder(service.get());
     Optimizer optimizer(&catalog, &recorder);
-    for (const SpjgQuery& q : workload.queries()) (void)optimizer.Optimize(q);
+    for (const SpjgQuery& q : workload.queries()) {
+      QueryContext ctx;
+      (void)optimizer.Optimize(q, ctx);
+    }
     for (const SpjgQuery& sig : recorder.signatures()) {
       signatures.push_back(DescribeQuery(catalog, sig));
     }

@@ -15,12 +15,12 @@
 // to stderr; stdout carries only the document.
 //
 // Usage:
-//   JsonReport report("pipeline_scaling");
+//   JsonReport report("snapshot_scaling");
 //   report.Caveat("speedup > 1 requires real cores");
 //   report.Meta("queries", num_queries);
 //   ...
 //   report.BeginRow();
-//   report.Field("workers", w);
+//   report.Field("threads", t);
 //   report.Field("seconds", secs);
 //   report.EndRow();
 //   ...

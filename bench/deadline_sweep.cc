@@ -46,11 +46,12 @@ int main() {
       auto start = std::chrono::steady_clock::now();
       size_t qi = 0;
       for (const SpjgQuery& q : workload.queries()) {
-        QueryBudget budget;
+        QueryContext ctx;
+        QueryBudget& budget = ctx.EmplaceBudget();
         if (deadline_us > 0) {
           budget.set_deadline_after(microseconds(deadline_us));
         }
-        OptimizationResult r = optimizer.Optimize(q, &budget);
+        OptimizationResult r = optimizer.Optimize(q, ctx);
         if (r.plan == nullptr) {
           std::fprintf(stderr, "FATAL: no plan for query %zu\n", qi);
           return 1;

@@ -181,7 +181,8 @@ int main() {
 
     auto run_once = [&] {
       for (const SpjgQuery& q : workload.queries()) {
-        (void)service->FindSubstitutes(q);
+        QueryContext ctx;
+        (void)service->FindSubstitutes(q, ctx);
       }
     };
     run_once();  // warm-up
@@ -243,7 +244,10 @@ int main() {
     auto service = workload.MakeService(num_views, /*use_filter_tree=*/true);
     RecordingSource recorder(service.get());
     Optimizer optimizer(&workload.catalog(), &recorder);
-    for (const SpjgQuery& q : workload.queries()) (void)optimizer.Optimize(q);
+    for (const SpjgQuery& q : workload.queries()) {
+      QueryContext ctx;
+      (void)optimizer.Optimize(q, ctx);
+    }
     signatures = recorder.signatures();
   }
   double sig_generic_cps = -1;
@@ -264,7 +268,8 @@ int main() {
     }
     auto run_once = [&] {
       for (const SpjgQuery& sig : signatures) {
-        (void)service->FindSubstitutes(sig);
+        QueryContext ctx;
+        (void)service->FindSubstitutes(sig, ctx);
       }
     };
     run_once();  // warm-up

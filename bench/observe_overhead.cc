@@ -40,12 +40,14 @@ double TimeOnePass(MatchingService* service,
   auto start = std::chrono::steady_clock::now();
   for (int it = 0; it < inner; ++it) {
     for (const SpjgQuery& q : queries) {
+      QueryContext ctx;
       if (with_trace) {
         QueryTrace trace;
-        auto subs = service->FindSubstitutes(q, nullptr, &trace);
+        ctx.set_trace(&trace);
+        auto subs = service->FindSubstitutes(q, ctx);
         *sink += static_cast<int64_t>(subs.size());
       } else {
-        auto subs = service->FindSubstitutes(q);
+        auto subs = service->FindSubstitutes(q, ctx);
         *sink += static_cast<int64_t>(subs.size());
       }
     }

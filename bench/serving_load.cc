@@ -1,34 +1,38 @@
-// Serving front-end load sweep: open-loop arrivals at 0.5x / 1x / 2x of
-// the measured service capacity, reporting end-to-end latency percentiles
-// and the shed rate at each point.
+// Serving front-end load bench, two phases.
 //
-// The robustness claim under test: with the bounded admission queue, the
-// p99 latency of ADMITTED queries stays bounded even at 2x saturation —
-// overload surfaces as a rising shed rate, not as unbounded queueing
-// delay. Without admission control an open-loop 2x offered load grows
-// the queue (and the tail) without limit.
+// Open loop: arrivals at 0.5x / 1x / 2x of the measured service
+// capacity, reporting end-to-end latency percentiles and the shed rate
+// at each point. The robustness claim under test: with the bounded
+// admission queue, the p99 latency of ADMITTED queries stays bounded even
+// at 2x saturation — overload surfaces as a rising shed rate, not as
+// unbounded queueing delay. Without admission control an open-loop 2x
+// offered load grows the queue (and the tail) without limit.
+//
+// Saturation: one closed-loop throughput row per worker count (1, 2, 4).
+// A submitter keeps two queries per worker in flight, so every worker
+// always has a query waiting while the queue stays far below the
+// overload controller's high-water mark (no tier escalation, no shed).
+// This is how the system spends cores: across queries, one worker each.
 //
 // Knobs:
-//   MVOPT_BENCH_QUERIES   submissions per load point (default 2000)
-//   --out PATH            JSON output file (default results/serving_load.json;
-//                         "-" for stdout only)
+//   MVOPT_BENCH_QUERIES   submissions per load point and per saturation
+//                         row (default 2000)
 //
-// Output: a human-readable table on stdout plus a machine-readable JSON
-// document (validated with ValidateJson before it is written).
+// Output: JSON to stdout in the bench/bench_report.h envelope (redirect
+// into results/serving_load.json); a human-readable table on stderr.
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "bench/harness.h"
-#include "observe/metrics.h"
 #include "serve/serving_service.h"
 
 namespace {
@@ -141,27 +145,62 @@ LoadPoint RunPoint(const bench::Workload& workload, MatchingService* matching,
   return point;
 }
 
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
+struct SaturationPoint {
+  int num_workers = 0;
+  int window = 0;
+  int64_t completed = 0;
+  int64_t shed = 0;
+  int64_t tier_escalations = 0;
+  double seconds = 0;
+};
+
+/// One closed-loop run: keeps `2 * num_workers` queries in flight and
+/// submits the next one as the oldest completes, until `total` are done.
+SaturationPoint RunSaturation(const bench::Workload& workload,
+                              MatchingService* matching, int num_workers,
+                              int total) {
+  ServingOptions options;
+  options.num_workers = num_workers;
+  options.queue_capacity = 64;
+  ServingService service(&workload.catalog(), matching, options);
+
+  SaturationPoint point;
+  point.num_workers = num_workers;
+  point.window = 2 * num_workers;
+  std::deque<std::shared_ptr<ServeTicket>> in_flight;
+  int submitted = 0;
+  auto submit_next = [&] {
+    ServeRequest req;
+    req.query = workload.queries()[static_cast<size_t>(submitted) %
+                                   workload.queries().size()];
+    req.tenant = "saturation";
+    in_flight.push_back(service.Submit(req));
+    ++submitted;
+  };
+  const auto start = Clock::now();
+  while (submitted < std::min(point.window, total)) submit_next();
+  while (!in_flight.empty()) {
+    const ServeResult result = in_flight.front()->Wait();
+    in_flight.pop_front();
+    if (result.outcome == AdmissionOutcome::kAdmitted) {
+      ++point.completed;
+    } else {
+      ++point.shed;
+    }
+    if (submitted < total) submit_next();
+  }
+  point.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  service.Drain();
+  point.tier_escalations = service.stats().tier_escalations;
+  return point;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace mvopt;
   using namespace mvopt::bench;
 
-  std::string out_path = "results/serving_load.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--out PATH|-]\n", argv[0]);
-      return 2;
-    }
-  }
   const int total = EnvInt("MVOPT_BENCH_QUERIES", 2000);
 
   Workload workload(/*num_views=*/200, /*num_queries=*/64);
@@ -172,11 +211,12 @@ int main(int argc, char** argv) {
   // wakeup overhead the paced run pays per query, so the capacity
   // estimate matches what the open-loop sweep can actually sustain.
   // Parallel workers only add capacity when there are cores to run them.
-  const unsigned host_cores = std::thread::hardware_concurrency();
+  const unsigned hw = std::thread::hardware_concurrency();
+  constexpr int kOpenLoopWorkers = 2;
   double capacity_qps;
   {
     ServingOptions options;
-    options.num_workers = 2;
+    options.num_workers = kOpenLoopWorkers;
     options.queue_capacity = 64;
     ServingService probe(&workload.catalog(), matching.get(), options);
     const int warm = 64;
@@ -191,69 +231,68 @@ int main(int argc, char** argv) {
     const double mean_seconds =
         std::chrono::duration<double>(Clock::now() - start).count() / warm;
     probe.Drain();
-    const double effective_workers = std::min<double>(
-        options.num_workers, std::max(1u, host_cores));
+    const double effective_workers =
+        std::min<double>(options.num_workers, std::max(1u, hw));
     capacity_qps = effective_workers / std::max(mean_seconds, 1e-6);
   }
-  std::printf("# Serving load sweep: open-loop arrivals vs measured capacity "
-              "(%.0f qps)\n", capacity_qps);
-  std::printf("# host cores: %u%s\n", host_cores,
-              host_cores <= 1
-                  ? "  (single-core host: submitter, workers and collector "
-                    "share one core, so absolute latencies are inflated; the "
-                    "bounded-p99 shape is what matters)"
-                  : "");
-  std::printf("%-6s %12s %10s %10s %10s %10s %10s\n", "load", "offered_qps",
-              "admitted", "shed_rate", "p50_ms", "p95_ms", "p99_ms");
 
-  std::vector<LoadPoint> points;
+  JsonReport report("serving_load");
+  report.Caveat(
+      "open_loop rows: 2 workers, arrivals paced against capacity_qps; "
+      "saturation rows: closed loop with 2 queries in flight per worker. "
+      "Worker counts above host_hw_threads (the submitter needs a core "
+      "too) measure scheduling, not scaling");
+  report.Meta("views", 200);
+  report.Meta("capacity_qps", capacity_qps);
+  report.Meta("submissions_per_point", total);
+
+  std::fprintf(stderr,
+               "# open loop, %d workers, measured capacity %.0f qps, "
+               "host hardware threads %u\n",
+               kOpenLoopWorkers, capacity_qps, hw);
+  std::fprintf(stderr, "%-6s %12s %10s %10s %10s %10s %10s\n", "load",
+               "offered_qps", "admitted", "shed_rate", "p50_ms", "p95_ms",
+               "p99_ms");
   for (double multiplier : {0.5, 1.0, 2.0}) {
-    points.push_back(RunPoint(workload, matching.get(), multiplier,
-                              multiplier * capacity_qps, total));
-    const LoadPoint& p = points.back();
-    std::printf("%-6.1f %12.0f %10lld %9.1f%% %10.2f %10.2f %10.2f\n",
-                p.multiplier, p.offered_qps,
-                static_cast<long long>(p.admitted), p.shed_rate * 100.0,
-                p.p50_ms, p.p95_ms, p.p99_ms);
+    const LoadPoint p = RunPoint(workload, matching.get(), multiplier,
+                                 multiplier * capacity_qps, total);
+    std::fprintf(stderr, "%-6.1f %12.0f %10lld %9.1f%% %10.2f %10.2f %10.2f\n",
+                 p.multiplier, p.offered_qps,
+                 static_cast<long long>(p.admitted), p.shed_rate * 100.0,
+                 p.p50_ms, p.p95_ms, p.p99_ms);
+    report.BeginRow();
+    report.Field("phase", "open_loop");
+    report.Field("load_multiplier", p.multiplier);
+    report.Field("offered_qps", p.offered_qps);
+    report.Field("submitted", p.submitted);
+    report.Field("admitted", p.admitted);
+    report.Field("shed", p.shed);
+    report.Field("shed_rate", p.shed_rate);
+    report.Field("p50_ms", p.p50_ms);
+    report.Field("p95_ms", p.p95_ms);
+    report.Field("p99_ms", p.p99_ms);
+    report.EndRow();
   }
 
-  std::string json = "{\n  \"bench\": \"serving_load\",\n";
-  json += "  \"host_cores\": " + std::to_string(host_cores) + ",\n";
-  json += "  \"capacity_qps\": " + JsonNumber(capacity_qps) + ",\n";
-  json += "  \"submissions_per_point\": " + std::to_string(total) + ",\n";
-  json += "  \"points\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    json += "    {\"load_multiplier\": " + JsonNumber(p.multiplier) +
-            ", \"offered_qps\": " + JsonNumber(p.offered_qps) +
-            ", \"submitted\": " + std::to_string(p.submitted) +
-            ", \"admitted\": " + std::to_string(p.admitted) +
-            ", \"shed\": " + std::to_string(p.shed) +
-            ", \"shed_rate\": " + JsonNumber(p.shed_rate) +
-            ", \"p50_ms\": " + JsonNumber(p.p50_ms) +
-            ", \"p95_ms\": " + JsonNumber(p.p95_ms) +
-            ", \"p99_ms\": " + JsonNumber(p.p99_ms) + "}";
-    json += (i + 1 < points.size()) ? ",\n" : "\n";
+  std::fprintf(stderr, "# saturation, closed loop\n%-8s %12s %8s\n",
+               "workers", "throughput", "shed");
+  for (int workers : {1, 2, 4}) {
+    const SaturationPoint p =
+        RunSaturation(workload, matching.get(), workers, total);
+    const double qps = static_cast<double>(p.completed) / p.seconds;
+    std::fprintf(stderr, "%-8d %12.0f %8lld\n", workers, qps,
+                 static_cast<long long>(p.shed));
+    report.BeginRow();
+    report.Field("phase", "saturation");
+    report.Field("num_workers", p.num_workers);
+    report.Field("in_flight", p.window);
+    report.Field("completed", p.completed);
+    report.Field("shed", p.shed);
+    report.Field("tier_escalations", p.tier_escalations);
+    report.Field("seconds", p.seconds);
+    report.Field("throughput_qps", qps);
+    report.EndRow();
   }
-  json += "  ]\n}\n";
-
-  std::string error;
-  if (!ValidateJson(json, &error)) {
-    std::fprintf(stderr, "generated JSON does not validate: %s\n",
-                 error.c_str());
-    return 1;
-  }
-  if (out_path == "-") {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out_path.c_str());
-  }
+  report.Finish();
   return 0;
 }

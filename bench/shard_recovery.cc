@@ -5,17 +5,20 @@
 // per-shard filter-tree and lattice reconstruction, plus the post-replay
 // invariant audit — the CPU-bound path sharding is meant to spread.
 //
-// Caveat: on a single-core container the parallel sweep degenerates to
-// serial plus pool overhead — speedups only appear with real cores.
-// The JSON records the worker count so readers can judge the numbers.
+// Each row also records how many views each shard recovered: parallel
+// recovery finishes with its largest shard, so views / max_shard_views
+// bounds the speedup whatever the core count. On a single-core host the
+// parallel sweep degenerates to serial plus pool overhead.
 //
-// Output: JSON to stdout (redirect into results/shard_recovery.json).
+// Output: JSON to stdout in the bench/bench_report.h envelope (redirect
+// into results/shard_recovery.json).
 //
 // Knobs: MVOPT_BENCH_VIEWS (max views, default 400),
 //        MVOPT_BENCH_STEP  (sweep step, default 100).
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "common/thread_pool.h"
 #include "shard/sharded_catalog_service.h"
 #include "tpch/schema.h"
@@ -50,11 +54,13 @@ struct Row {
   double seed_ms = 0;
   double serial_ms = 0;
   double parallel_ms = 0;
+  std::vector<int> shard_views;  ///< views recovered per shard
 };
 
+/// Times one RecoverAll; fills `shard_views` with each shard's count.
 double TimeRecoverAll(const Catalog* catalog,
                       const ShardedCatalogOptions& options, ThreadPool* pool,
-                      int want_views) {
+                      int want_views, std::vector<int>* shard_views) {
   ShardedCatalogService service(catalog, options);
   const auto start = Clock::now();
   const ShardRecoveryReport report = service.RecoverAll(pool);
@@ -65,8 +71,10 @@ double TimeRecoverAll(const Catalog* catalog,
     std::exit(1);
   }
   int total = 0;
+  shard_views->clear();
   for (int s = 0; s < service.num_shards(); ++s) {
-    total += service.shard_service(s).views().num_views();
+    shard_views->push_back(service.shard_service(s).views().num_views());
+    total += shard_views->back();
   }
   if (total != want_views) {
     std::fprintf(stderr, "recovered %d views, want %d\n", total, want_views);
@@ -101,8 +109,10 @@ Row RunOne(const Catalog* catalog, const std::vector<SpjgQuery>& defs,
     row.seed_ms = MsSince(start);
   }
 
-  row.serial_ms = TimeRecoverAll(catalog, options, nullptr, nviews);
-  row.parallel_ms = TimeRecoverAll(catalog, options, pool, nviews);
+  row.serial_ms =
+      TimeRecoverAll(catalog, options, nullptr, nviews, &row.shard_views);
+  row.parallel_ms =
+      TimeRecoverAll(catalog, options, pool, nviews, &row.shard_views);
 
   const std::string cmd = "rm -rf " + dir;
   (void)::system(cmd.c_str());
@@ -134,26 +144,35 @@ int Main() {
     }
   }
 
-  std::printf("{\n");
-  std::printf("  \"bench\": \"shard_recovery\",\n");
-  std::printf("  \"pool_workers\": %d,\n", workers);
-  std::printf("  \"hardware_concurrency\": %u,\n", hw);
-  std::printf(
-      "  \"note\": \"parallel = one recovery task per shard on the pool; "
-      "on a single-core host this degenerates to serial plus pool "
-      "overhead\",\n");
-  std::printf("  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::printf(
-        "    {\"views\": %d, \"num_shards\": %d, \"seed_ms\": %.3f, "
-        "\"serial_recover_ms\": %.3f, \"parallel_recover_ms\": %.3f, "
-        "\"speedup\": %.3f}%s\n",
-        r.views, r.num_shards, r.seed_ms, r.serial_ms, r.parallel_ms,
-        r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0,
-        i + 1 < rows.size() ? "," : "");
+  bench::JsonReport report("shard_recovery");
+  report.Caveat(
+      "parallel = one recovery task per shard on the pool; speedup is "
+      "bounded by views / max_shard_views and, on a host with fewer "
+      "hardware threads than shards, by the core count");
+  report.Meta("pool_workers", workers);
+  for (const Row& r : rows) {
+    std::string per_shard;
+    for (int n : r.shard_views) {
+      if (!per_shard.empty()) per_shard += ",";
+      per_shard += std::to_string(n);
+    }
+    const int max_shard =
+        *std::max_element(r.shard_views.begin(), r.shard_views.end());
+    report.BeginRow();
+    report.Field("views", r.views);
+    report.Field("num_shards", r.num_shards);
+    report.Field("shard_views", per_shard);
+    report.Field("max_shard_views", max_shard);
+    report.Field("speedup_bound",
+                 static_cast<double>(r.views) / std::max(max_shard, 1));
+    report.Field("seed_ms", r.seed_ms);
+    report.Field("serial_recover_ms", r.serial_ms);
+    report.Field("parallel_recover_ms", r.parallel_ms);
+    report.Field("speedup",
+                 r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0);
+    report.EndRow();
   }
-  std::printf("  ]\n}\n");
+  report.Finish();
   return 0;
 }
 

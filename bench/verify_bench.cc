@@ -43,10 +43,12 @@ int main() {
 
     auto run_once = [&] {
       for (ViewId id = 0; id < service->views().num_views(); ++id) {
-        (void)service->FindSubstitutes(service->views().view(id).query());
+        QueryContext ctx;
+        (void)service->FindSubstitutes(service->views().view(id).query(), ctx);
       }
       for (const SpjgQuery& query : workload.queries()) {
-        (void)service->FindSubstitutes(query);
+        QueryContext ctx;
+        (void)service->FindSubstitutes(query, ctx);
       }
     };
 

@@ -202,7 +202,8 @@ int main(int argc, char** argv) {
   std::shared_ptr<QueryTrace> sample_trace;
   int64_t plans_using_views = 0;
   for (const SpjgQuery& q : workload.queries()) {
-    OptimizationResult r = optimizer.Optimize(q);
+    QueryContext ctx;
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     if (r.uses_view) ++plans_using_views;
     // Keep the most interesting trace: prefer one whose plan used a view.
     if (r.trace != nullptr &&

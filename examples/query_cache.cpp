@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   int cached = 0;
   for (int i = 0; i < num_queries; ++i) {
     SpjgQuery query = gen.GenerateQuery();
-    OptimizationResult result = optimizer.Optimize(query);
+    QueryContext ctx;
+    OptimizationResult result = optimizer.Optimize(query, ctx);
     if (result.plan == nullptr) continue;
     if (result.uses_view) ++hits;
     exec.Execute(result.plan);

@@ -1,6 +1,6 @@
-// Annotated mutex types: thin wrappers over std::mutex /
-// std::shared_mutex carrying the Clang Thread Safety Analysis
-// capability attributes (common/thread_annotations.h), so that
+// Annotated mutex types: thin wrappers over std::mutex carrying the
+// Clang Thread Safety Analysis capability attributes
+// (common/thread_annotations.h), so that
 // MVOPT_GUARDED_BY declarations on shared state are actually enforced —
 // the std types are invisible to the analysis.
 //
@@ -21,7 +21,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -46,24 +45,6 @@ class MVOPT_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Reader-writer mutex (annotated std::shared_mutex).
-class MVOPT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() MVOPT_ACQUIRE() { mu_.lock(); }
-  void Unlock() MVOPT_RELEASE() { mu_.unlock(); }
-  void LockShared() MVOPT_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() MVOPT_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  friend class ReaderLock;
-  friend class WriterLock;
-  std::shared_mutex mu_;
-};
-
 /// Scoped exclusive lock over a Mutex (the std::lock_guard analogue;
 /// also the handle CondVar::Wait requires).
 class MVOPT_SCOPED_CAPABILITY MutexLock {
@@ -77,33 +58,6 @@ class MVOPT_SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-};
-
-/// Scoped shared (reader) lock over a SharedMutex.
-class MVOPT_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) MVOPT_ACQUIRE_SHARED(mu)
-      : lock_(mu.mu_) {}
-  ~ReaderLock() MVOPT_RELEASE() = default;
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  std::shared_lock<std::shared_mutex> lock_;
-};
-
-/// Scoped exclusive (writer) lock over a SharedMutex.
-class MVOPT_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) MVOPT_ACQUIRE(mu) : lock_(mu.mu_) {}
-  ~WriterLock() MVOPT_RELEASE() = default;
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  std::unique_lock<std::shared_mutex> lock_;
 };
 
 /// Condition variable bound to Mutex/MutexLock. Wait releases the lock

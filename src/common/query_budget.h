@@ -7,10 +7,10 @@
 // all layers wind down together and the optimizer can return the best
 // plan found so far instead of throwing or hanging.
 //
-// A budget is per-query state and is NOT thread-safe; give each
-// concurrent optimization its own instance. Passing no budget (nullptr
-// throughout the APIs) keeps every code path byte-identical to the
-// ungoverned behavior.
+// A budget is per-query state and is NOT thread-safe; it lives in the
+// query's QueryContext (common/query_context.h), one per concurrent
+// optimization. A context without a budget keeps every code path
+// byte-identical to the ungoverned behavior.
 
 #ifndef MVOPT_COMMON_QUERY_BUDGET_H_
 #define MVOPT_COMMON_QUERY_BUDGET_H_
@@ -104,9 +104,7 @@ class QueryBudget {
   uint64_t max_staleness() const { return max_staleness_; }
 
   bool has_deadline() const { return has_deadline_; }
-  /// The absolute deadline (meaningful only when has_deadline()). The
-  /// parallel match stage snapshots this so worker threads can compare
-  /// against the clock without touching the (non-thread-safe) budget.
+  /// The absolute deadline (meaningful only when has_deadline()).
   Clock::time_point deadline() const { return deadline_; }
   bool exhausted() const { return reason_ != DegradationReason::kNone; }
   DegradationReason reason() const {
@@ -128,22 +126,15 @@ class QueryBudget {
     }
   }
 
-  /// Hard-exhausts the budget with `reason` (first reason wins, like any
-  /// other limit). Used by the parallel match stage to charge, after the
-  /// workers join, a deadline its workers observed mid-stage — the
-  /// budget itself is never touched off the owning thread.
-  void MarkExhausted(DegradationReason reason) {
-    if (reason_ == DegradationReason::kNone) reason_ = reason;
-  }
-
   /// Clears the sticky degradation state and the per-query usage
   /// counters so one budget can govern a sequence of Optimize() calls
   /// (caps are per query; the wall-clock deadline, being absolute, is
-  /// kept). Called by the optimizer at optimization entry. Resetting
-  /// ticks_ also re-arms the deadline-check stride, so the first tick of
-  /// the next query always reads the clock — an already-expired deadline
-  /// trips immediately instead of up to kDeadlineCheckStride-1 ticks
-  /// later (the deadline-overshoot regression in query_budget_test).
+  /// kept). Called at optimization entry through
+  /// QueryContext::ResetForQuery. Resetting ticks_ also re-arms the
+  /// deadline-check stride, so the first tick of the next query always
+  /// reads the clock — an already-expired deadline trips immediately
+  /// instead of up to kDeadlineCheckStride-1 ticks later (the
+  /// deadline-overshoot regression in query_budget_test).
   void ResetForQuery() {
     reason_ = DegradationReason::kNone;
     advisory_ = DegradationReason::kNone;

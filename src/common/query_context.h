@@ -1,34 +1,31 @@
 // QueryContext: the single per-query object threaded through every layer
 // of the matching/optimization pipeline (FilterTree probes →
-// MatchingService stages → RewriteChecker → Optimizer). Four PRs of
-// growth each added a loose cross-cutting parameter (QueryBudget*,
-// QueryTrace*, staleness tolerance, failpoint/observe knobs); the
-// context replaces the bundle with one handle that owns or borrows:
+// MatchingService stages → RewriteChecker → Optimizer). It is the only
+// way to pass per-query state into those layers, and it carries:
 //
 //   - the resource budget (deadline, candidate/memo caps, degradation
-//     state — see common/query_budget.h),
+//     state — see common/query_budget.h), owned by the context,
 //   - the per-query trace recorder (observe/trace.h, borrowed; common/
 //     stays below observe/ so only the pointer lives here),
 //   - an observe hook invoked at every pipeline stage boundary (how the
 //     golden-order tests watch the staged pipeline without a registry),
 //   - the staleness tolerance (merged with the budget's, maximum wins),
 //   - the query's RNG seed (deterministic tie-breaking / sampling for
-//     layers that need randomness; never consult a global generator),
-//   - the match-stage parallelism knobs (a borrowed ThreadPool and the
-//     minimum candidate count that justifies fanning out).
+//     layers that need randomness; never consult a global generator).
 //
 // A context is per-query state and is NOT thread-safe; give each
-// concurrent optimization its own instance (the pool it borrows may be
-// shared — ThreadPool::RunBatch is). A default-constructed context is
-// byte-for-byte equivalent to the legacy no-budget/no-trace call paths:
-// no deadline, fresh-views-only, serial matching.
+// concurrent optimization its own instance. A default-constructed
+// context means no deadline, no caps and fresh views only. A context may
+// be reused for a sequence of queries: Optimizer::Optimize calls
+// ResetForQuery() at entry, so no outcome of one query leaks into the
+// next.
 
 #ifndef MVOPT_COMMON_QUERY_CONTEXT_H_
 #define MVOPT_COMMON_QUERY_CONTEXT_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/query_budget.h"
@@ -36,7 +33,6 @@
 namespace mvopt {
 
 class QueryTrace;  // observe/trace.h (layered above common/)
-class ThreadPool;  // common/thread_pool.h
 
 class QueryContext {
  public:
@@ -50,28 +46,26 @@ class QueryContext {
 
   // --- budget -------------------------------------------------------------
 
-  /// Installs an owned budget (replacing any borrowed one) and returns
-  /// it for configuration.
-  QueryBudget& EmplaceBudget() {
-    owned_budget_ = std::make_unique<QueryBudget>();
-    budget_ = owned_budget_.get();
-    return *budget_;
+  /// Installs a fresh budget (replacing any earlier one) and returns it
+  /// for configuration.
+  QueryBudget& EmplaceBudget() { return budget_.emplace(); }
+  /// Null when no budget was installed (ungoverned query).
+  QueryBudget* budget() { return budget_ ? &*budget_ : nullptr; }
+  const QueryBudget* budget() const { return budget_ ? &*budget_ : nullptr; }
+
+  /// Clears every per-query outcome so the context can govern the next
+  /// query: the budget's degradation state and usage counters (its
+  /// limits and absolute deadline are kept) and the local advisory.
+  /// Called by Optimizer::Optimize at entry.
+  void ResetForQuery() {
+    if (budget_) budget_->ResetForQuery();
+    advisory_ = DegradationReason::kNone;
   }
-  /// Borrows an external budget (may be null = ungoverned). The legacy
-  /// pointer-parameter overloads funnel through this.
-  void BorrowBudget(QueryBudget* budget) {
-    owned_budget_.reset();
-    budget_ = budget;
-  }
-  QueryBudget* budget() { return budget_; }
-  const QueryBudget* budget() const { return budget_; }
 
   /// Cooperative deadline check (no-op without a budget). Returns true
   /// when the query should wind down.
-  bool TickDeadline() {
-    return budget_ != nullptr && budget_->TickDeadline();
-  }
-  bool exhausted() const { return budget_ != nullptr && budget_->exhausted(); }
+  bool TickDeadline() { return budget_ && budget_->TickDeadline(); }
+  bool exhausted() const { return budget_ && budget_->exhausted(); }
 
   // --- degradation --------------------------------------------------------
 
@@ -81,7 +75,7 @@ class QueryContext {
   /// local path mirrors the budget's priority rule: first advisory wins
   /// except kPartialCatalog, which replaces any other advisory.
   void NoteDegradation(DegradationReason reason) {
-    if (budget_ != nullptr) {
+    if (budget_) {
       budget_->NoteDegradation(reason);
     } else if (advisory_ == DegradationReason::kNone ||
                (reason == DegradationReason::kPartialCatalog &&
@@ -90,7 +84,7 @@ class QueryContext {
     }
   }
   DegradationReason degradation() const {
-    return budget_ != nullptr ? budget_->reason() : advisory_;
+    return budget_ ? budget_->reason() : advisory_;
   }
 
   // --- trace / observe hooks ----------------------------------------------
@@ -124,7 +118,7 @@ class QueryContext {
   /// the maximum of this and the budget's (0 = fresh views only).
   void set_max_staleness(uint64_t epochs) { max_staleness_ = epochs; }
   uint64_t max_staleness() const {
-    const uint64_t b = budget_ != nullptr ? budget_->max_staleness() : 0;
+    const uint64_t b = budget_ ? budget_->max_staleness() : 0;
     return max_staleness_ > b ? max_staleness_ : b;
   }
 
@@ -136,33 +130,14 @@ class QueryContext {
   void set_rng_seed(uint64_t seed) { rng_seed_ = seed; }
   uint64_t rng_seed() const { return rng_seed_; }
 
-  // --- match-stage parallelism --------------------------------------------
-
-  /// Borrows a thread pool for the match stage. Null (the default) keeps
-  /// the stage serial — plans and substitute ordering byte-identical to
-  /// the pre-pipeline implementation. The pool may be shared across
-  /// concurrent queries and must outlive every context borrowing it.
-  void set_match_pool(ThreadPool* pool) { match_pool_ = pool; }
-  ThreadPool* match_pool() const { return match_pool_; }
-
-  /// Candidate count below which the match stage stays serial even with
-  /// a pool attached (dispatch overhead beats the win on tiny sets —
-  /// with the filter tree at the paper's prune ratios most probes leave
-  /// a handful of candidates).
-  void set_min_parallel_candidates(int n) { min_parallel_candidates_ = n; }
-  int min_parallel_candidates() const { return min_parallel_candidates_; }
-
  private:
-  QueryBudget* budget_ = nullptr;
-  std::unique_ptr<QueryBudget> owned_budget_;
+  std::optional<QueryBudget> budget_;
   DegradationReason advisory_ = DegradationReason::kNone;
   QueryTrace* trace_ = nullptr;
   StageHook stage_hook_;
   bool suppress_trace_ = false;
   uint64_t max_staleness_ = 0;
   uint64_t rng_seed_ = 0x9e3779b97f4a7c15ull;
-  ThreadPool* match_pool_ = nullptr;
-  int min_parallel_candidates_ = 4;
 };
 
 }  // namespace mvopt

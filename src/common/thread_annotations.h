@@ -11,8 +11,7 @@
 // the annotations are free documentation.
 //
 // The annotated capability types the rest of the tree uses (Mutex,
-// SharedMutex, MutexLock, ReaderLock, WriterLock, CondVar) live in
-// common/mutex.h; raw std::mutex / std::shared_mutex members are
+// MutexLock, CondVar) live in common/mutex.h; raw std::mutex members are
 // invisible to the analysis and should not be used for shared state.
 //
 // tools/ci/run_static_analysis.sh builds the tree with the gate on and
@@ -44,7 +43,7 @@
 #define MVOPT_CAPABILITY(x) MVOPT_TSA_(capability(x))
 
 /// Marks an RAII type whose constructor acquires and destructor
-/// releases a capability (MutexLock, ReaderLock, ...).
+/// releases a capability (MutexLock).
 #define MVOPT_SCOPED_CAPABILITY MVOPT_TSA_(scoped_lockable)
 
 // --- data annotations ------------------------------------------------------

@@ -1,6 +1,6 @@
-// A small fixed thread pool for the matching pipeline's batched match
-// stage (and any future intra-query parallelism: sharded catalog probes,
-// batched workloads). Design goals, in order:
+// A small fixed thread pool for parallel shard recovery
+// (ShardedCatalogService::RecoverAll runs one task per shard on it).
+// Design goals, in order:
 //
 //   1. Determinism stays the caller's property: the pool only runs the
 //      closures it is given; callers assign each work item its own
@@ -15,15 +15,14 @@
 //      cross-thread communication is annotated-mutex / condition-
 //      variable / atomic based (every guarded member carries its
 //      MVOPT_GUARDED_BY); tasks must not throw (wrap fallible work, as
-//      the match stage does per candidate).
+//      shard recovery does per shard).
 //
 // Lock order: the pool-wide mu_ and a batch's Batch::mu are never held
 // together — queue operations take mu_, completion accounting takes the
 // batch's own lock after mu_ is dropped.
 //
 // The pool is intentionally minimal — no futures, no stealing, no
-// priorities. It exists to be the seam `QueryContext::match_pool` plugs
-// into, not a general executor.
+// priorities. It exists for shard recovery, not as a general executor.
 
 #ifndef MVOPT_COMMON_THREAD_POOL_H_
 #define MVOPT_COMMON_THREAD_POOL_H_
@@ -63,7 +62,6 @@ class ThreadPool {
   /// exiting, and RunBatch stays usable after shutdown: the caller
   /// participates in its own batch, so every batch — including one
   /// racing the stop — still completes, just on the submitting thread.
-  /// This is the property the serving layer's drain path leans on.
   void Shutdown() MVOPT_EXCLUDES(mu_) {
     bool do_join = false;
     {

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "query/parser.h"
 
 namespace mvopt {
@@ -353,7 +352,7 @@ void MatchingService::LogViewEventLocked(const ViewCatalog& views, ViewId id) {
 ViewDefinition* MatchingService::AddView(const std::string& name,
                                          SpjgQuery definition,
                                          std::string* error) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   // Build the next generation on a private clone: probes keep running
   // against the published snapshot, and any failure below just discards
   // the clone — rollback is structural, not compensating.
@@ -502,9 +501,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
 
   // Tier dispatch setup: the query-side context is built once per probe,
   // and only when some gated candidate actually carries a compiled
-  // program (an all-generic catalog pays nothing). It is read-only
-  // during the stage, so the parallel path shares it across workers;
-  // each worker keeps its own scratch.
+  // program (an all-generic catalog pays nothing).
   bool any_compiled = false;
   for (const GatedCandidate& g : gated) {
     if (snap.views.program(g.id) != nullptr) {
@@ -545,75 +542,13 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
     if (timed) o.seconds = SecondsSince(start, SteadyClock::now());
   };
 
-  ThreadPool* pool = ctx.match_pool();
-  const bool parallel =
-      pool != nullptr && pool->num_workers() > 0 &&
-      static_cast<int>(gated.size()) >= ctx.min_parallel_candidates();
-
-  if (!parallel) {
-    MatchProgramScratch scratch;
-    for (size_t i = 0; i < gated.size(); ++i) {
-      if (ctx.TickDeadline()) {
-        *truncated = true;
-        break;  // remaining slots stay kSkipped
-      }
-      match_one(snap.views.view(gated[i].id), scratch, outcomes[i]);
+  MatchProgramScratch scratch;
+  for (size_t i = 0; i < gated.size(); ++i) {
+    if (ctx.TickDeadline()) {
+      *truncated = true;
+      break;  // remaining slots stay kSkipped
     }
-    return outcomes;
-  }
-
-  // Parallel batch. The budget is not thread-safe, so workers never
-  // touch it: the deadline is snapshotted here, each task compares the
-  // clock against it and raises a shared stop flag, and the exhaustion
-  // is charged to the budget after the join. Each task writes only its
-  // own outcome slots; the serial compensate stage merges the slots in
-  // candidate order, so results are identical for any worker count.
-  //
-  // Tasks are contiguous candidate RANGES, not single candidates: the
-  // typical candidate is rejected by the matcher's table-set screen in
-  // well under a microsecond, so per-candidate closures would spend
-  // more time in dispatch (closure allocation, claim, completion lock)
-  // than in matching. A few chunks per drainer (workers + the calling
-  // thread) keeps the batch balanced while amortizing that overhead.
-  QueryBudget* budget = ctx.budget();
-  const bool has_deadline = budget != nullptr && budget->has_deadline();
-  const QueryBudget::Clock::time_point deadline =
-      has_deadline ? budget->deadline() : QueryBudget::Clock::time_point{};
-  std::atomic<bool> stop{false};
-  const size_t drainers = static_cast<size_t>(pool->num_workers()) + 1;
-  const size_t num_chunks = std::min(gated.size(), drainers * 4);
-  const size_t chunk = (gated.size() + num_chunks - 1) / num_chunks;
-  // The snapshot reference is bound here, under the caller's pin (or
-  // reader lock), and stays valid for the batch because RunBatch joins
-  // before the pin is released; workers therefore never touch service
-  // state at all — only the immutable snapshot.
-  const ViewCatalog& catalog_snapshot = snap.views;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(num_chunks);
-  for (size_t begin = 0; begin < gated.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, gated.size());
-    tasks.emplace_back([&catalog_snapshot, &match_one, &gated, &outcomes,
-                        &stop, has_deadline, deadline, begin, end] {
-      // Worker-local scratch: match_one shares only the immutable
-      // snapshot and the read-only probe context across threads.
-      MatchProgramScratch scratch;
-      for (size_t i = begin; i < end; ++i) {
-        if (stop.load(std::memory_order_relaxed)) return;  // slots stay
-                                                           // kSkipped
-        if (has_deadline && QueryBudget::Clock::now() >= deadline) {
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        match_one(catalog_snapshot.view(gated[i].id), scratch, outcomes[i]);
-      }
-    });
-  }
-  pool->RunBatch(tasks);
-  if (stop.load(std::memory_order_relaxed)) {
-    if (budget != nullptr) {
-      budget->MarkExhausted(DegradationReason::kDeadlineExceeded);
-    }
-    *truncated = true;
+    match_one(snap.views.view(gated[i].id), scratch, outcomes[i]);
   }
   return outcomes;
 }
@@ -653,8 +588,7 @@ void MatchingService::StageCompensate(
       continue;
     }
     // Cross-check: replay this compiled verdict against the generic
-    // oracle (serial, candidate order — the replay itself never runs in
-    // the parallel batch). A disagreement is a compiler or executor bug;
+    // oracle. A disagreement is a compiler or executor bug;
     // in enforce mode the disagreeing view trips the same circuit
     // breaker verify rejections use, and the oracle's verdict replaces
     // the compiled one — so enforce-mode plans, ordering and stats are
@@ -773,7 +707,7 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
     NoteStage(ctx, trace, QueryTrace::Stage::kPrefilter, "prefilter", s);
   }
 
-  // Stage 3 (match): serial or batched-parallel matcher runs.
+  // Stage 3 (match): one match test per gated candidate.
   std::vector<MatchOutcome> outcomes =
       StageMatch(snap, query, gated, ctx, &truncated);
   if (observing) {
@@ -831,25 +765,10 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
 
 std::vector<Substitute> MatchingService::FindSubstitutes(
     const SpjgQuery& query, QueryContext& ctx) {
-  if (options_.probe_mode == ProbeMode::kReaderLock) {
-    // A/B baseline: the pre-snapshot shared-lock discipline. Holding the
-    // writer mutex shared keeps the current snapshot published (retiring
-    // it requires the exclusive lock), so no pin is needed.
-    ReaderLock lock(mu_);
-    return FindSubstitutesOn(*SnapshotLocked(), query, ctx);
-  }
-  // Production path: pin the snapshot, probe lock-free. The pin blocks
-  // reclamation (not publication) of the generation the probe walks.
+  // Pin the snapshot, probe lock-free. The pin blocks reclamation (not
+  // publication) of the generation the probe walks.
   EpochPin pin(reclaim_);
   return FindSubstitutesOn(*PinnedSnapshot(), query, ctx);
-}
-
-std::vector<Substitute> MatchingService::FindSubstitutes(
-    const SpjgQuery& query, QueryBudget* budget, QueryTrace* trace) {
-  QueryContext ctx;
-  ctx.BorrowBudget(budget);
-  ctx.set_trace(trace);
-  return FindSubstitutes(query, ctx);
 }
 
 void MatchingService::RecordVerifyRejection(const CatalogSnapshot& snap,
@@ -872,14 +791,14 @@ void MatchingService::RecordVerifyRejection(const CatalogSnapshot& snap,
 // --- durability -----------------------------------------------------------
 
 void MatchingService::AttachStore(CatalogStore* store) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   store->OpenForAppend();
   store_ = store;
   WireStoreCountersLocked();
 }
 
 RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   assert(SnapshotLocked()->views.num_views() == 0 &&
          "recovery must target an empty service");
   CatalogStore::RecoveredState recovered = store->Recover();
@@ -956,7 +875,7 @@ RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
 }
 
 void MatchingService::Checkpoint() {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   assert(store_ != nullptr && "Checkpoint requires an attached store");
   const ViewCatalog& views = SnapshotLocked()->views;
   std::vector<PersistedView> images;
@@ -970,7 +889,7 @@ void MatchingService::Checkpoint() {
 // --- lifecycle ------------------------------------------------------------
 
 bool MatchingService::ReportChecksumMismatch(ViewId id) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   if (!lifecycle_.ReportChecksumMismatch(id)) return false;
   if (static_cast<size_t>(id) < in_tree_.size() && in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*SnapshotLocked());
@@ -984,7 +903,7 @@ bool MatchingService::ReportChecksumMismatch(ViewId id) {
 
 int MatchingService::RevalidationTick(
     const std::function<bool(const ViewDefinition&)>& validate) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   const int64_t tick = ++revalidation_tick_;
   CatalogSnapshot* current = SnapshotLocked();
   GrowBookkeepingLocked(current->views.num_views());
@@ -1044,7 +963,7 @@ int MatchingService::RevalidationTick(
 }
 
 bool MatchingService::ReadmitView(ViewId id) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   CatalogSnapshot* current = SnapshotLocked();
   GrowBookkeepingLocked(current->views.num_views());
   const TableEpochClock* clock = epochs_.load(std::memory_order_acquire);
@@ -1068,7 +987,7 @@ bool MatchingService::ReadmitView(ViewId id) {
 
 void MatchingService::ReplaceProgramForTest(
     ViewId id, std::shared_ptr<const MatchProgram> program) {
-  WriterLock lock(mu_);
+  MutexLock lock(mu_);
   auto next = std::make_unique<CatalogSnapshot>(*SnapshotLocked());
   next->views.SetProgram(id, std::move(program));
   PublishLocked(std::move(next));
@@ -1185,18 +1104,8 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstituteOn(
 
 std::optional<UnionSubstitute> MatchingService::FindUnionSubstitute(
     const SpjgQuery& query, QueryContext& ctx) {
-  if (options_.probe_mode == ProbeMode::kReaderLock) {
-    ReaderLock lock(mu_);
-    return FindUnionSubstituteOn(*SnapshotLocked(), query, ctx);
-  }
   EpochPin pin(reclaim_);
   return FindUnionSubstituteOn(*PinnedSnapshot(), query, ctx);
-}
-
-std::optional<UnionSubstitute> MatchingService::FindUnionSubstitute(
-    const SpjgQuery& query) {
-  QueryContext ctx;
-  return FindUnionSubstitute(query, ctx);
 }
 
 }  // namespace mvopt

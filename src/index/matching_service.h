@@ -20,10 +20,6 @@
 // if indexing or logging fails after catalog registration, the clone is
 // simply discarded — the published snapshot never contains partial
 // state.
-// Options::probe_mode == kReaderLock selects the pre-snapshot discipline
-// (a shared lock on the writer mutex) for A/B benchmarking and the
-// byte-identity cross-check; results, ordering and stats are identical
-// on both paths.
 //
 // Stats are *probe-atomic*: each probe accumulates its counters locally
 // and commits them in one critical section at the end, so a stats()
@@ -38,7 +34,7 @@
 // counters, reject reasons, probe-latency histogram, lifecycle
 // transitions, WAL counters, snapshot lifecycle gauges) into the shared
 // MetricsRegistry and mirrors every probe commit into them; a QueryTrace
-// passed to FindSubstitutes additionally records per-stage wall clock
+// on the probe's QueryContext additionally records per-stage wall clock
 // and per-candidate verdicts.
 //
 // View lifecycle (rewrite/view_lifecycle.h): every view carries a
@@ -164,17 +160,9 @@ struct CatalogSnapshot {
 
 class MatchingService : public SubstituteSource {
  public:
-  /// How probes synchronize with writers. kSnapshot is the production
-  /// path: pin the published snapshot, no shared locks. kReaderLock is
-  /// the pre-snapshot discipline (shared lock on the writer mutex),
-  /// kept as the A/B baseline for bench/snapshot_scaling and the
-  /// byte-identity cross-check in tests/snapshot_test.cc.
-  enum class ProbeMode { kSnapshot, kReaderLock };
-
   struct Options {
     bool use_filter_tree = true;
     MatchOptions match;
-    ProbeMode probe_mode = ProbeMode::kSnapshot;
     /// Soundness checking of produced substitutes: off, log (count and
     /// trace rejections, keep everything) or enforce (discard unproven
     /// substitutes).
@@ -227,24 +215,11 @@ class MatchingService : public SubstituteSource {
   /// wall clock + NoteStageBoundary) and stage hook. The context
   /// supplies the budget (candidate enumeration and matching stop
   /// cooperatively on exhaustion, returning the substitutes found so
-  /// far), the staleness tolerance (how far behind a substituted view
-  /// may lag; default: fresh views only) and, optionally, a ThreadPool
-  /// for the match stage. Without a pool (the default) the pipeline is
-  /// serial and its results are byte-identical to the pre-pipeline
-  /// implementation; with one, candidates are matched in parallel
-  /// batches but results, ordering and stats are still deterministic —
-  /// each candidate fills its own outcome slot and the slots are merged
-  /// in candidate order by the serial compensate stage, so worker count
-  /// and scheduling never show through. The context (and its trace) must
-  /// not be shared across concurrent probes; the pool may be.
+  /// far) and the staleness tolerance (how far behind a substituted view
+  /// may lag; default: fresh views only). The context (and its trace)
+  /// must not be shared across concurrent probes.
   std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
                                           QueryContext& ctx) override
-      MVOPT_EXCLUDES(mu_);
-
-  /// Back-compat loose-parameter form: forwards through a local context.
-  std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
-                                          QueryBudget* budget = nullptr,
-                                          QueryTrace* trace = nullptr)
       MVOPT_EXCLUDES(mu_);
 
   /// §7 extension: a union substitute assembled from several
@@ -256,10 +231,6 @@ class MatchingService : public SubstituteSource {
   /// "union-match" span into the trace / stage hook.
   std::optional<UnionSubstitute> FindUnionSubstitute(
       const SpjgQuery& query, QueryContext& ctx) override MVOPT_EXCLUDES(mu_);
-
-  /// Back-compat form: default context (no deadline, fresh views only).
-  std::optional<UnionSubstitute> FindUnionSubstitute(const SpjgQuery& query)
-      MVOPT_EXCLUDES(mu_);
 
   /// SubstituteSource: the definition behind one of this service's view
   /// ids. Safe from any thread: the lookup pins the current snapshot,
@@ -488,10 +459,8 @@ class MatchingService : public SubstituteSource {
     uint64_t lag = 0;
   };
 
-  /// Per-candidate outcome slot of the match stage. Slots are written by
-  /// at most one thread (serial loop or the worker that claimed the
-  /// item) and merged in candidate order by the serial compensate stage,
-  /// which is what makes the parallel path deterministic.
+  /// Per-candidate outcome slot of the match stage, read in candidate
+  /// order by the compensate stage.
   struct MatchOutcome {
     enum class Kind : uint8_t {
       kSkipped = 0,  ///< never attempted (deadline hit before this slot)
@@ -519,10 +488,9 @@ class MatchingService : public SubstituteSource {
       MVOPT_REQUIRES_SHARED(reclaim_) {
     return snapshot_.load(std::memory_order_seq_cst);
   }
-  /// The published snapshot under the writer mutex (shared suffices:
-  /// publication requires the exclusive lock, so the snapshot cannot be
-  /// retired while any reader holds mu_).
-  CatalogSnapshot* SnapshotLocked() const MVOPT_REQUIRES_SHARED(mu_) {
+  /// The published snapshot under the writer mutex (publication requires
+  /// mu_, so the snapshot cannot be retired while it is held).
+  CatalogSnapshot* SnapshotLocked() const MVOPT_REQUIRES(mu_) {
     return snapshot_.load(std::memory_order_acquire);
   }
   /// Swaps `next` in as the published snapshot, retires the old one into
@@ -544,20 +512,16 @@ class MatchingService : public SubstituteSource {
       const CatalogSnapshot& snap, const std::vector<ViewId>& candidates,
       QueryContext& ctx, ProbeDelta* delta, int64_t* stale_rejects,
       bool* truncated);
-  /// Stage 3 (match): runs the matcher over the gated candidates —
-  /// serially, or in one ThreadPool batch when the context attached a
-  /// pool and the candidate set is large enough. Workers never touch the
-  /// budget: they compare against a snapshotted deadline and raise a
-  /// shared stop flag; the charge is applied after the join. The
-  /// caller's pin keeps the snapshot alive across the join.
+  /// Stage 3 (match): runs the matcher over the gated candidates in
+  /// candidate order, ticking the deadline before each; sets *truncated
+  /// when the budget cut the loop short.
   std::vector<MatchOutcome> StageMatch(const CatalogSnapshot& snap,
                                        const SpjgQuery& query,
                                        const std::vector<GatedCandidate>& gated,
                                        QueryContext& ctx, bool* truncated);
-  /// Stage 4 (compensate): serial, candidate-order walk of the outcome
-  /// slots — verification (soundness checker / quarantine bookkeeping),
-  /// stats accounting and trace verdicts all happen here, so the stats
-  /// delta is identical however the match stage was scheduled. `mode` is
+  /// Stage 4 (compensate): candidate-order walk of the outcome slots —
+  /// verification (soundness checker / quarantine bookkeeping), stats
+  /// accounting and trace verdicts all happen here. `mode` is
   /// the probe's verify-mode snapshot (taken once, see verify_mode_).
   /// `xmode` is the probe's cross-check snapshot: compiled verdicts are
   /// replayed against the generic oracle here (serial, candidate order),
@@ -572,9 +536,8 @@ class MatchingService : public SubstituteSource {
                        ProbeDelta* delta, std::vector<Substitute>* fresh,
                        std::vector<Substitute>* stale);
 
-  /// The probe pipeline over one consistent snapshot. The caller
-  /// guarantees `snap` stays alive for the duration (EpochPin on the
-  /// snapshot path, a shared writer-mutex hold on the reader-lock path).
+  /// The probe pipeline over one consistent snapshot. The caller's
+  /// EpochPin keeps `snap` alive for the duration.
   std::vector<Substitute> FindSubstitutesOn(const CatalogSnapshot& snap,
                                             const SpjgQuery& query,
                                             QueryContext& ctx);
@@ -611,12 +574,10 @@ class MatchingService : public SubstituteSource {
   RewriteChecker checker_;   ///< stateless per-call; Check() is const
 
   /// The writer mutex: serializes AddView / recovery / revalidation /
-  /// checkpoint (held exclusive while cloning and publishing), and doubles
-  /// as the reader-lock baseline's probe lock (held shared) in
-  /// ProbeMode::kReaderLock. Always acquired before stats_mu_ and before
-  /// the attached store's internal mutex. Snapshot-path probes never
-  /// touch it.
-  mutable SharedMutex mu_ MVOPT_ACQUIRED_BEFORE(stats_mu_);
+  /// checkpoint (held while cloning and publishing). Always acquired
+  /// before stats_mu_ and before the attached store's internal mutex.
+  /// Probes never touch it.
+  mutable Mutex mu_ MVOPT_ACQUIRED_BEFORE(stats_mu_);
   /// Guards the probe-atomic stats below: probes take it once per probe
   /// (to commit their delta), snapshots and resets take it for the whole
   /// read-or-swap. Never held together with mu_ waits.

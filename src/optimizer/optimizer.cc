@@ -796,27 +796,14 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
 }
 
 OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
-                                       QueryBudget* budget) {
-  QueryContext qctx;
-  qctx.BorrowBudget(budget);
-  OptimizationResult result = Optimize(query, qctx);
-  if (budget == nullptr) {
-    // The loose form never reported advisory degradations without a
-    // budget to carry them; keep that contract exact.
-    result.degradation = DegradationReason::kNone;
-  }
-  return result;
-}
-
-OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
                                        QueryContext& qctx) {
   assert(query.num_tables() <= 30);
-  QueryBudget* budget = qctx.budget();
-  // A budget object may be reused across queries; per-query outcome
-  // state (degradation reason, tick/candidate counters) must not leak
-  // from one optimization into the next. Limits and the wall-clock
+  // A context may be reused across queries; per-query outcome state
+  // (degradation reason and advisory, tick/candidate counters) must not
+  // leak from one optimization into the next. Limits and the wall-clock
   // deadline are preserved.
-  if (budget != nullptr) budget->ResetForQuery();
+  qctx.ResetForQuery();
+  QueryBudget* budget = qctx.budget();
   Context ctx;
   ctx.query = &query;
   ctx.qctx = &qctx;

@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 
 namespace mvopt {
 
@@ -351,7 +350,6 @@ ServeResult ServingService::ExecuteQuery(const ServeTicket& ticket,
   if (ticket.has_deadline_) budget.set_deadline(ticket.deadline_);
   budget.set_max_staleness(ticket.request_.max_staleness);
   ctx.set_rng_seed(ticket.request_.rng_seed);
-  ctx.set_match_pool(options_.match_pool);
   switch (tier) {
     case ServingTier::kFull:
       break;

@@ -54,8 +54,6 @@
 
 namespace mvopt {
 
-class ThreadPool;
-
 /// One query submission. The query is copied into the ticket (SpjgQuery
 /// is shared_ptr-backed plain data), so the caller's copy may go out of
 /// scope before the ticket completes.
@@ -179,9 +177,6 @@ struct ServingOptions {
   /// Serving-layer observability (queue gauges, shed counters, wait
   /// histograms). Independent of optimizer.observe.
   ObserveOptions observe;
-  /// Shared match-stage pool handed to every query's context (may be
-  /// null = serial matching). Borrowed; must outlive the service.
-  ThreadPool* match_pool = nullptr;
   /// Clock used for token-bucket refill only (never for query
   /// deadlines, which must track the real QueryBudget clock). Tests
   /// inject a manual clock to pin quota decisions; null = steady_clock.

@@ -193,7 +193,8 @@ TEST_F(BackjoinTest, EndToEndExecutionMatchesReference) {
   db.MaterializeView(v);
 
   SpjgQuery query = RetailPriceQuery();
-  auto subs = service.FindSubstitutes(query);
+  QueryContext ctx;
+  auto subs = service.FindSubstitutes(query, ctx);
   ASSERT_EQ(subs.size(), 1u);
   ASSERT_FALSE(subs[0].backjoins.empty());
   auto expected = Canonicalize(db.ExecuteSpjg(query));
@@ -230,7 +231,8 @@ TEST_F(BackjoinTest, OptimizePricesBackjoinedRangeOnTheBaseTable) {
                              Expr::MakeLiteral(Value::Double(905.0))));
   qb.Output(qb.Col(p, "p_partkey"));
   Optimizer optimizer(&catalog_, &service);
-  OptimizationResult r = optimizer.Optimize(qb.Build());
+  QueryContext ctx;
+  OptimizationResult r = optimizer.Optimize(qb.Build(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_GT(r.metrics.substitutes_produced, 0);
 }
@@ -282,7 +284,8 @@ TEST_F(BackjoinTest, BackjoinedRangeIsPricedWithBaseTableStatistics) {
   qb.GroupBy(qb.Col(qo, "o_orderkey"));
 
   Optimizer optimizer(&catalog_, &service);
-  OptimizationResult r = optimizer.Optimize(qb.Build());
+  QueryContext ctx;
+  OptimizationResult r = optimizer.Optimize(qb.Build(), ctx);
   const PhysPlan* scan = FindViewScan(r.plan);
   ASSERT_NE(scan, nullptr) << "the view plan should win";
   ASSERT_EQ(scan->substitute.backjoins.size(), 1u);

@@ -126,7 +126,8 @@ TEST_F(CheckConstraintTest, FilterTreeAdmitsCheckDischargedViews) {
   vb.Output(vb.Col(l, "l_orderkey"));
   vb.Output(vb.Col(l, "l_quantity"));
   ASSERT_NE(service.AddView("v", vb.Build(), &error), nullptr) << error;
-  auto subs = service.FindSubstitutes(UnconstrainedQuery());
+  QueryContext ctx;
+  auto subs = service.FindSubstitutes(UnconstrainedQuery(), ctx);
   EXPECT_EQ(subs.size(), 1u);
 }
 

@@ -58,8 +58,9 @@ class ConcurrencyStressTest : public ::testing::Test {
   /// Sorted substituted view ids per query — the cross-check signature.
   std::vector<ViewId> Signature(MatchingService* service,
                                 const SpjgQuery& query) {
+    QueryContext ctx;
     std::vector<ViewId> ids;
-    for (const Substitute& s : service->FindSubstitutes(query)) {
+    for (const Substitute& s : service->FindSubstitutes(query, ctx)) {
       ids.push_back(s.view_id);
     }
     std::sort(ids.begin(), ids.end());
@@ -96,9 +97,8 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
   // Phase 1: one writer registers the remaining views while reader
   // threads hammer every query. Each probe must complete against a
   // consistent snapshot — no crash, no torn candidate set. Readers run
-  // a bounded number of rounds and yield between them: shared_mutex
-  // implementations may prefer readers, and an unbounded probe loop
-  // could starve the writer indefinitely.
+  // a bounded number of rounds and pause between them, so the writer's
+  // registrations interleave with the probes.
   std::atomic<int64_t> probes{0};
   std::thread writer([&] {
     AddViewRange(&service, kInitialViews, kNumViews);
@@ -108,7 +108,9 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           for (const Substitute& s : subs) {
             EXPECT_NE(s.view_id, kInvalidViewId);
           }
@@ -140,6 +142,38 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
   for (size_t q = 0; q < queries_.size(); ++q) {
     EXPECT_EQ(actual[q], expected[q]) << "query " << q;
   }
+}
+
+TEST_F(ConcurrencyStressTest, DeadlinesStayIsolatedPerQuery) {
+  // Some probers run with an already-expired deadline, others ungoverned,
+  // all against one service: the expired ones must come back empty and
+  // exhausted, the ungoverned ones must still get full answers — one
+  // query's deadline must never poison another's budget.
+  MatchingService service(&catalog_);
+  AddViewRange(&service, 0, kNumViews);
+  std::vector<std::vector<ViewId>> expected = ReferenceSignatures();
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kNumReaders; ++t) {
+    const bool expired = (t % 2 == 0);
+    threads.emplace_back([&, t, expired] {
+      for (int round = 0; round < 6; ++round) {
+        for (size_t q = t; q < queries_.size(); q += kNumReaders) {
+          if (!expired) {
+            EXPECT_EQ(Signature(&service, queries_[q]), expected[q])
+                << "query " << q;
+            continue;
+          }
+          QueryContext ctx;
+          ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
+                                           std::chrono::milliseconds(1));
+          EXPECT_TRUE(service.FindSubstitutes(queries_[q], ctx).empty());
+          EXPECT_TRUE(ctx.exhausted());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 TEST_F(ConcurrencyStressTest, InterleavedWritersKeepTheCatalogConsistent) {
@@ -193,7 +227,8 @@ TEST_F(ConcurrencyStressTest, InjectedMatcherFaultsStayIsolatedUnderLoad) {
     readers.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
         for (const SpjgQuery& q : queries_) {
-          EXPECT_NO_THROW((void)service.FindSubstitutes(q));
+          QueryContext ctx;
+          EXPECT_NO_THROW((void)service.FindSubstitutes(q, ctx));
         }
       }
     });
@@ -227,7 +262,8 @@ TEST_F(ConcurrencyStressTest, StatsSnapshotsNeverTearUnderConcurrentProbes) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
           probes.fetch_add(1);
         }
       }
@@ -253,7 +289,10 @@ TEST_F(ConcurrencyStressTest, StatsSnapshotsNeverTearUnderConcurrentProbes) {
   // kRounds * (one serial pass) — nothing lost, nothing double-counted.
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   const MatchingStats got = service.stats();
   EXPECT_EQ(got.invocations, probes.load());
@@ -281,7 +320,8 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetsLoseNoProbes) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
           probes.fetch_add(1);
         }
       }
@@ -310,7 +350,10 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetsLoseNoProbes) {
 
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   EXPECT_EQ(harvested.candidates, expected.candidates * 12);
   EXPECT_EQ(harvested.full_tests, expected.full_tests * 12);
@@ -333,7 +376,8 @@ TEST_F(ConcurrencyStressTest, RegistryCountersMatchStatsAfterConcurrentLoad) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 6; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
     });
@@ -385,7 +429,9 @@ TEST_F(ConcurrencyStressTest, QuarantineReadmissionUnderConcurrentProbes) {
     readers.emplace_back([&, t] {
       while (!stop.load()) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           // Note: no IsQuarantined check here — a view may be sidelined
           // between the probe and the assertion; only the quiescent
           // cross-check below is race-free.
@@ -444,7 +490,8 @@ TEST_F(ConcurrencyStressTest, VerifyModeFlipsNeverTearProbeAccounting) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
     });

@@ -161,7 +161,9 @@ TEST_F(FailpointSiteTest, DescribeThrowRollsBackRegistration) {
   ViewDefinition* v = service.AddView("victim", SimpleLineitemDef(), &error);
   ASSERT_NE(v, nullptr) << error;
   // The re-added view is reachable through the whole pipeline.
-  std::vector<Substitute> subs = service.FindSubstitutes(SimpleLineitemDef());
+  QueryContext ctx;
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(SimpleLineitemDef(), ctx);
   ASSERT_FALSE(subs.empty());
   bool found = false;
   for (const Substitute& s : subs) found = found || s.view_id == v->id();
@@ -195,7 +197,9 @@ TEST_F(FailpointSiteTest, InsertLeafThrowUndoesPartialTreeInsert) {
   ExpectAuditGreen(service);
   ViewDefinition* v = service.AddView("victim", SimpleLineitemDef(), &error);
   ASSERT_NE(v, nullptr) << error;
-  std::vector<Substitute> subs = service.FindSubstitutes(SimpleLineitemDef());
+  QueryContext ctx;
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(SimpleLineitemDef(), ctx);
   bool found = false;
   for (const Substitute& s : subs) found = found || s.view_id == v->id();
   EXPECT_TRUE(found);
@@ -293,7 +297,8 @@ TEST_F(FailpointSiteTest, ProbeEntryFailureIsIsolatedByOptimizer) {
                              qb.Col(o, "o_orderkey")));
   qb.Output(qb.Col(l, "l_partkey"));
   Optimizer optimizer(&catalog_, &service);
-  OptimizationResult r = optimizer.Optimize(qb.Build());
+  QueryContext ctx;
+  OptimizationResult r = optimizer.Optimize(qb.Build(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_FALSE(r.uses_view);
   EXPECT_GT(r.metrics.view_matching_failures, 0);
@@ -307,7 +312,9 @@ TEST_F(FailpointSiteTest, MatcherFailureIsIsolatedPerCandidate) {
   ASSERT_NE(service.AddView("b", SimpleLineitemDef(), &error), nullptr);
   // Exactly the first candidate's matcher run fails.
   FailpointRegistry::Instance().Enable("matcher.match");
-  std::vector<Substitute> subs = service.FindSubstitutes(SimpleLineitemDef());
+  QueryContext ctx;
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(SimpleLineitemDef(), ctx);
   EXPECT_EQ(subs.size(), 1u);
   EXPECT_EQ(service.stats().match_failures, 1);
   EXPECT_EQ(service.stats().substitutes, 1);
@@ -325,13 +332,14 @@ TEST_F(FailpointSiteTest, CheckerFailpointQuarantinesRepeatOffenders) {
   cfg.count = -1;
   FailpointRegistry::Instance().Enable("rewrite_checker.check", cfg);
   // Two consecutive forced rejections reach the threshold.
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
+  QueryContext ctx;
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
   EXPECT_FALSE(service.IsQuarantined(v->id()));
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
   EXPECT_TRUE(service.IsQuarantined(v->id()));
   // The third probe skips the view without running matcher or checker.
   int64_t checked_before = service.verify_stats().checked;
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
   EXPECT_EQ(service.verify_stats().checked, checked_before);
   EXPECT_GE(service.stats().quarantine_skips, 1);
   EXPECT_EQ(service.verify_stats().quarantined_views, 1);
@@ -339,7 +347,7 @@ TEST_F(FailpointSiteTest, CheckerFailpointQuarantinesRepeatOffenders) {
   EXPECT_EQ(service.QuarantinedViews()[0], "flaky");
   // Quarantine is sticky: disarming the fault does not readmit the view.
   FailpointRegistry::Instance().DisableAll();
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
 }
 
 TEST_F(FailpointSiteTest, CheckerRejectionStreakResetsOnProvenSubstitute) {
@@ -352,10 +360,11 @@ TEST_F(FailpointSiteTest, CheckerRejectionStreakResetsOnProvenSubstitute) {
   ASSERT_NE(v, nullptr) << error;
   // Reject once, prove once, reject once: the streak never reaches 2.
   FailpointRegistry::Instance().Enable("rewrite_checker.check");
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
-  EXPECT_EQ(service.FindSubstitutes(SimpleLineitemDef()).size(), 1u);
+  QueryContext ctx;
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
+  EXPECT_EQ(service.FindSubstitutes(SimpleLineitemDef(), ctx).size(), 1u);
   FailpointRegistry::Instance().Enable("rewrite_checker.check");
-  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef()).empty());
+  EXPECT_TRUE(service.FindSubstitutes(SimpleLineitemDef(), ctx).empty());
   EXPECT_FALSE(service.IsQuarantined(v->id()));
   EXPECT_EQ(service.verify_stats().quarantined_views, 0);
 }
@@ -383,11 +392,12 @@ TEST_F(FailpointSiteTest, EveryRegisteredSiteLeavesStructuresAuditGreen) {
     FailpointRegistry::Instance().Enable(site, cfg);
     std::string error;
     ViewDefinition* added = nullptr;
+    QueryContext ctx;
     EXPECT_NO_THROW(
         added = service.AddView("victim", SimpleLineitemDef(), &error));
     EXPECT_NO_THROW({
       try {
-        (void)service.FindSubstitutes(SimpleLineitemDef());
+        (void)service.FindSubstitutes(SimpleLineitemDef(), ctx);
       } catch (const FailpointTriggered&) {
         // Only the probe-entry site is allowed to surface to the caller
         // (the optimizer isolates it); nothing else may escape.
@@ -399,7 +409,7 @@ TEST_F(FailpointSiteTest, EveryRegisteredSiteLeavesStructuresAuditGreen) {
     ExpectAuditGreen(service);
     const int expected = added != nullptr ? 5 : 4;
     EXPECT_EQ(service.views().num_views(), expected);
-    EXPECT_NO_THROW((void)service.FindSubstitutes(SimpleLineitemDef()));
+    EXPECT_NO_THROW((void)service.FindSubstitutes(SimpleLineitemDef(), ctx));
     ASSERT_NE(service.AddView("after", SimpleLineitemDef(), &error), nullptr)
         << error;
     ExpectAuditGreen(service);

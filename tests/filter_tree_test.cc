@@ -545,7 +545,10 @@ TEST_P(OracleSweepTest, FindCandidatesEqualsBruteForceOnGroupSignatures) {
   ASSERT_EQ(views.num_views(), 1000);
   bench::RecordingSource recorder(service.get());
   Optimizer optimizer(&workload.catalog(), &recorder);
-  for (const SpjgQuery& q : workload.queries()) (void)optimizer.Optimize(q);
+  for (const SpjgQuery& q : workload.queries()) {
+    QueryContext ctx;
+    (void)optimizer.Optimize(q, ctx);
+  }
   std::vector<QueryDescription> signatures;
   for (const SpjgQuery& sig : recorder.signatures()) {
     signatures.push_back(DescribeQuery(workload.catalog(), sig));

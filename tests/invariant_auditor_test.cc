@@ -203,7 +203,8 @@ TEST_P(MemoAuditTest, OptimizerMemoPassesOnWorkload) {
   tpch::WorkloadGenerator query_gen(&catalog, seed * 7 + 11);
   for (int j = 0; j < 25; ++j) {
     SpjgQuery query = query_gen.GenerateQuery();
-    OptimizationResult result = optimizer.Optimize(query);
+    QueryContext ctx;
+    OptimizationResult result = optimizer.Optimize(query, ctx);
     EXPECT_TRUE(result.memo_audit.ok())
         << "memo violations for query:\n"
         << query.ToSql(catalog) << "\n"

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 #include "index/matching_service.h"
 #include "rewrite/match_program.h"
 #include "tpch/schema.h"
@@ -89,7 +88,9 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 10; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           for (const Substitute& s : subs) {
             EXPECT_NE(s.view_id, kInvalidViewId);
           }
@@ -120,11 +121,12 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
   MatchingService reference(&catalog_, opts);
   AddViewRange(&reference, 0, kNumViews);
   for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
     std::vector<ViewId> got, want;
-    for (const Substitute& s : service.FindSubstitutes(q)) {
+    for (const Substitute& s : service.FindSubstitutes(q, ctx)) {
       got.push_back(s.view_id);
     }
-    for (const Substitute& s : reference.FindSubstitutes(q)) {
+    for (const Substitute& s : reference.FindSubstitutes(q, ctx)) {
       want.push_back(s.view_id);
     }
     EXPECT_EQ(got, want);
@@ -132,10 +134,18 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
 }
 
 TEST_F(MatchProgramStressTest, ParallelPipelineAgreesWithSerialAcrossTiers) {
-  // The staged pipeline's parallel chunks each use worker-local scratch;
-  // serial and parallel probes must agree exactly with the generic tier
-  // across worker counts 0/1/4 and both ProbeModes, with enforce-mode
-  // cross-check replaying every compiled verdict against the oracle.
+  // Compiled probes running in parallel threads (each probe keeps its
+  // own match scratch) must agree exactly with a serial generic-tier
+  // service, with enforce-mode cross-check replaying every compiled
+  // verdict against the oracle.
+  auto probe_ids = [](MatchingService& service, const SpjgQuery& q) {
+    QueryContext ctx;
+    std::vector<ViewId> ids;
+    for (const Substitute& s : service.FindSubstitutes(q, ctx)) {
+      ids.push_back(s.view_id);
+    }
+    return ids;
+  };
   std::vector<std::vector<ViewId>> expected;
   {
     MatchingService::Options serial;
@@ -144,42 +154,31 @@ TEST_F(MatchProgramStressTest, ParallelPipelineAgreesWithSerialAcrossTiers) {
     MatchingService service(&catalog_, serial);
     AddViewRange(&service, 0, kNumViews);
     for (const SpjgQuery& q : queries_) {
-      std::vector<ViewId> ids;
-      for (const Substitute& s : service.FindSubstitutes(q)) {
-        ids.push_back(s.view_id);
-      }
-      expected.push_back(ids);
+      expected.push_back(probe_ids(service, q));
     }
   }
-  for (MatchingService::ProbeMode mode :
-       {MatchingService::ProbeMode::kSnapshot,
-        MatchingService::ProbeMode::kReaderLock}) {
-    MatchingService::Options opts;
-    opts.cross_check = MatchCrossCheck::kEnforce;
-    opts.use_filter_tree = false;
-    opts.probe_mode = mode;
-    MatchingService service(&catalog_, opts);
-    AddViewRange(&service, 0, kNumViews);
-    for (int workers : {0, 1, 4}) {
-      ThreadPool pool(workers);
-      for (size_t q = 0; q < queries_.size(); ++q) {
-        QueryContext ctx;
-        ctx.set_match_pool(&pool);
-        std::vector<ViewId> ids;
-        for (const Substitute& s : service.FindSubstitutes(queries_[q], ctx)) {
-          ids.push_back(s.view_id);
-        }
-        EXPECT_EQ(ids, expected[q])
-            << "mode=" << static_cast<int>(mode) << " workers=" << workers
-            << " query=" << q;
+  MatchingService::Options opts;
+  opts.cross_check = MatchCrossCheck::kEnforce;
+  opts.use_filter_tree = false;
+  MatchingService service(&catalog_, opts);
+  AddViewRange(&service, 0, kNumViews);
+  std::vector<std::vector<ViewId>> actual(queries_.size());
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kNumReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t q = t; q < queries_.size(); q += kNumReaders) {
+        actual[q] = probe_ids(service, queries_[q]);
       }
-    }
-    MatchingStats stats = service.stats();
-    EXPECT_EQ(stats.compiled_hits + stats.compiled_fallbacks,
-              stats.full_tests);
-    EXPECT_GT(stats.compiled_hits, 0);
-    EXPECT_EQ(stats.cross_check_mismatches, 0);
+    });
   }
+  for (std::thread& r : readers) r.join();
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    EXPECT_EQ(actual[q], expected[q]) << "query " << q;
+  }
+  MatchingStats stats = service.stats();
+  EXPECT_EQ(stats.compiled_hits + stats.compiled_fallbacks, stats.full_tests);
+  EXPECT_GT(stats.compiled_hits, 0);
+  EXPECT_EQ(stats.cross_check_mismatches, 0);
 }
 
 }  // namespace

@@ -149,7 +149,10 @@ TEST_P(GroupSignatureSweepTest, CompiledVerdictEqualsOracleOnFilterCandidates) {
   ASSERT_EQ(service->views().num_views(), 1000);
   bench::RecordingSource recorder(service.get());
   Optimizer optimizer(&workload.catalog(), &recorder);
-  for (const SpjgQuery& q : workload.queries()) (void)optimizer.Optimize(q);
+  for (const SpjgQuery& q : workload.queries()) {
+    QueryContext ctx;
+    (void)optimizer.Optimize(q, ctx);
+  }
   ASSERT_FALSE(recorder.signatures().empty());
 
   const Catalog& catalog = workload.catalog();
@@ -614,7 +617,8 @@ TEST(TierAccountingTest, CompiledHitsPlusFallbacksEqualsFullTests) {
   }
   tpch::WorkloadGenerator query_gen(&catalog, 13);
   for (int j = 0; j < 30; ++j) {
-    (void)service.FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    (void)service.FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
   MatchingStats stats = service.stats();
   EXPECT_EQ(stats.compiled_hits + stats.compiled_fallbacks, stats.full_tests);
@@ -642,7 +646,8 @@ TEST(TierAccountingTest, DisablingCompilationRoutesEverythingGeneric) {
   }
   tpch::WorkloadGenerator query_gen(&catalog, 13);
   for (int j = 0; j < 12; ++j) {
-    (void)service.FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    (void)service.FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
   MatchingStats stats = service.stats();
   EXPECT_GT(stats.full_tests, 0);
@@ -651,7 +656,7 @@ TEST(TierAccountingTest, DisablingCompilationRoutesEverythingGeneric) {
 }
 
 // Enforce-mode cross-check on an honest catalog: every compiled verdict
-// replays identically against the oracle, across both probe modes.
+// replays identically against the oracle.
 TEST(CrossCheckTest, HonestCatalogSurvivesEnforceMode) {
   Catalog catalog;
   tpch::BuildSchema(&catalog, 0.5);
@@ -669,7 +674,8 @@ TEST(CrossCheckTest, HonestCatalogSurvivesEnforceMode) {
   }
   tpch::WorkloadGenerator query_gen(&catalog, 37);
   for (int j = 0; j < 30; ++j) {
-    (void)service.FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    (void)service.FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
   MatchingStats stats = service.stats();
   EXPECT_GT(stats.compiled_hits, 0);
@@ -722,7 +728,9 @@ TEST_F(MutantProgramTest, LogModeCountsMismatchesAndKeepsServing) {
   const ViewId id = RegisterAndCorrupt(&service);
   service.set_cross_check(MatchCrossCheck::kLog);
 
-  std::vector<Substitute> subs = service.FindSubstitutes(LineitemQuery(20));
+  QueryContext ctx;
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(LineitemQuery(20), ctx);
   MatchingStats stats = service.stats();
   EXPECT_EQ(stats.cross_check_mismatches, 1);
   // Log mode observes but does not override: the (wrong) compiled
@@ -740,11 +748,13 @@ TEST_F(MutantProgramTest, EnforceModeServesOracleVerdictAndQuarantines) {
 
   // Off: the corrupted program silently wins (this is exactly the hazard
   // the cross-check exists to catch).
-  ASSERT_TRUE(service.FindSubstitutes(LineitemQuery(20)).empty());
+  QueryContext ctx;
+  ASSERT_TRUE(service.FindSubstitutes(LineitemQuery(20), ctx).empty());
   EXPECT_EQ(service.stats().cross_check_mismatches, 0);
 
   service.set_cross_check(MatchCrossCheck::kEnforce);
-  std::vector<Substitute> subs = service.FindSubstitutes(LineitemQuery(20));
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(LineitemQuery(20), ctx);
   MatchingStats stats = service.stats();
   EXPECT_EQ(stats.cross_check_mismatches, 1);
   // Enforce replaces the compiled verdict with the oracle's: the
@@ -753,7 +763,7 @@ TEST_F(MutantProgramTest, EnforceModeServesOracleVerdictAndQuarantines) {
   EXPECT_EQ(subs[0].view_id, id);
   // ...and the lying view is quarantined out of subsequent probes.
   EXPECT_TRUE(service.IsQuarantined(id));
-  EXPECT_TRUE(service.FindSubstitutes(LineitemQuery(20)).empty());
+  EXPECT_TRUE(service.FindSubstitutes(LineitemQuery(20), ctx).empty());
   EXPECT_GT(service.stats().quarantine_skips, 0);
 }
 
@@ -766,7 +776,9 @@ TEST_F(MutantProgramTest, HonestProgramPassesEnforceUntouched) {
   ViewDefinition* v = service.AddView("honest", LineitemQuery(10), &error);
   ASSERT_NE(v, nullptr) << error;
 
-  std::vector<Substitute> subs = service.FindSubstitutes(LineitemQuery(20));
+  QueryContext ctx;
+  std::vector<Substitute> subs =
+      service.FindSubstitutes(LineitemQuery(20), ctx);
   ASSERT_EQ(subs.size(), 1u);
   MatchingStats stats = service.stats();
   EXPECT_EQ(stats.cross_check_mismatches, 0);

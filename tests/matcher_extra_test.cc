@@ -257,9 +257,10 @@ TEST_F(MatcherExtraTest, ServiceUnionSubstituteEndToEnd) {
   qb.Output(qb.Col(ql, "l_orderkey"));
   SpjgQuery query = qb.Build();
   // No single view covers [10, 40]...
-  EXPECT_TRUE(service.FindSubstitutes(query).empty());
+  QueryContext ctx;
+  EXPECT_TRUE(service.FindSubstitutes(query, ctx).empty());
   // ...but the union of the two slices does.
-  auto u = service.FindUnionSubstitute(query);
+  auto u = service.FindUnionSubstitute(query, ctx);
   ASSERT_TRUE(u.has_value());
   EXPECT_EQ(u->legs.size(), 2u);
 }

@@ -48,7 +48,8 @@ class OptimizerTest : public ::testing::Test {
 
   void ExpectPlanMatchesReference(const SpjgQuery& query,
                                   Optimizer* optimizer) {
-    OptimizationResult result = optimizer->Optimize(query);
+    QueryContext ctx;
+    OptimizationResult result = optimizer->Optimize(query, ctx);
     ASSERT_NE(result.plan, nullptr);
     PlanExecutor exec(&db_);
     auto got = Canonicalize(exec.Execute(result.plan));
@@ -112,7 +113,8 @@ TEST_F(OptimizerTest, IndexRangeScanChosenForSelectivePkRange) {
                             Expr::MakeLiteral(Value::Int64(20))));
   b.Output(b.Col(o, "o_orderkey"));
   Optimizer optimizer(&catalog_, nullptr);
-  OptimizationResult result = optimizer.Optimize(b.Build());
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(b.Build(), ctx);
   ASSERT_NE(result.plan, nullptr);
   // Project over an index range scan.
   ASSERT_EQ(result.plan->kind, PhysKind::kProject);
@@ -168,14 +170,15 @@ TEST_F(OptimizerViewTest, ViewBasedPlanWinsAndMatchesReference) {
   SpjgQuery query = qb.Build();
 
   Optimizer with_views(&catalog_, &service_);
-  OptimizationResult result = with_views.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = with_views.Optimize(query, ctx);
   ASSERT_NE(result.plan, nullptr);
   EXPECT_TRUE(result.uses_view) << result.plan->ToString(catalog_);
   EXPECT_GT(result.metrics.view_matching_invocations, 0);
   EXPECT_GT(result.metrics.substitutes_produced, 0);
 
   Optimizer without_views(&catalog_, nullptr);
-  OptimizationResult baseline = without_views.Optimize(query);
+  OptimizationResult baseline = without_views.Optimize(query, ctx);
   EXPECT_LT(result.cost, baseline.cost);
 
   PlanExecutor exec(&db_);
@@ -218,7 +221,8 @@ TEST_F(OptimizerViewTest, PaperExample4ThroughPreaggregation) {
   SpjgQuery query = qb.Build();
 
   Optimizer optimizer(&catalog_, &service_);
-  OptimizationResult result = optimizer.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(query, ctx);
   ASSERT_NE(result.plan, nullptr);
   EXPECT_TRUE(result.uses_view)
       << "pre-aggregation + view matching should rewrite via v4:\n"
@@ -229,7 +233,7 @@ TEST_F(OptimizerViewTest, PaperExample4ThroughPreaggregation) {
   OptimizerOptions no_preagg;
   no_preagg.enable_preaggregation = false;
   Optimizer limited(&catalog_, &service_, no_preagg);
-  OptimizationResult limited_result = limited.Optimize(query);
+  OptimizationResult limited_result = limited.Optimize(query, ctx);
   EXPECT_FALSE(limited_result.uses_view);
   ExpectPlanMatchesReference(query, &limited);
 }
@@ -249,7 +253,8 @@ TEST_F(OptimizerViewTest, NoSubstitutesModeStillInvokesMatching) {
   OptimizerOptions opts;
   opts.produce_substitutes = false;  // Figure 2's "No Alt" series
   Optimizer optimizer(&catalog_, &service_, opts);
-  OptimizationResult result = optimizer.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(query, ctx);
   EXPECT_GT(result.metrics.view_matching_invocations, 0);
   EXPECT_FALSE(result.uses_view);
 }
@@ -290,7 +295,8 @@ TEST_P(OptimizerPropertyTest, BestPlansMatchReferenceWithAndWithoutViews) {
     SpjgQuery query = query_gen.GenerateQuery();
     auto expected = Canonicalize(db.ExecuteSpjg(query));
 
-    OptimizationResult r1 = with_views.Optimize(query);
+    QueryContext ctx;
+    OptimizationResult r1 = with_views.Optimize(query, ctx);
     ASSERT_NE(r1.plan, nullptr);
     auto got1 = Canonicalize(exec.Execute(r1.plan));
     ASSERT_EQ(got1, expected) << "with-views plan diverges:\n"
@@ -298,7 +304,7 @@ TEST_P(OptimizerPropertyTest, BestPlansMatchReferenceWithAndWithoutViews) {
                               << query.ToSql(catalog);
     if (r1.uses_view) ++used_views;
 
-    OptimizationResult r2 = without_views.Optimize(query);
+    OptimizationResult r2 = without_views.Optimize(query, ctx);
     ASSERT_NE(r2.plan, nullptr);
     auto got2 = Canonicalize(exec.Execute(r2.plan));
     ASSERT_EQ(got2, expected) << "no-views plan diverges:\n"

@@ -1,20 +1,15 @@
 // Staged matching pipeline (probe -> prefilter -> match -> compensate ->
-// cost-annotate): golden stage order, QueryContext plumbing, and the
-// determinism contract — substitutes and plans are identical (order and
-// content) whatever ThreadPool the context attaches to the match stage.
+// cost-annotate): golden stage order and QueryContext plumbing
+// (deadlines and staleness tolerance).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 #include "index/matching_service.h"
-#include "optimizer/optimizer.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
 
@@ -22,55 +17,6 @@ namespace mvopt {
 namespace {
 
 using std::chrono::milliseconds;
-
-// ---------------------------------------------------------------------
-// ThreadPool basics.
-// ---------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunBatchRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 257;
-  std::vector<std::atomic<int>> runs(kTasks);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    tasks.emplace_back([&runs, i] { runs[i].fetch_add(1); });
-  }
-  pool.RunBatch(tasks);
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, ZeroWorkerPoolDegeneratesToCallerExecution) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 0);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran_on(3);
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < ran_on.size(); ++i) {
-    tasks.emplace_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
-  }
-  pool.RunBatch(tasks);
-  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPoolTest, ConcurrentBatchesFromManyCallersAllComplete) {
-  ThreadPool pool(3);
-  constexpr int kCallers = 4;
-  constexpr int kTasksPerCaller = 64;
-  std::atomic<int> total{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &total] {
-      std::vector<std::function<void()>> tasks;
-      for (int i = 0; i < kTasksPerCaller; ++i) {
-        tasks.emplace_back([&total] { total.fetch_add(1); });
-      }
-      pool.RunBatch(tasks);
-    });
-  }
-  for (std::thread& t : callers) t.join();
-  EXPECT_EQ(total.load(), kCallers * kTasksPerCaller);
-}
 
 // ---------------------------------------------------------------------
 // Pipeline fixture.
@@ -95,26 +41,6 @@ class PipelineTest : public ::testing::Test {
     tpch::WorkloadGenerator gen(&catalog_, seed);
     std::vector<SpjgQuery> out;
     for (int i = 0; i < n; ++i) out.push_back(gen.GenerateQuery());
-    return out;
-  }
-
-  // A content-and-order fingerprint of a substitute list; two lists with
-  // the same fingerprint are the same substitutes in the same order.
-  static std::string Fingerprint(const std::vector<Substitute>& subs) {
-    std::string out;
-    for (const Substitute& s : subs) {
-      out += "view=" + std::to_string(s.view_id);
-      out += " lag=" + std::to_string(s.staleness_lag);
-      out += " agg=" + std::to_string(s.needs_aggregation ? 1 : 0);
-      out += " backjoins=" + std::to_string(s.backjoins.size());
-      out += " preds=[";
-      for (const ExprPtr& p : s.predicates) out += p->ToString() + ";";
-      out += "] outputs=[";
-      for (const OutputExpr& o : s.outputs) out += o.expr->ToString() + ";";
-      out += "] groupby=[";
-      for (const ExprPtr& g : s.group_by) out += g->ToString() + ";";
-      out += "]\n";
-    }
     return out;
   }
 
@@ -180,70 +106,17 @@ TEST_F(PipelineTest, TraceJsonCarriesThePipelineLog) {
 }
 
 // ---------------------------------------------------------------------
-// Determinism across pool sizes.
-// ---------------------------------------------------------------------
-
-TEST_F(PipelineTest, SubstitutesAreIdenticalForPoolSizes014) {
-  // Filter tree off -> every view is a candidate, so the match stage
-  // genuinely fans out (candidates >> min_parallel_candidates).
-  MatchingService::Options options;
-  options.use_filter_tree = false;
-  MatchingService service(&catalog_, options);
-  AddWorkloadViews(&service, 120, 11);
-  const std::vector<SpjgQuery> queries = MakeQueries(15, 999);
-
-  // Baseline: the legacy loose-parameter call (serial, no context).
-  std::vector<std::string> baseline;
-  for (const SpjgQuery& q : queries) {
-    baseline.push_back(Fingerprint(service.FindSubstitutes(q)));
-  }
-
-  for (int workers : {0, 1, 4}) {
-    ThreadPool pool(workers);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      QueryContext ctx;
-      ctx.set_match_pool(&pool);
-      std::vector<Substitute> subs = service.FindSubstitutes(queries[i], ctx);
-      EXPECT_EQ(Fingerprint(subs), baseline[i])
-          << "workers=" << workers << " query=" << i;
-    }
-  }
-}
-
-TEST_F(PipelineTest, PlansAreByteIdenticalWithAndWithoutPool) {
-  MatchingService::Options options;
-  options.use_filter_tree = false;  // large candidate sets
-  MatchingService service(&catalog_, options);
-  AddWorkloadViews(&service, 60, 13);
-  Optimizer optimizer(&catalog_, &service);
-  ThreadPool pool(4);
-  for (const SpjgQuery& q : MakeQueries(10, 555)) {
-    OptimizationResult plain = optimizer.Optimize(q);
-    QueryContext ctx;
-    ctx.set_match_pool(&pool);
-    OptimizationResult pooled = optimizer.Optimize(q, ctx);
-    ASSERT_NE(plain.plan, nullptr);
-    ASSERT_NE(pooled.plan, nullptr);
-    EXPECT_EQ(pooled.plan->ToString(catalog_), plain.plan->ToString(catalog_));
-    EXPECT_EQ(pooled.cost, plain.cost);
-    EXPECT_EQ(pooled.uses_view, plain.uses_view);
-  }
-}
-
-// ---------------------------------------------------------------------
 // Context plumbing.
 // ---------------------------------------------------------------------
 
-TEST_F(PipelineTest, ExpiredDeadlineTruncatesTheParallelPipelineToo) {
+TEST_F(PipelineTest, ExpiredDeadlineTruncatesThePipeline) {
   MatchingService::Options options;
   options.use_filter_tree = false;
   MatchingService service(&catalog_, options);
   AddWorkloadViews(&service, 50, 17);
-  ThreadPool pool(4);
   QueryContext ctx;
   ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
                                    milliseconds(1));
-  ctx.set_match_pool(&pool);
   std::vector<Substitute> subs =
       service.FindSubstitutes(MakeQueries(1, 3)[0], ctx);
   EXPECT_TRUE(subs.empty());
@@ -261,20 +134,6 @@ TEST_F(PipelineTest, UnionSubstituteRespectsTheContextDeadline) {
   EXPECT_FALSE(
       service.FindUnionSubstitute(MakeQueries(1, 3)[0], ctx).has_value());
   EXPECT_TRUE(ctx.exhausted());
-}
-
-TEST_F(PipelineTest, ContextAndLooseCallsAgreeOnUnionResults) {
-  MatchingService service(&catalog_);
-  AddWorkloadViews(&service, 30, 29);
-  for (const SpjgQuery& q : MakeQueries(10, 777)) {
-    QueryContext ctx;
-    std::optional<UnionSubstitute> via_ctx = service.FindUnionSubstitute(q, ctx);
-    std::optional<UnionSubstitute> legacy = service.FindUnionSubstitute(q);
-    ASSERT_EQ(via_ctx.has_value(), legacy.has_value());
-    if (via_ctx.has_value()) {
-      EXPECT_EQ(via_ctx->legs.size(), legacy->legs.size());
-    }
-  }
 }
 
 TEST_F(PipelineTest, StaleSubstitutesCarryTheirLagAndFreshOnlyDegrades) {

@@ -164,9 +164,11 @@ TEST_F(BudgetOptimizerTest, UnlimitedBudgetPlansAreByteIdentical) {
   AddWorkloadViews(&service, 60, 11);
   Optimizer optimizer(&catalog_, &service);
   for (const SpjgQuery& q : MakeQueries(25, 999)) {
-    OptimizationResult plain = optimizer.Optimize(q);
-    QueryBudget budget;  // present but unlimited
-    OptimizationResult governed = optimizer.Optimize(q, &budget);
+    QueryContext plain_ctx;
+    OptimizationResult plain = optimizer.Optimize(q, plain_ctx);
+    QueryContext governed_ctx;
+    governed_ctx.EmplaceBudget();  // present but unlimited
+    OptimizationResult governed = optimizer.Optimize(q, governed_ctx);
     ASSERT_NE(plain.plan, nullptr);
     ASSERT_NE(governed.plan, nullptr);
     EXPECT_EQ(governed.plan->ToString(catalog_),
@@ -188,9 +190,9 @@ TEST_F(BudgetOptimizerTest, MillisecondDeadlineOnLargeCatalogNeverHangs) {
   Optimizer optimizer(&catalog_, &service);
   int degraded = 0;
   for (const SpjgQuery& q : MakeQueries(20, 555)) {
-    QueryBudget budget;
-    budget.set_deadline_after(microseconds(100));
-    OptimizationResult r = optimizer.Optimize(q, &budget);
+    QueryContext ctx;
+    ctx.EmplaceBudget().set_deadline_after(microseconds(100));
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     ASSERT_NE(r.plan, nullptr);
     EXPECT_FALSE(r.plan->ToString(catalog_).empty());
     if (r.degradation != DegradationReason::kNone) {
@@ -205,9 +207,10 @@ TEST_F(BudgetOptimizerTest, AlreadyExpiredDeadlineStillYieldsBasePlan) {
   MatchingService service(&catalog_);
   AddWorkloadViews(&service, 100, 31);
   Optimizer optimizer(&catalog_, &service);
-  QueryBudget budget;
-  budget.set_deadline(QueryBudget::Clock::now() - milliseconds(5));
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  QueryContext ctx;
+  ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
+                                   milliseconds(5));
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kDeadlineExceeded);
   // The degraded plan is still a complete, printable plan tree.
@@ -224,19 +227,22 @@ TEST_F(BudgetOptimizerTest, CandidateCapTruncatesTheFilterProbe) {
   vb.Output(vb.Col(l, "l_partkey"));
   SpjgQuery def = vb.Build();
   ASSERT_NE(service.AddView("v", def, &error), nullptr) << error;
-  QueryBudget budget;
+  QueryContext ctx;
+  QueryBudget& budget = ctx.EmplaceBudget();
   budget.set_candidate_cap(0);
-  EXPECT_TRUE(service.FindSubstitutes(def, &budget).empty());
+  EXPECT_TRUE(service.FindSubstitutes(def, ctx).empty());
   EXPECT_EQ(budget.reason(), DegradationReason::kCandidateCapReached);
   // Without the cap the same probe matches.
-  EXPECT_EQ(service.FindSubstitutes(def).size(), 1u);
+  QueryContext uncapped;
+  EXPECT_EQ(service.FindSubstitutes(def, uncapped).size(), 1u);
 }
 
 TEST_F(BudgetOptimizerTest, MemoGroupCapDegradesButCompletesThePlan) {
   Optimizer optimizer(&catalog_, nullptr);
-  QueryBudget budget;
+  QueryContext ctx;
+  QueryBudget& budget = ctx.EmplaceBudget();
   budget.set_memo_group_cap(1);
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kMemoGroupCapReached);
   EXPECT_GT(budget.memo_groups_used(), 0);
@@ -244,9 +250,9 @@ TEST_F(BudgetOptimizerTest, MemoGroupCapDegradesButCompletesThePlan) {
 
 TEST_F(BudgetOptimizerTest, MemoExprCapDegradesButCompletesThePlan) {
   Optimizer optimizer(&catalog_, nullptr);
-  QueryBudget budget;
-  budget.set_memo_expr_cap(0);
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  QueryContext ctx;
+  ctx.EmplaceBudget().set_memo_expr_cap(0);
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kMemoExprCapReached);
 }
@@ -254,10 +260,11 @@ TEST_F(BudgetOptimizerTest, MemoExprCapDegradesButCompletesThePlan) {
 TEST_F(BudgetOptimizerTest, BudgetTruncationSurfacesInMatchingStats) {
   MatchingService service(&catalog_);
   AddWorkloadViews(&service, 200, 41);
-  QueryBudget budget;
-  budget.set_deadline(QueryBudget::Clock::now() - milliseconds(1));
+  QueryContext ctx;
+  ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
+                                   milliseconds(1));
   for (const SpjgQuery& q : MakeQueries(5, 777)) {
-    (void)service.FindSubstitutes(q, &budget);
+    (void)service.FindSubstitutes(q, ctx);
   }
   // An expired deadline stops candidate enumeration and full matching.
   EXPECT_EQ(service.stats().full_tests, 0);
@@ -266,23 +273,24 @@ TEST_F(BudgetOptimizerTest, BudgetTruncationSurfacesInMatchingStats) {
 TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
   // Regression: a sticky degradation reason (or partially-consumed
   // counters) from one Optimize() must not leak into the next when the
-  // caller reuses a single budget object across queries.
+  // caller reuses one context, and so its one budget, across queries.
   MatchingService service(&catalog_);
   AddWorkloadViews(&service, 60, 11);
   Optimizer optimizer(&catalog_, &service);
   SpjgQuery q = ThreeTableQuery();
 
-  QueryBudget budget;
+  QueryContext ctx;
+  QueryBudget& budget = ctx.EmplaceBudget();
   budget.set_memo_expr_cap(0);
-  OptimizationResult capped = optimizer.Optimize(q, &budget);
+  OptimizationResult capped = optimizer.Optimize(q, ctx);
   ASSERT_NE(capped.plan, nullptr);
   EXPECT_EQ(capped.degradation, DegradationReason::kMemoExprCapReached);
 
-  // Same budget object, cap lifted: the second optimization must start
-  // from a clean slate instead of reporting (or acting on) the stale
+  // Same context, cap lifted: the second optimization must start from a
+  // clean slate instead of reporting (or acting on) the stale
   // exhaustion.
   budget.set_memo_expr_cap(QueryBudget::kUnlimited);
-  OptimizationResult clean = optimizer.Optimize(q, &budget);
+  OptimizationResult clean = optimizer.Optimize(q, ctx);
   ASSERT_NE(clean.plan, nullptr);
   EXPECT_EQ(clean.degradation, DegradationReason::kNone);
   EXPECT_FALSE(budget.exhausted());
@@ -291,10 +299,42 @@ TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
   // rather than compounding counters across runs.
   budget.set_memo_expr_cap(0);
   for (int i = 0; i < 3; ++i) {
-    OptimizationResult r = optimizer.Optimize(q, &budget);
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     ASSERT_NE(r.plan, nullptr);
     EXPECT_EQ(r.degradation, DegradationReason::kMemoExprCapReached);
   }
+}
+
+TEST_F(BudgetOptimizerTest, ReusedContextDoesNotCarryAnAdvisoryForward) {
+  // Without a budget the context keeps advisories itself; a reused
+  // context must clear them per query like a budget's. The first query's
+  // only candidate is stale (advisory kStaleViewsOnly); the second has no
+  // stale candidate in any memo group, so it must report kNone.
+  MatchingService service(&catalog_);
+  TableEpochClock epochs;
+  service.set_epoch_clock(&epochs);
+  SpjgBuilder vb(&catalog_);
+  int l = vb.AddTable("lineitem");
+  vb.Output(vb.Col(l, "l_orderkey"));
+  vb.Output(vb.Col(l, "l_partkey"));
+  SpjgQuery lineitem_query = vb.Build();
+  std::string error;
+  ASSERT_NE(service.AddView("v", lineitem_query, &error), nullptr) << error;
+  epochs.Advance(schema_.lineitem);  // the view now lags by one epoch
+
+  SpjgBuilder qb(&catalog_);
+  int o = qb.AddTable("orders");
+  qb.Output(qb.Col(o, "o_orderkey"));
+  SpjgQuery orders_query = qb.Build();
+
+  Optimizer optimizer(&catalog_, &service);
+  QueryContext ctx;  // no budget
+  OptimizationResult stale = optimizer.Optimize(lineitem_query, ctx);
+  ASSERT_NE(stale.plan, nullptr);
+  EXPECT_EQ(stale.degradation, DegradationReason::kStaleViewsOnly);
+  OptimizationResult fresh = optimizer.Optimize(orders_query, ctx);
+  ASSERT_NE(fresh.plan, nullptr);
+  EXPECT_EQ(fresh.degradation, DegradationReason::kNone);
 }
 
 TEST(QueryBudgetTest, ResetForQueryClearsOutcomeButKeepsLimits) {

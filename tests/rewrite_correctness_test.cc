@@ -100,7 +100,8 @@ TEST_P(RewriteCorrectnessTest, SubstitutesProduceIdenticalResults) {
               "q");
     qb.GroupBy(qb.Col(o, "o_custkey"));
     SpjgQuery pinned_query = qb.Build();
-    auto subs = service.FindSubstitutes(pinned_query);
+    QueryContext ctx;
+    auto subs = service.FindSubstitutes(pinned_query, ctx);
     ASSERT_FALSE(subs.empty());
     auto expected = Canonicalize(db.ExecuteSpjg(pinned_query));
     const ViewDefinition& view = service.views().view(subs[0].view_id);
@@ -124,7 +125,8 @@ TEST_P(RewriteCorrectnessTest, SubstitutesProduceIdenticalResults) {
   int total_substitutes = 0;
   for (int j = 0; j < kNumQueries; ++j) {
     SpjgQuery query = query_gen.GenerateQuery();
-    std::vector<Substitute> subs = service.FindSubstitutes(query);
+    QueryContext ctx;
+    std::vector<Substitute> subs = service.FindSubstitutes(query, ctx);
     if (subs.empty()) continue;
     std::vector<std::string> expected = Canonicalize(db.ExecuteSpjg(query));
     for (const Substitute& sub : subs) {
@@ -181,8 +183,9 @@ TEST_P(FilterCompletenessTest, FilterAgreesWithExhaustiveMatching) {
   tpch::WorkloadGenerator query_gen(&catalog, seed * 7 + 11);
   for (int j = 0; j < 60; ++j) {
     SpjgQuery query = query_gen.GenerateQuery();
-    auto subs_filtered = filtered.FindSubstitutes(query);
-    auto subs_exhaustive = exhaustive.FindSubstitutes(query);
+    QueryContext ctx;
+    auto subs_filtered = filtered.FindSubstitutes(query, ctx);
+    auto subs_exhaustive = exhaustive.FindSubstitutes(query, ctx);
     // Same set of matched views (substitute construction is
     // deterministic given the view).
     std::vector<ViewId> a;

@@ -2,11 +2,11 @@
 // probes racing snapshot publication, epoch-based reclamation under
 // churn, lifecycle quarantine/readmission flapping mid-probe, probes on
 // pinned older generations racing writers that copy the paths those
-// generations share, and the pooled-vs-serial stats contract on the
-// snapshot path. Run under
-// MVOPT_SANITIZE=thread in CI — the interesting failures here are
-// use-after-free of a retired snapshot and torn probe state, which TSan
-// and ASan surface even when the assertions below stay green.
+// generations share, probes completing while a writer holds the writer
+// mutex, and the concurrent-vs-serial stats contract on the snapshot
+// path. Run under MVOPT_SANITIZE=thread in CI — the interesting failures
+// here are use-after-free of a retired snapshot and torn probe state,
+// which TSan and ASan surface even when the assertions below stay green.
 
 #include <algorithm>
 #include <atomic>
@@ -20,7 +20,6 @@
 
 #include "common/epoch_reclaim.h"
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 #include "index/matching_service.h"
 #include "tests/filter_oracle.h"
 #include "tpch/schema.h"
@@ -119,8 +118,9 @@ TEST_F(SnapshotStressTest, ProbesRacePublicationAndReclamation) {
   ASSERT_NE(reference.AddView("tail", view_defs_[0], &error), nullptr)
       << error;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q])),
-              Signature(reference.FindSubstitutes(queries_[q])))
+    QueryContext ctx;
+    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q], ctx)),
+              Signature(reference.FindSubstitutes(queries_[q], ctx)))
         << "query " << q;
   }
 }
@@ -169,8 +169,9 @@ TEST_F(SnapshotStressTest, LifecycleReadmissionRacesProbes) {
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
   for (size_t q = 0; q < queries_.size(); ++q) {
-    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q])),
-              Signature(reference.FindSubstitutes(queries_[q])))
+    QueryContext ctx;
+    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q], ctx)),
+              Signature(reference.FindSubstitutes(queries_[q], ctx)))
         << "query " << q;
   }
 }
@@ -291,16 +292,15 @@ TEST_F(SnapshotStressTest, PinnedGenerationsRaceWritersCopyingSharedPaths) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// Stats determinism on the snapshot path: N concurrent pooled passes
-// must land on exactly N× the serial single-threaded counters — the
-// probe-atomic ProbeDelta commit may not lose or double-count under the
-// lock-free pinning.
-TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
+// Stats determinism on the snapshot path: N concurrent passes must land
+// on exactly N× the serial single-threaded counters — the probe-atomic
+// ProbeDelta commit may not lose or double-count under the lock-free
+// pinning.
+TEST_F(SnapshotStressTest, ConcurrentAndSerialStatsAgreeOnSnapshotPath) {
   MatchingService::Options options;
-  options.use_filter_tree = false;  // all views candidates => pool fans out
+  options.use_filter_tree = false;  // every view a candidate: large deltas
   MatchingService service(&catalog_, options);
   AddViewRange(&service, 0, kNumViews);
-  ThreadPool pool(4);
 
   constexpr int kRounds = 8;
   std::vector<std::thread> probers;
@@ -309,7 +309,6 @@ TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumProbers) {
           QueryContext ctx;
-          ctx.set_match_pool(&pool);
           (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
@@ -319,7 +318,10 @@ TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
 
   MatchingService reference(&catalog_, options);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   const MatchingStats got = service.stats();
   EXPECT_EQ(got.invocations, expected.invocations * kRounds);
@@ -333,6 +335,45 @@ TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
   for (size_t i = 0; i < got.rejects.size(); ++i) {
     EXPECT_EQ(got.rejects[i], expected.rejects[i] * kRounds) << "reason " << i;
   }
+}
+
+// Probes take no lock a writer holds. RevalidationTick runs its validate
+// callback with the writer mutex held (DESIGN.md §12); a probe started
+// from inside that callback, on another thread, must finish while the
+// callback is still waiting for it.
+TEST_F(SnapshotStressTest, ProbeCompletesWhileAWriterHoldsTheLock) {
+  MatchingService service(&catalog_);
+  AddViewRange(&service, 0, kNumViews);
+  // Sideline one view so the next tick has a retry due: its validate
+  // callback runs once, under the writer mutex.
+  ASSERT_TRUE(service.ReportChecksumMismatch(0));
+
+  std::atomic<bool> probe_done{false};
+  bool finished_under_lock = false;
+  std::thread prober;
+  const int readmitted =
+      service.RevalidationTick([&](const ViewDefinition&) {
+        prober = std::thread([&] {
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[0], ctx);
+          QueryContext uctx;
+          (void)service.FindUnionSubstitute(queries_[0], uctx);
+          probe_done.store(true);
+        });
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!probe_done.load() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        finished_under_lock = probe_done.load();
+        return true;
+      });
+  ASSERT_TRUE(prober.joinable()) << "the validate callback never ran";
+  prober.join();
+  EXPECT_EQ(readmitted, 1);
+  EXPECT_TRUE(finished_under_lock)
+      << "a probe waited for the writer mutex held by RevalidationTick";
 }
 
 // The reclamation safety property in isolation: a block reachable

@@ -1,11 +1,11 @@
 // Immutable-snapshot probe path (DESIGN.md §15): EpochDomain unit
 // semantics, snapshot publication/reclamation bookkeeping, the
-// cross-check the refactor is held to — probe results, ordering and
-// stats byte-identical between ProbeMode::kSnapshot (lock-free, pinned
-// snapshot) and ProbeMode::kReaderLock (the pre-snapshot shared-lock
-// discipline) — and the structural-sharing rule: generations share
-// nodes, a pinned generation never changes, and one AddView copies only
-// its own filter-tree path.
+// republication cross-check — probe results, ordering and stats of a
+// service that went through many published generations are
+// byte-identical to those of a reference built fresh into the same
+// state — and the structural-sharing rule: generations share nodes, a
+// pinned generation never changes, and one AddView copies only its own
+// filter-tree path.
 
 #include <atomic>
 #include <memory>
@@ -152,7 +152,7 @@ class SnapshotTest : public ::testing::Test {
 
 /// Structural fingerprint of one substitute, position-sensitive: the
 /// cross-check compares sequences of these, so ordering differences
-/// between the two probe modes fail loudly.
+/// between the two services fail loudly.
 using SubFp = std::tuple<ViewId, uint64_t, size_t, size_t, size_t, size_t,
                          bool>;
 
@@ -183,63 +183,49 @@ void ExpectStatsEqual(const MatchingStats& a, const MatchingStats& b) {
   }
 }
 
-MatchingService::Options ModeOptions(MatchingService::ProbeMode mode) {
-  MatchingService::Options options;
-  options.probe_mode = mode;
-  return options;
-}
+// The republication cross-check: a service whose every write published
+// a new generation — one per AddView, then a sideline and a readmission
+// of view 1, each cloning and republishing — answers exactly like a
+// reference service built fresh into the same state: byte-identical
+// results (sequence of structural fingerprints — ordering included) and
+// stats, for both FindSubstitutes and FindUnionSubstitute, before, while
+// and after view 1 is sidelined.
+TEST_F(SnapshotTest, RepublishedAndFreshProbesAreByteIdentical) {
+  MatchingService service(&catalog_);
+  SeedViews(&service);
 
-// The acceptance cross-check: identical registrations probed through
-// both modes produce byte-identical results (sequence of structural
-// fingerprints — ordering included) and byte-identical stats, for both
-// FindSubstitutes and FindUnionSubstitute, before and after lifecycle
-// transitions (quarantine + readmission).
-TEST_F(SnapshotTest, SnapshotAndReaderLockProbesAreByteIdentical) {
-  MatchingService snapshot(
-      &catalog_, ModeOptions(MatchingService::ProbeMode::kSnapshot));
-  MatchingService locked(
-      &catalog_, ModeOptions(MatchingService::ProbeMode::kReaderLock));
-  SeedViews(&snapshot);
-  SeedViews(&locked);
-
-  auto cross_check = [&] {
+  auto cross_check = [&](bool view_1_sidelined) {
+    MatchingService reference(&catalog_);
+    SeedViews(&reference);
+    if (view_1_sidelined) {
+      ASSERT_TRUE(reference.ReportChecksumMismatch(1));
+    }
+    service.ResetStats();
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
       QueryContext ctx_a, ctx_b;
       const std::vector<Substitute> a =
-          snapshot.FindSubstitutes(queries_[qi], ctx_a);
+          service.FindSubstitutes(queries_[qi], ctx_a);
       const std::vector<Substitute> b =
-          locked.FindSubstitutes(queries_[qi], ctx_b);
+          reference.FindSubstitutes(queries_[qi], ctx_b);
       EXPECT_EQ(Fingerprints(a), Fingerprints(b)) << "query " << qi;
 
       QueryContext uctx_a, uctx_b;
-      const auto ua = snapshot.FindUnionSubstitute(queries_[qi], uctx_a);
-      const auto ub = locked.FindUnionSubstitute(queries_[qi], uctx_b);
+      const auto ua = service.FindUnionSubstitute(queries_[qi], uctx_a);
+      const auto ub = reference.FindUnionSubstitute(queries_[qi], uctx_b);
       ASSERT_EQ(ua.has_value(), ub.has_value()) << "query " << qi;
       if (ua.has_value()) {
         EXPECT_EQ(Fingerprints(ua->legs), Fingerprints(ub->legs))
             << "query " << qi;
       }
     }
-    ExpectStatsEqual(snapshot.stats(), locked.stats());
+    ExpectStatsEqual(service.stats(), reference.stats());
   };
 
-  cross_check();
-
-  // Lifecycle transition on both sides: sideline one view, re-check,
-  // readmit, re-check. The snapshot path republished twice; the
-  // reader-lock path mutated the same published structures — results
-  // must stay indistinguishable throughout.
-  ASSERT_TRUE(snapshot.ReportChecksumMismatch(1));
-  ASSERT_TRUE(locked.ReportChecksumMismatch(1));
-  snapshot.ResetStats();
-  locked.ResetStats();
-  cross_check();
-
-  ASSERT_TRUE(snapshot.ReadmitView(1));
-  ASSERT_TRUE(locked.ReadmitView(1));
-  snapshot.ResetStats();
-  locked.ResetStats();
-  cross_check();
+  cross_check(/*view_1_sidelined=*/false);
+  ASSERT_TRUE(service.ReportChecksumMismatch(1));
+  cross_check(/*view_1_sidelined=*/true);
+  ASSERT_TRUE(service.ReadmitView(1));
+  cross_check(/*view_1_sidelined=*/false);
 }
 
 TEST_F(SnapshotTest, VersionBumpsOnWritesNotProbes) {
@@ -252,7 +238,10 @@ TEST_F(SnapshotTest, VersionBumpsOnWritesNotProbes) {
   EXPECT_EQ(service.snapshot_version(), 2u);
 
   // Probes never publish.
-  for (const SpjgQuery& q : queries_) service.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    service.FindSubstitutes(q, ctx);
+  }
   EXPECT_EQ(service.snapshot_version(), 2u);
 
   // A quiet revalidation tick (nothing sidelined) skips the clone.

@@ -1,8 +1,9 @@
-// ThreadPool shutdown semantics: the Shutdown() protocol (first caller
+// ThreadPool, the pool parallel shard recovery runs on
+// (ShardedCatalogService::RecoverAll): RunBatch basics (every task runs
+// exactly once, a zero-worker pool runs on the caller, concurrent
+// batches all complete), then the Shutdown() protocol (first caller
 // joins, later callers wait), its interaction with batches racing the
 // stop, the zero-worker degenerate case, and the destructor path.
-// Basic RunBatch behavior is covered in pipeline_test.cc; this suite
-// pins the properties the serving layer's drain path leans on.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,51 @@
 
 namespace mvopt {
 namespace {
+
+TEST(ThreadPoolTest, RunBatchRunsEveryTaskExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr int kTasks = 257;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.emplace_back([&runs, i] { runs[i].fetch_add(1); });
+  }
+  pool.RunBatch(tasks);
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolTest, ZeroWorkerPoolDegeneratesToCallerExecution) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_workers(), 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(3);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    tasks.emplace_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
+  }
+  pool.RunBatch(tasks);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPoolTest, ConcurrentBatchesFromManyCallersAllComplete) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kTasksPerCaller = 64;
+  std::atomic<int> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &total] {
+      std::vector<std::function<void()>> tasks;
+      for (int i = 0; i < kTasksPerCaller; ++i) {
+        tasks.emplace_back([&total] { total.fetch_add(1); });
+      }
+      pool.RunBatch(tasks);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(), kCallers * kTasksPerCaller);
+}
 
 TEST(ThreadPoolShutdownTest, ShutdownIsIdempotent) {
   ThreadPool pool(2);

@@ -33,7 +33,8 @@ class VerifyCheckerTest : public ::testing::Test {
 
   Substitute SingleSubstitute(MatchingService* service,
                               const SpjgQuery& query) {
-    auto subs = service->FindSubstitutes(query);
+    QueryContext ctx;
+    auto subs = service->FindSubstitutes(query, ctx);
     EXPECT_EQ(subs.size(), 1u) << "expected exactly one substitute";
     return subs.at(0);
   }
@@ -276,7 +277,8 @@ TEST_P(VerifyPropertyTest, EnforceModeAcceptsEveryMatcherSubstitute) {
     qb.Output(qb.Col(qo, "o_custkey"));
     qb.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr), "n");
     qb.GroupBy(qb.Col(qo, "o_custkey"));
-    EXPECT_FALSE(service.FindSubstitutes(qb.Build()).empty());
+    QueryContext ctx;
+    EXPECT_FALSE(service.FindSubstitutes(qb.Build(), ctx).empty());
   }
 
   for (int i = 0; i < 40; ++i) {
@@ -289,7 +291,8 @@ TEST_P(VerifyPropertyTest, EnforceModeAcceptsEveryMatcherSubstitute) {
         << error;
   }
   for (int j = 0; j < 60; ++j) {
-    service.FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    service.FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
 
   const VerifyStats& vs = service.verify_stats();

@@ -240,14 +240,17 @@ class LifecycleServiceTest : public ::testing::Test {
   /// threshold (stricter predicate).
   SpjgQuery LineitemQuery() { return LineitemView(30); }
 
-  std::vector<ViewId> Probe(MatchingService* service,
-                            QueryBudget* budget = nullptr) {
+  std::vector<ViewId> Probe(MatchingService* service, QueryContext& ctx) {
     std::vector<ViewId> ids;
     SpjgQuery q = LineitemQuery();
-    for (const Substitute& s : service->FindSubstitutes(q, budget)) {
+    for (const Substitute& s : service->FindSubstitutes(q, ctx)) {
       ids.push_back(s.view_id);
     }
     return ids;
+  }
+  std::vector<ViewId> Probe(MatchingService* service) {
+    QueryContext ctx;
+    return Probe(service, ctx);
   }
 
   void ExpectAuditGreen(const MatchingService& service) {
@@ -286,8 +289,9 @@ TEST_F(LifecycleServiceTest, StaleOnlyProbeReportsAdvisoryDegradation) {
   ASSERT_NE(service.AddView("v0", LineitemView(10), &error), nullptr);
   clock.Advance(schema_.lineitem);
 
-  QueryBudget budget;
-  EXPECT_TRUE(Probe(&service, &budget).empty());
+  QueryContext ctx;
+  QueryBudget& budget = ctx.EmplaceBudget();
+  EXPECT_TRUE(Probe(&service, ctx).empty());
   EXPECT_EQ(budget.reason(), DegradationReason::kStaleViewsOnly);
   EXPECT_FALSE(budget.exhausted()) << "advisory must not exhaust the budget";
 }
@@ -306,9 +310,10 @@ TEST_F(LifecycleServiceTest, BoundedToleranceAdmitsButDownRanksStaleViews) {
   service.lifecycle().MarkFresh(fresh->id(), clock.now());
 
   // Within tolerance both substitute, the fresh one ranked first.
-  QueryBudget tolerant;
+  QueryContext tolerant_ctx;
+  QueryBudget& tolerant = tolerant_ctx.EmplaceBudget();
   tolerant.set_max_staleness(2);
-  std::vector<ViewId> ids = Probe(&service, &tolerant);
+  std::vector<ViewId> ids = Probe(&service, tolerant_ctx);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], fresh->id());
   EXPECT_EQ(ids[1], stale->id());
@@ -316,9 +321,9 @@ TEST_F(LifecycleServiceTest, BoundedToleranceAdmitsButDownRanksStaleViews) {
   EXPECT_GT(service.stats().stale_tolerated, 0);
 
   // Below the lag, the stale view is rejected again.
-  QueryBudget strict;
-  strict.set_max_staleness(1);
-  EXPECT_EQ(Probe(&service, &strict), std::vector<ViewId>{fresh->id()});
+  QueryContext strict;
+  strict.EmplaceBudget().set_max_staleness(1);
+  EXPECT_EQ(Probe(&service, strict), std::vector<ViewId>{fresh->id()});
 }
 
 TEST_F(LifecycleServiceTest, MaintenanceRefreshKeepsViewsMatchable) {

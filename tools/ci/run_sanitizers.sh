@@ -40,27 +40,24 @@ run_thread() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMVOPT_SANITIZE=thread >/dev/null
   echo "=== thread: build ==="
-  cmake --build "${build_dir}" \
-    --target concurrency_stress_test pipeline_stress_test \
-             snapshot_stress_test serving_chaos_test shard_chaos_test \
-             match_program_stress_test \
-             -j "${jobs}"
+  # stress_tests depends on every test target labelled `stress`
+  # (tests/CMakeLists.txt), so this builds exactly what -L stress runs.
+  cmake --build "${build_dir}" --target stress_tests -j "${jobs}"
   echo "=== thread: test ==="
   # TSan only pays off on the multi-threaded suites (the `stress` ctest
-  # label): catalog concurrency, the parallel match-stage pipeline
-  # (probes sharing one ThreadPool while AddView proceeds), the
-  # lock-free snapshot probe path (probes pinned on snapshots being
-  # retired by concurrent publication and lifecycle flaps), the
-  # serving chaos soak (tenant threads racing admission, quota flips,
-  # failpoint faults, and drain), and the sharded-catalog chaos soak
-  # (probes and AddView racing quarantine, scrub readmission and
-  # revalidation ticks). The rest of the tests are single-threaded and
-  # already covered by ASan/UBSan.
+  # label): catalog concurrency (probes racing AddView, per-query
+  # deadlines), the lock-free snapshot probe path (probes pinned on
+  # snapshots being retired by concurrent publication and lifecycle
+  # flaps, and probes completing while a writer holds the writer mutex),
+  # compiled-tier probes under cross-check enforce racing registration
+  # and mode flips, the serving chaos soak (tenant threads racing
+  # admission, quota flips, failpoint faults, and drain), and the
+  # sharded-catalog chaos soak (probes and AddView racing quarantine,
+  # scrub readmission and revalidation ticks). The rest of the tests are
+  # single-threaded and already covered by ASan/UBSan.
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "${build_dir}" --output-on-failure \
     -L 'stress' -j "${jobs}"
-  # (The stress label includes match_program_stress_test: compiled-tier
-  # probes under cross-check enforce racing registration and mode flips.)
 }
 
 run_metrics_smoke() {

@@ -12,6 +12,7 @@
 #ifndef MVOPT_BENCH_HARNESS_H_
 #define MVOPT_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,6 +91,8 @@ class Workload {
   }
 
   const Catalog& catalog() const { return catalog_; }
+  /// For tests that change the statistics under registered views.
+  Catalog& mutable_catalog() { return catalog_; }
   const std::vector<SpjgQuery>& queries() const { return queries_; }
   int num_views_available() const { return static_cast<int>(views_.size()); }
 
@@ -163,6 +166,24 @@ inline SweepPoint RunSweepPoint(const Workload& workload,
     point.full_tests = service->stats().full_tests;
   }
   return point;
+}
+
+/// RunSweepPoint `passes` times over the same service; returns the pass
+/// with the median total time (single passes of a few hundred
+/// milliseconds swing with the host).
+inline SweepPoint RunSweepPointMedian(const Workload& workload,
+                                      MatchingService* service, int n,
+                                      const OptimizerOptions& options,
+                                      int passes) {
+  std::vector<SweepPoint> points;
+  for (int i = 0; i < passes; ++i) {
+    points.push_back(RunSweepPoint(workload, service, n, options));
+  }
+  std::sort(points.begin(), points.end(),
+            [](const SweepPoint& a, const SweepPoint& b) {
+              return a.total_seconds < b.total_seconds;
+            });
+  return points[points.size() / 2];
 }
 
 }  // namespace bench

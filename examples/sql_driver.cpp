@@ -8,6 +8,7 @@
 // lines are optimized, executed, and reported.
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,13 @@ int main(int argc, char** argv) {
       continue;
     }
     QueryContext ctx;
-    OptimizationResult r = optimizer.Optimize(*q, ctx);
+    OptimizationResult r;
+    try {
+      r = optimizer.Optimize(*q, ctx);
+    } catch (const std::invalid_argument& e) {
+      std::printf("!! %s\n", e.what());
+      continue;
+    }
     if (r.plan == nullptr) {
       std::printf("!! no plan\n");
       continue;

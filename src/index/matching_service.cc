@@ -427,15 +427,15 @@ uint64_t MatchingService::StalenessLag(ViewId id) const {
   return StalenessLagOn(*PinnedSnapshot(), id);
 }
 
-std::vector<ViewId> MatchingService::StageProbe(const CatalogSnapshot& snap,
-                                                const SpjgQuery& query,
-                                                QueryContext& ctx,
-                                                FilterSearchStats* fstats) {
+std::vector<ViewId> MatchingService::StageProbe(
+    const CatalogSnapshot& snap, const SpjgQuery& query, QueryContext& ctx,
+    std::optional<MatchProbeContext>* analysis, FilterSearchStats* fstats) {
   std::vector<ViewId> candidates;
   if (snap.views.num_views() == 0) return candidates;
   if (options_.use_filter_tree) {
-    QueryDescription qd = DescribeQuery(*catalog_, query);
-    candidates = snap.tree.FindCandidates(qd, ctx, fstats);
+    analysis->emplace(AnalyzeProbeQuery(*catalog_, query, options_.match));
+    candidates = snap.tree.FindCandidates(
+        DescribeQuery(*catalog_, **analysis), ctx, fstats);
   } else {
     // Without the index every view description must be considered; the
     // only cheap pre-test retained is the aggregation/table-set screen
@@ -495,13 +495,14 @@ std::vector<MatchingService::GatedCandidate> MatchingService::StagePrefilter(
 std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
     const CatalogSnapshot& snap, const SpjgQuery& query,
     const std::vector<GatedCandidate>& gated, QueryContext& ctx,
-    bool* truncated) {
+    std::optional<MatchProbeContext>* analysis, bool* truncated) {
   std::vector<MatchOutcome> outcomes(gated.size());
   if (gated.empty() || ctx.exhausted()) return outcomes;
 
-  // Tier dispatch setup: the query-side context is built once per probe,
-  // and only when some gated candidate actually carries a compiled
-  // program (an all-generic catalog pays nothing).
+  // Tier dispatch setup: the probe's analysis is completed into the
+  // query-side match context once per probe, and only when some gated
+  // candidate actually carries a compiled program (an all-generic
+  // catalog pays nothing).
   bool any_compiled = false;
   for (const GatedCandidate& g : gated) {
     if (snap.views.program(g.id) != nullptr) {
@@ -509,9 +510,11 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
       break;
     }
   }
-  std::optional<MatchProbeContext> pctx;
   if (any_compiled) {
-    pctx.emplace(BuildMatchProbeContext(*catalog_, query, options_.match));
+    if (!analysis->has_value()) {
+      analysis->emplace(AnalyzeProbeQuery(*catalog_, query, options_.match));
+    }
+    CompleteMatchProbeContext(*catalog_, options_.match, &**analysis);
   }
   // Per-candidate timing feeds the per-tier latency histograms; skipped
   // entirely (no clock reads) when counters are off.
@@ -528,7 +531,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
       const std::shared_ptr<const MatchProgram>& program =
           snap.views.program(view.id());
       if (program != nullptr) {
-        o.result = ExecuteMatchProgram(*program, *pctx, scratch);
+        o.result = ExecuteMatchProgram(*program, **analysis, scratch);
         o.tier = MatchTier::kCompiled;
       } else {
         o.result = matcher_.Match(query, view);
@@ -686,10 +689,14 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
   double total_seconds = 0;
   bool truncated = false;
 
-  // Stage 1 (probe): candidate enumeration.
+  // Stage 1 (probe): candidate enumeration. The query is analyzed once
+  // per probe: the filter tree's search keys derive from the analysis,
+  // and the match stage completes it for the compiled tier.
   FilterSearchStats fstats;
   FilterSearchStats* fstats_ptr = observing ? &fstats : nullptr;
-  std::vector<ViewId> candidates = StageProbe(snap, query, ctx, fstats_ptr);
+  std::optional<MatchProbeContext> analysis;
+  std::vector<ViewId> candidates =
+      StageProbe(snap, query, ctx, &analysis, fstats_ptr);
   delta.stats.candidates = static_cast<int64_t>(candidates.size());
   if (observing) {
     const double s = timer.Lap();
@@ -709,7 +716,10 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
 
   // Stage 3 (match): one match test per gated candidate.
   std::vector<MatchOutcome> outcomes =
-      StageMatch(snap, query, gated, ctx, &truncated);
+      StageMatch(snap, query, gated, ctx, &analysis, &truncated);
+  // Nothing reads the analysis past the match stage; releasing it here
+  // keeps its teardown inside a timed stage.
+  analysis.reset();
   if (observing) {
     const double s = timer.Lap();
     total_seconds += s;
@@ -1068,7 +1078,12 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstituteOn(
     ProbeDelta delta;  // quarantine skips only; not a FindSubstitutes probe
     const uint64_t tolerance = ctx.max_staleness();
     std::vector<ViewId> candidates;
-    QueryDescription qd = DescribeQuery(*catalog_, query);
+    std::vector<TableId> query_tables;
+    query_tables.reserve(query.tables.size());
+    for (const TableRef& tr : query.tables) query_tables.push_back(tr.table);
+    std::sort(query_tables.begin(), query_tables.end());
+    query_tables.erase(std::unique(query_tables.begin(), query_tables.end()),
+                       query_tables.end());
     for (ViewId id = 0; id < snap.views.num_views(); ++id) {
       const uint64_t lag = StalenessLagOn(snap, id);
       switch (lifecycle_.GateForProbe(id, lag, tolerance)) {
@@ -1083,10 +1098,9 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstituteOn(
       }
       const ViewDescription& d = snap.views.description(id);
       if (d.is_aggregate) continue;
-      bool tables_ok = std::includes(d.source_tables.begin(),
-                                     d.source_tables.end(),
-                                     qd.source_tables.begin(),
-                                     qd.source_tables.end());
+      bool tables_ok =
+          std::includes(d.source_tables.begin(), d.source_tables.end(),
+                        query_tables.begin(), query_tables.end());
       if (tables_ok) candidates.push_back(id);
     }
     if (delta.stats.quarantine_skips != 0) CommitProbe(delta, nullptr);

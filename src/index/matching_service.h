@@ -501,9 +501,11 @@ class MatchingService : public SubstituteSource {
   // --- pipeline stages (pure functions of the pinned snapshot) ------------
 
   /// Stage 1 (probe): filter-tree candidate enumeration (or the full id
-  /// range when the tree is off).
+  /// range when the tree is off). With the tree, analyzes the query into
+  /// *analysis (AnalyzeProbeQuery) and derives the search keys from it.
   std::vector<ViewId> StageProbe(const CatalogSnapshot& snap,
                                  const SpjgQuery& query, QueryContext& ctx,
+                                 std::optional<MatchProbeContext>* analysis,
                                  FilterSearchStats* fstats);
   /// Stage 2 (prefilter): sidelined screen + staleness gate via
   /// ViewLifecycleRegistry::GateForProbe; ticks the deadline per
@@ -514,11 +516,12 @@ class MatchingService : public SubstituteSource {
       bool* truncated);
   /// Stage 3 (match): runs the matcher over the gated candidates in
   /// candidate order, ticking the deadline before each; sets *truncated
-  /// when the budget cut the loop short.
-  std::vector<MatchOutcome> StageMatch(const CatalogSnapshot& snap,
-                                       const SpjgQuery& query,
-                                       const std::vector<GatedCandidate>& gated,
-                                       QueryContext& ctx, bool* truncated);
+  /// when the budget cut the loop short. Completes *analysis (analyzing
+  /// the query first when stage 1 did not) when a candidate is compiled.
+  std::vector<MatchOutcome> StageMatch(
+      const CatalogSnapshot& snap, const SpjgQuery& query,
+      const std::vector<GatedCandidate>& gated, QueryContext& ctx,
+      std::optional<MatchProbeContext>* analysis, bool* truncated);
   /// Stage 4 (compensate): candidate-order walk of the outcome slots —
   /// verification (soundness checker / quarantine bookkeeping), stats
   /// accounting and trace verdicts all happen here. `mode` is

@@ -1,8 +1,9 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "expr/classify.h"
 
@@ -39,7 +40,6 @@ struct Optimizer::Context {
   std::map<std::pair<uint32_t, int>, int> group_index;
   std::vector<Group> groups;
   std::vector<AggSpec> agg_specs;
-  std::map<uint32_t, double> card_cache;
   OptimizerMetrics metrics;
   QueryTrace* trace = nullptr;  // full-trace mode only
 
@@ -111,10 +111,11 @@ void Optimizer::RegisterMetrics() {
       "mvopt_optimize_latency_seconds", "Optimize wall-clock latency");
 }
 
-SpjgQuery Optimizer::GroupSignature(const Context& ctx,
-                                    const Group& group) const {
+const SpjgQuery& Optimizer::SignatureOf(const Context& ctx,
+                                        Group& group) const {
+  if (group.signature.has_value()) return *group.signature;
   const SpjgQuery& q = *ctx.query;
-  SpjgQuery sig;
+  SpjgQuery& sig = group.signature.emplace();
   std::vector<int32_t> remap(q.num_tables(), -1);
   for (int t = 0; t < q.num_tables(); ++t) {
     if (group.mask & (1u << t)) {
@@ -155,7 +156,7 @@ void Optimizer::ApplyViewMatching(Context* ctx, int group_id) {
   // rule entirely (the group keeps its base-table expressions).
   if (ctx->budget != nullptr && ctx->budget->TickDeadline()) return;
 
-  SpjgQuery sig = GroupSignature(*ctx, group);
+  const SpjgQuery& sig = SignatureOf(*ctx, group);
   auto start = std::chrono::steady_clock::now();
   std::vector<Substitute> subs;
   try {
@@ -175,8 +176,8 @@ void Optimizer::ApplyViewMatching(Context* ctx, int group_id) {
   for (Substitute& sub : subs) {
     LogicalExpr e;
     e.kind = ExprKindL::kViewGet;
-    e.substitute = std::move(sub);
-    ctx->groups[group_id].exprs.push_back(std::move(e));
+    e.substitute = std::make_shared<const Substitute>(std::move(sub));
+    group.exprs.push_back(std::move(e));
     ++ctx->metrics.expressions_generated;
   }
 }
@@ -302,8 +303,6 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
   if (PopCount(mask) < 2) return;
   const AggSpec spec0 = ctx->agg_specs[root.agg_spec];
 
-  ClassifiedPredicates all_preds = ClassifyConjuncts(q.conjuncts);
-
   for (int r = 0; r < q.num_tables(); ++r) {
     // Pre-aggregation alternatives are pure gravy — stop on exhaustion.
     if (ctx->budget != nullptr &&
@@ -386,7 +385,6 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
       AggKind kind;
     };
     std::vector<PushedAgg> pushed;
-    bool push_ok = true;
     for (size_t i = 0; i < spec0.outputs.size(); ++i) {
       const Expr& oe = *spec0.outputs[i].expr;
       if (oe.kind() != ExprKind::kAggregate) continue;
@@ -414,7 +412,6 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
         }
       }
     }
-    if (!push_ok) continue;
     inner.scalar = inner.group_by.empty();
 
     const int inner_spec_id = static_cast<int>(ctx->agg_specs.size());
@@ -485,26 +482,21 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
   }
 }
 
-double Optimizer::SpjCardinality(Context* ctx, uint32_t mask) {
-  auto it = ctx->card_cache.find(mask);
-  if (it != ctx->card_cache.end()) return it->second;
-  Group tmp;
-  tmp.mask = mask;
-  tmp.agg_spec = -1;
-  SpjgQuery sig = GroupSignature(*ctx, tmp);
-  double card = estimator_.EstimateSpj(sig);
-  ctx->card_cache[mask] = card;
-  return card;
+double Optimizer::SpjCardinality(const Context& ctx, Group& group) const {
+  if (group.card < 0) {
+    group.card = estimator_.EstimateSpj(SignatureOf(ctx, group));
+  }
+  return group.card;
 }
 
-PhysPlanPtr Optimizer::ImplementGet(Context* ctx, const Group& group,
+PhysPlanPtr Optimizer::ImplementGet(Context* ctx, Group& group,
                                     const LogicalExpr& expr) {
   const SpjgQuery& q = *ctx->query;
   const int32_t ref = expr.table_ref;
   const TableId tid = q.tables[ref].table;
   const TableDef& def = catalog_->table(tid);
   const double base_rows = std::max<int64_t>(1, def.row_count());
-  const double out_rows = std::max(1.0, SpjCardinality(ctx, group.mask));
+  const double out_rows = std::max(1.0, SpjCardinality(*ctx, group));
 
   std::vector<ExprPtr> filters;
   for (int ci : ctx->ConjunctsWithin(group.mask)) {
@@ -562,7 +554,7 @@ PhysPlanPtr Optimizer::ImplementGet(Context* ctx, const Group& group,
   return best;
 }
 
-PhysPlanPtr Optimizer::ImplementJoin(Context* ctx, const Group& group,
+PhysPlanPtr Optimizer::ImplementJoin(Context* ctx, Group& group,
                                      const LogicalExpr& expr) {
   PhysPlanPtr left = OptimizeGroup(ctx, expr.children[0]);
   PhysPlanPtr right = OptimizeGroup(ctx, expr.children[1]);
@@ -581,7 +573,7 @@ PhysPlanPtr Optimizer::ImplementJoin(Context* ctx, const Group& group,
     // is bounded by the aggregated child's rows.
     out_rows = left->rows;
   } else {
-    out_rows = std::max(1.0, SpjCardinality(ctx, group.mask));
+    out_rows = std::max(1.0, SpjCardinality(*ctx, group));
   }
 
   auto join = std::make_shared<PhysPlan>();
@@ -630,16 +622,19 @@ PhysPlanPtr Optimizer::ImplementAggregate(Context* ctx, const Group& group,
 std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
     Context* ctx, const Group& group, const LogicalExpr& expr) {
   std::vector<PhysPlanPtr> out;
-  const Substitute& sub = expr.substitute;
+  const Substitute& sub = *expr.substitute;
   const ViewDefinition& view = matching_->ResolveView(sub.view_id);
 
-  // View size: actual row count when materialized, estimated otherwise.
+  // View size: actual row count when materialized; otherwise the view's
+  // registration-time estimate shape, evaluated against the current
+  // statistics.
   double view_rows;
   TableId vt = view.materialized_table();
   if (vt != kInvalidTableId) {
     view_rows = std::max<int64_t>(1, catalog_->table(vt).row_count());
   } else {
-    view_rows = std::max(1.0, estimator_.EstimateResult(view.query()));
+    view_rows =
+        std::max(1.0, estimator_.EstimateResult(view.estimate_shape()));
   }
 
   // Selectivity of the compensating predicates, from the statistics of
@@ -683,7 +678,7 @@ std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
   scan->table = vt;
   scan->view = sub.view_id;
   scan->view_name = view.name();
-  scan->substitute = sub;
+  scan->substitute = expr.substitute;
   if (group.agg_spec < 0) {
     scan->provides = group.required_columns;
   } else {
@@ -763,12 +758,12 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
     if (group.costed) return group.best;
     group.costed = true;
   }
+  // Costing only reads the memo: exploration has finished, so no group
+  // or expression is added and references into it stay valid across the
+  // recursion into child groups.
+  Group& group = ctx->groups[group_id];
   PhysPlanPtr best;
-  // Note: expression list may grow while iterating (children recursion
-  // does not add to this group, but be defensive with index iteration).
-  for (size_t i = 0; i < ctx->groups[group_id].exprs.size(); ++i) {
-    LogicalExpr expr = ctx->groups[group_id].exprs[i];
-    const Group& group = ctx->groups[group_id];
+  for (const LogicalExpr& expr : group.exprs) {
     std::vector<PhysPlanPtr> candidates;
     switch (expr.kind) {
       case ExprKindL::kGet:
@@ -789,7 +784,6 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
       if (best == nullptr || c->cost < best->cost) best = c;
     }
   }
-  Group& group = ctx->groups[group_id];
   group.best = best;
   group.best_cost = best != nullptr ? best->cost : 0;
   return best;
@@ -797,7 +791,14 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
 
 OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
                                        QueryContext& qctx) {
-  assert(query.num_tables() <= 30);
+  // Table sets are 32-bit masks and the root group enumerates every
+  // split of its mask, so the limit holds before any memo work.
+  if (query.num_tables() > kMaxTables) {
+    throw std::invalid_argument(
+        "Optimize: the query references " +
+        std::to_string(query.num_tables()) + " tables; the limit is " +
+        std::to_string(kMaxTables));
+  }
   // A context may be reused across queries; per-query outcome state
   // (degradation reason and advisory, tick/candidate counters) must not
   // leak from one optimization into the next. Limits and the wall-clock
@@ -808,9 +809,7 @@ OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
   ctx.query = &query;
   ctx.qctx = &qctx;
   ctx.budget = budget;
-  ctx.full_mask = query.num_tables() >= 32
-                      ? 0xffffffffu
-                      : ((1u << query.num_tables()) - 1);
+  ctx.full_mask = (1u << query.num_tables()) - 1;
   for (const auto& c : query.conjuncts) {
     ctx.conjunct_mask.push_back(ctx.MaskOf(c));
   }
@@ -943,7 +942,7 @@ OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
         er.child0 = e.children[0];
         er.child1 = e.children[1];
         er.view_id =
-            e.kind == ExprKindL::kViewGet ? e.substitute.view_id : -1;
+            e.kind == ExprKindL::kViewGet ? e.substitute->view_id : -1;
         rec.exprs.push_back(er);
       }
       records.push_back(std::move(rec));

@@ -74,7 +74,8 @@ struct PhysPlan {
   /// name keeps plan text comparable across id spaces — the property the
   /// sharded-vs-unsharded byte-identity checks rely on.
   std::string view_name;
-  Substitute substitute;
+  /// The memo's substitute, shared by every plan that scans it.
+  std::shared_ptr<const Substitute> substitute;
   /// Global column reference provided by each substitute output position
   /// (empty when the node is a root producing final query outputs).
   std::vector<ColumnRefId> provides;

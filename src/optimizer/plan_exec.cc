@@ -74,7 +74,7 @@ PlanExecutor::Result PlanExecutor::RunViewScan(const PhysPlan& plan) {
   assert(plan.table != kInvalidTableId && "view must be materialized");
   const TableData* data = db_->table(plan.table);
   assert(data != nullptr);
-  const Substitute& sub = plan.substitute;
+  const Substitute& sub = *plan.substitute;
 
   if (!sub.backjoins.empty()) {
     // Backjoin substitutes reference base tables; delegate to the

@@ -12,8 +12,10 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "query/estimate_shape.h"
 #include "query/spjg.h"
 
 namespace mvopt {
@@ -69,6 +71,15 @@ class ViewDefinition {
   TableId materialized_table() const { return materialized_table_; }
   void set_materialized_table(TableId id) { materialized_table_ = id; }
 
+  /// The view's cardinality-estimate shape, which the optimizer evaluates
+  /// to price a substitute of a view that is not materialized. Set once
+  /// by ViewCatalog::AddView before the view is published; empty (no
+  /// tables) on a definition that was never registered.
+  const EstimateShape& estimate_shape() const { return estimate_shape_; }
+  void set_estimate_shape(EstimateShape shape) {
+    estimate_shape_ = std::move(shape);
+  }
+
  private:
   ViewId id_;
   std::string name_;
@@ -77,6 +88,7 @@ class ViewDefinition {
   IndexDef clustered_;
   std::vector<IndexDef> secondary_;
   TableId materialized_table_ = kInvalidTableId;
+  EstimateShape estimate_shape_;
 };
 
 }  // namespace mvopt

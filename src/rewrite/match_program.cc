@@ -22,7 +22,9 @@ void AppendCheckConjuncts(const Catalog& catalog, TableId table, int32_t slot,
   }
 }
 
-MatchProbeContext::CachedExpr CacheExpr(const ExprPtr& e) {
+/// `shape`, when given, is `e`'s already computed shape.
+MatchProbeContext::CachedExpr CacheExpr(const ExprPtr& e,
+                                        const ExprShape* shape = nullptr) {
   MatchProbeContext::CachedExpr cached;
   cached.expr = e;
   if (e->kind() == ExprKind::kLiteral) {
@@ -32,32 +34,21 @@ MatchProbeContext::CachedExpr CacheExpr(const ExprPtr& e) {
     cached.column = e->column_ref();
   } else {
     cached.kind = MatchProbeContext::CachedExpr::Kind::kComplex;
-    cached.shape = ComputeShape(*e);
+    cached.shape = shape != nullptr ? *shape : ComputeShape(*e);
   }
   return cached;
 }
 
 }  // namespace
 
-MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
-                                         const SpjgQuery& query,
-                                         const MatchOptions& options) {
+MatchProbeContext AnalyzeProbeQuery(const Catalog& catalog,
+                                    const SpjgQuery& query,
+                                    const MatchOptions& options) {
   MatchProbeContext ctx;
   ctx.query = &query;
   ctx.is_aggregate = query.is_aggregate;
-
+  ctx.checks_classified = options.use_check_constraints;
   const int32_t num_slots = query.num_tables();
-  ctx.slot_by_table.reserve(static_cast<size_t>(num_slots));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx.slot_by_table.emplace_back(query.tables[t].table, t);
-  }
-  std::sort(ctx.slot_by_table.begin(), ctx.slot_by_table.end());
-  for (size_t i = 1; i < ctx.slot_by_table.size(); ++i) {
-    if (ctx.slot_by_table[i].first == ctx.slot_by_table[i - 1].first) {
-      ctx.has_dup_tables = true;
-      break;
-    }
-  }
 
   // The predicate decomposition and equivalence classes the generic
   // matcher builds per candidate (matcher.cc step 4) — for compiled
@@ -80,56 +71,12 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
   ctx.query_ec.AddEqualities(ctx.query_preds.equalities);
   ctx.query_ec.AddEqualities(ctx.check_preds.equalities);
 
-  ctx.col_base.resize(static_cast<size_t>(num_slots));
-  int32_t base = 0;
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx.col_base[static_cast<size_t>(t)] = base;
-    base += catalog.table(query.tables[t].table).num_columns();
-  }
-  ctx.class_of.resize(static_cast<size_t>(base));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    const int32_t ncols = catalog.table(query.tables[t].table).num_columns();
-    for (int32_t c = 0; c < ncols; ++c) {
-      ctx.class_of[static_cast<size_t>(ctx.col_base[static_cast<size_t>(t)] +
-                                       c)] =
-          ctx.query_ec.ClassOf(ColumnRefId{t, c});
-    }
-  }
-  ctx.num_classes = ctx.query_ec.NumClasses();
-  ctx.nontrivial_classes = ctx.query_ec.NontrivialClasses();
-
-  ctx.query_ranges = RangeMap::Build(ctx.query_preds.ranges, ctx.query_ec);
-  std::vector<RangePred> checked = ctx.query_preds.ranges;
-  checked.insert(checked.end(), ctx.check_preds.ranges.begin(),
-                 ctx.check_preds.ranges.end());
-  ctx.query_ranges_checked = RangeMap::Build(checked, ctx.query_ec);
-
   ctx.query_residual_shapes.reserve(ctx.query_preds.residual.size());
   for (const auto& r : ctx.query_preds.residual) {
     ctx.query_residual_shapes.push_back(ComputeShape(*r));
   }
   for (const auto& r : ctx.check_preds.residual) {
     ctx.check_residual_shapes.push_back(ComputeShape(*r));
-  }
-
-  // The §3.2 nullable-FK relaxation set, built exactly as the generic
-  // matcher builds it (matcher.cc step 2) — query predicate columns are
-  // in query slot space there too, so membership carries over verbatim.
-  if (options.allow_nullable_fk_with_null_rejection) {
-    for (const auto& p : ctx.query_preds.ranges) {
-      ctx.null_rejected.push_back(p.column);
-    }
-    for (const auto& p : ctx.query_preds.equalities) {
-      ctx.null_rejected.push_back(p.lhs);
-      ctx.null_rejected.push_back(p.rhs);
-    }
-    for (const auto& r : ctx.query_preds.residual) {
-      std::vector<ColumnRefId> cols;
-      r->CollectColumnRefs(&cols);
-      for (ColumnRefId c : cols) {
-        if (IsNullRejectingOn(*r, c)) ctx.null_rejected.push_back(c);
-      }
-    }
   }
 
   ctx.outputs.reserve(query.outputs.size());
@@ -150,12 +97,86 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
     }
     ctx.outputs.push_back(std::move(info));
   }
-  ctx.group_by.reserve(query.group_by.size());
   ctx.group_by_shapes.reserve(query.group_by.size());
   for (const auto& g : query.group_by) {
-    ctx.group_by.push_back(CacheExpr(g));
     ctx.group_by_shapes.push_back(ComputeShape(*g));
   }
+  return ctx;
+}
+
+void CompleteMatchProbeContext(const Catalog& catalog,
+                               const MatchOptions& options,
+                               MatchProbeContext* ctx) {
+  const SpjgQuery& query = *ctx->query;
+  const int32_t num_slots = query.num_tables();
+  ctx->slot_by_table.reserve(static_cast<size_t>(num_slots));
+  for (int32_t t = 0; t < num_slots; ++t) {
+    ctx->slot_by_table.emplace_back(query.tables[t].table, t);
+  }
+  std::sort(ctx->slot_by_table.begin(), ctx->slot_by_table.end());
+  for (size_t i = 1; i < ctx->slot_by_table.size(); ++i) {
+    if (ctx->slot_by_table[i].first == ctx->slot_by_table[i - 1].first) {
+      ctx->has_dup_tables = true;
+      break;
+    }
+  }
+
+  ctx->col_base.resize(static_cast<size_t>(num_slots));
+  int32_t base = 0;
+  for (int32_t t = 0; t < num_slots; ++t) {
+    ctx->col_base[static_cast<size_t>(t)] = base;
+    base += catalog.table(query.tables[t].table).num_columns();
+  }
+  ctx->class_of.resize(static_cast<size_t>(base));
+  for (int32_t t = 0; t < num_slots; ++t) {
+    const int32_t ncols = catalog.table(query.tables[t].table).num_columns();
+    for (int32_t c = 0; c < ncols; ++c) {
+      ctx->class_of[static_cast<size_t>(
+          ctx->col_base[static_cast<size_t>(t)] + c)] =
+          ctx->query_ec.ClassOf(ColumnRefId{t, c});
+    }
+  }
+  ctx->num_classes = ctx->query_ec.NumClasses();
+  ctx->nontrivial_classes = ctx->query_ec.NontrivialClasses();
+
+  ctx->query_ranges = RangeMap::Build(ctx->query_preds.ranges, ctx->query_ec);
+  std::vector<RangePred> checked = ctx->query_preds.ranges;
+  checked.insert(checked.end(), ctx->check_preds.ranges.begin(),
+                 ctx->check_preds.ranges.end());
+  ctx->query_ranges_checked = RangeMap::Build(checked, ctx->query_ec);
+
+  // The §3.2 nullable-FK relaxation set, built exactly as the generic
+  // matcher builds it (matcher.cc step 2) — query predicate columns are
+  // in query slot space there too, so membership carries over verbatim.
+  if (options.allow_nullable_fk_with_null_rejection) {
+    for (const auto& p : ctx->query_preds.ranges) {
+      ctx->null_rejected.push_back(p.column);
+    }
+    for (const auto& p : ctx->query_preds.equalities) {
+      ctx->null_rejected.push_back(p.lhs);
+      ctx->null_rejected.push_back(p.rhs);
+    }
+    for (const auto& r : ctx->query_preds.residual) {
+      std::vector<ColumnRefId> cols;
+      r->CollectColumnRefs(&cols);
+      for (ColumnRefId c : cols) {
+        if (IsNullRejectingOn(*r, c)) ctx->null_rejected.push_back(c);
+      }
+    }
+  }
+
+  ctx->group_by.reserve(query.group_by.size());
+  for (size_t i = 0; i < query.group_by.size(); ++i) {
+    ctx->group_by.push_back(
+        CacheExpr(query.group_by[i], &ctx->group_by_shapes[i]));
+  }
+}
+
+MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
+                                         const SpjgQuery& query,
+                                         const MatchOptions& options) {
+  MatchProbeContext ctx = AnalyzeProbeQuery(catalog, query, options);
+  CompleteMatchProbeContext(catalog, options, &ctx);
   return ctx;
 }
 

@@ -320,6 +320,9 @@ struct MatchProgram {
 struct MatchProbeContext {
   const SpjgQuery* query = nullptr;
   bool is_aggregate = false;
+  /// Whether check_preds holds the query tables' check constraints
+  /// (MatchOptions::use_check_constraints); without them it is empty.
+  bool checks_classified = false;
   /// Any duplicate table id in the query's FROM list? (Always infeasible
   /// against a compiled — duplicate-free — view.)
   bool has_dup_tables = false;
@@ -421,8 +424,25 @@ struct MatchProgramScratch {
   std::vector<int32_t> ranged_classes;
 };
 
-/// Builds the query-side context for one probe. `options` must be the
-/// same MatchOptions the candidate programs were compiled with.
+/// The one analysis of a probe's query: classifies its conjuncts (and,
+/// with use_check_constraints, its tables' check constraints) once,
+/// builds its equivalence classes and the shapes of its residuals,
+/// outputs and grouping expressions. The §4.2 search keys derive from it
+/// (DescribeQuery); CompleteMatchProbeContext adds what only compiled
+/// candidates read. `query` must outlive the context.
+MatchProbeContext AnalyzeProbeQuery(const Catalog& catalog,
+                                    const SpjgQuery& query,
+                                    const MatchOptions& options);
+
+/// Completes an analyzed context for ExecuteMatchProgram: slot lookup,
+/// dense class ids, range maps, the nullable-FK relaxation set and the
+/// cached grouping expressions. Run at most once per context.
+void CompleteMatchProbeContext(const Catalog& catalog,
+                               const MatchOptions& options,
+                               MatchProbeContext* ctx);
+
+/// Both steps: the query-side context for one probe. `options` must be
+/// the same MatchOptions the candidate programs were compiled with.
 MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
                                          const SpjgQuery& query,
                                          const MatchOptions& options);

@@ -17,11 +17,16 @@
 // ids; the single-store one hands out catalog ordinals).
 //
 // Concurrency: FindSubstitutes / FindUnionSubstitute follow the
-// implementation's probe contract (MatchingService allows concurrent
-// probes under its shared lock). ResolveView hands out a reference into
-// implementation-owned structure; like ViewCatalog accessors it must not
-// race a registration that could grow the underlying containers — the
-// optimizer resolves only ids returned by a probe of the same source.
+// implementation's probe contract (MatchingService runs concurrent
+// probes lock-free, each over one pinned catalog snapshot, while writers
+// publish new ones). ResolveView is safe from any thread, also while
+// views are being registered: definitions are shared across catalog
+// generations, so the reference stays valid for the source's lifetime.
+// The optimizer resolves only ids returned by a probe of the same
+// source, and prices a substitute of a view that is not materialized by
+// evaluating the definition's estimate shape (ViewDefinition::
+// estimate_shape, built at registration) against the current
+// statistics.
 
 #ifndef MVOPT_REWRITE_SUBSTITUTE_SOURCE_H_
 #define MVOPT_REWRITE_SUBSTITUTE_SOURCE_H_
@@ -42,8 +47,8 @@ class SubstituteSource {
   virtual ~SubstituteSource() = default;
 
   /// All substitutes for `query` (the view-matching rule body). The
-  /// context supplies the budget, staleness tolerance and match-stage
-  /// pool; results are deterministic for a fixed catalog state.
+  /// context supplies the budget and the staleness tolerance; results
+  /// are deterministic for a fixed catalog state.
   virtual std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
                                                   QueryContext& ctx) = 0;
 

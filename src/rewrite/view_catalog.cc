@@ -26,11 +26,13 @@ ViewDefinition* ViewCatalog::AddView(const std::string& name,
   }
   const auto id = static_cast<ViewId>(entries_.size());
   // Build everything fallible before the first container mutation: a
-  // throw from the definition, the description (or the failpoint
-  // standing in for one) leaves both containers untouched.
+  // throw from the definition, the description and estimate shape (or
+  // the failpoint standing in for one) leaves both containers untouched.
   auto view = std::make_shared<ViewDefinition>(id, name, std::move(definition));
-  auto description =
-      std::make_shared<const ViewDescription>(DescribeView(*catalog_, *view));
+  EstimateShape shape;
+  auto description = std::make_shared<const ViewDescription>(
+      DescribeView(*catalog_, *view, &shape));
+  view->set_estimate_shape(std::move(shape));
   MVOPT_FAILPOINT("view_catalog.describe");
   ViewDefinition* registered = view.get();
   // The program is compiled later (MatchingService), if at all.

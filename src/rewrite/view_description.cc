@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "expr/classify.h"
 #include "rewrite/equiv.h"
 #include "rewrite/fk_graph.h"
+#include "rewrite/match_program.h"
 #include "rewrite/range.h"
 
 namespace mvopt {
@@ -38,23 +40,9 @@ struct Analysis {
   RangeMap ranges;
 };
 
-Analysis Analyze(const Catalog& catalog, const SpjgQuery& q,
-                 bool include_checks) {
+Analysis Analyze(const Catalog& catalog, const SpjgQuery& q) {
   Analysis a;
-  std::vector<ExprPtr> conjuncts = q.conjuncts;
-  if (include_checks) {
-    // Query-side search keys include check constraints, mirroring their
-    // role in the matcher's antecedent (§3.1.2) so the filter conditions
-    // stay necessary conditions.
-    for (int t = 0; t < q.num_tables(); ++t) {
-      for (const auto& c : catalog.table(q.tables[t].table)
-                               .check_constraints()) {
-        std::vector<int32_t> self = {t};
-        conjuncts.push_back(c->RemapTableRefs(self));
-      }
-    }
-  }
-  a.preds = ClassifyConjuncts(conjuncts);
+  a.preds = ClassifyConjuncts(q.conjuncts);
   for (int t = 0; t < q.num_tables(); ++t) {
     a.ec.AddTableColumns(t, catalog.table(q.tables[t].table).num_columns());
   }
@@ -65,10 +53,75 @@ Analysis Analyze(const Catalog& catalog, const SpjgQuery& q,
 
 }  // namespace
 
+EstimateShape BuildEstimateShape(const SpjgQuery& query,
+                                 const ClassifiedPredicates& preds,
+                                 const EquivalenceClasses& ec) {
+  EstimateShape shape;
+  shape.tables.reserve(query.tables.size());
+  for (const auto& tr : query.tables) shape.tables.push_back(tr.table);
+
+  // Every vector is sized exactly: a registered view keeps its shape for
+  // the catalog's lifetime.
+  const std::vector<int> classes = ec.NontrivialClasses();
+  size_t num_members = 0;
+  for (int cls : classes) num_members += ec.ClassMembers(cls).size();
+  shape.class_members.reserve(num_members);
+  shape.class_end.reserve(classes.size());
+  for (int cls : classes) {
+    const auto& members = ec.ClassMembers(cls);
+    shape.class_members.insert(shape.class_members.end(), members.begin(),
+                               members.end());
+    shape.class_end.push_back(
+        static_cast<uint32_t>(shape.class_members.size()));
+  }
+
+  // The estimator folds each column's predicates into one interval and
+  // multiplies the intervals in this map's iteration order. Floating-
+  // point products depend on their order, so the groups keep it.
+  std::unordered_map<uint64_t, std::vector<RangePred>> by_column;
+  for (const auto& p : preds.ranges) {
+    uint64_t key = (static_cast<uint64_t>(p.column.table_ref) << 32) |
+                   static_cast<uint32_t>(p.column.column);
+    by_column[key].push_back(p);
+  }
+  shape.ranges.reserve(preds.ranges.size());
+  shape.range_end.reserve(by_column.size());
+  for (auto& [key, plist] : by_column) {
+    (void)key;
+    for (RangePred& p : plist) shape.ranges.push_back(std::move(p));
+    shape.range_end.push_back(static_cast<uint32_t>(shape.ranges.size()));
+  }
+
+  shape.residuals = static_cast<int32_t>(preds.residual.size());
+  shape.is_aggregate = query.is_aggregate;
+  shape.group_columns.reserve(query.group_by.size());
+  for (const auto& g : query.group_by) {
+    shape.group_columns.push_back(g->kind() == ExprKind::kColumnRef
+                                      ? g->column_ref()
+                                      : ColumnRefId{});
+  }
+  return shape;
+}
+
+EstimateShape BuildEstimateShape(const Catalog& catalog,
+                                 const SpjgQuery& query) {
+  ClassifiedPredicates preds = ClassifyConjuncts(query.conjuncts);
+  EquivalenceClasses ec;
+  for (int t = 0; t < query.num_tables(); ++t) {
+    ec.AddTableColumns(t, catalog.table(query.tables[t].table).num_columns());
+  }
+  ec.AddEqualities(preds.equalities);
+  return BuildEstimateShape(query, preds, ec);
+}
+
 ViewDescription DescribeView(const Catalog& catalog,
-                             const ViewDefinition& view) {
+                             const ViewDefinition& view,
+                             EstimateShape* estimate_shape) {
   const SpjgQuery& q = view.query();
-  Analysis a = Analyze(catalog, q, /*include_checks=*/false);
+  Analysis a = Analyze(catalog, q);
+  if (estimate_shape != nullptr) {
+    *estimate_shape = BuildEstimateShape(q, a.preds, a.ec);
+  }
 
   ViewDescription d;
   d.id = view.id();
@@ -150,8 +203,21 @@ ViewDescription DescribeView(const Catalog& catalog,
 }
 
 QueryDescription DescribeQuery(const Catalog& catalog,
-                               const SpjgQuery& query) {
-  Analysis a = Analyze(catalog, query, /*include_checks=*/true);
+                               const MatchProbeContext& analysis) {
+  const SpjgQuery& query = *analysis.query;
+  // Query-side search keys include check constraints, mirroring their
+  // role in the matcher's antecedent (§3.1.2) so the filter conditions
+  // stay necessary conditions — also when the matcher runs without them
+  // and the probe's analysis therefore left them out.
+  if (!analysis.checks_classified) {
+    for (const TableRef& tr : query.tables) {
+      if (!catalog.table(tr.table).check_constraints().empty()) {
+        return DescribeQuery(
+            catalog, AnalyzeProbeQuery(catalog, query, MatchOptions()));
+      }
+    }
+  }
+  const EquivalenceClasses& ec = analysis.query_ec;
 
   QueryDescription d;
   d.is_aggregate = query.is_aggregate;
@@ -160,30 +226,30 @@ QueryDescription DescribeQuery(const Catalog& catalog,
 
   auto add_class = [&](ColumnRefId col,
                        std::vector<std::vector<uint32_t>>* into) {
-    into->push_back(ClassCatalogIds(query, a.ec, col));
+    into->push_back(ClassCatalogIds(query, ec, col));
   };
 
-  for (const auto& o : query.outputs) {
-    const Expr& e = *o.expr;
+  for (size_t k = 0; k < query.outputs.size(); ++k) {
+    const Expr& e = *query.outputs[k].expr;
+    const MatchProbeContext::OutputInfo& info = analysis.outputs[k];
     if (e.kind() == ExprKind::kColumnRef) {
       add_class(e.column_ref(), &d.output_column_classes_spj);
       add_class(e.column_ref(), &d.output_column_classes_agg);
       continue;
     }
     if (e.kind() == ExprKind::kAggregate) {
-      // Normalized aggregate text requirement for aggregation views.
-      switch (e.agg_kind()) {
-        case AggKind::kCountStar:
-          break;  // every aggregation view has count(*)
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          d.agg_expr_texts.push_back("sum(" +
-                                     ComputeShape(*e.child(0)).text + ")");
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          d.agg_expr_texts.push_back(ComputeShape(e).text);
-          break;
+      // Normalized aggregate text requirement for aggregation views (SUM
+      // text for SUM and AVG; none for count(*), which every aggregation
+      // view has).
+      if (e.agg_kind() != AggKind::kCountStar) {
+        const std::string arg = info.is_aggregate
+                                    ? info.agg_arg_shape.text
+                                    : ComputeShape(*e.child(0)).text;
+        const bool sum = e.agg_kind() == AggKind::kSum ||
+                         e.agg_kind() == AggKind::kAvg;
+        d.agg_expr_texts.push_back(
+            std::string(sum ? "sum" : AggKindName(e.agg_kind())) + "(" +
+            arg + ")");
       }
       // SPJ views compute the aggregate by compensation; a simple column
       // argument must then be routable.
@@ -194,10 +260,14 @@ QueryDescription DescribeQuery(const Catalog& catalog,
       continue;
     }
     // Complex non-aggregate output: paper-faithful textual condition.
-    d.output_expr_texts.push_back(ComputeShape(e).text);
+    d.output_expr_texts.push_back(
+        info.value.kind == MatchProbeContext::CachedExpr::Kind::kComplex
+            ? info.value.shape.text
+            : ComputeShape(e).text);
   }
-  for (const auto& g : query.group_by) {
-    d.grouping_expr_texts.push_back(ComputeShape(*g).text);
+  for (size_t i = 0; i < query.group_by.size(); ++i) {
+    const ExprPtr& g = query.group_by[i];
+    d.grouping_expr_texts.push_back(analysis.group_by_shapes[i].text);
     if (g->kind() == ExprKind::kColumnRef) {
       add_class(g->column_ref(), &d.output_column_classes_spj);
       add_class(g->column_ref(), &d.output_column_classes_agg);
@@ -208,20 +278,31 @@ QueryDescription DescribeQuery(const Catalog& catalog,
   SortUnique(&d.agg_expr_texts);
   SortUnique(&d.grouping_expr_texts);
 
-  for (const auto& r : a.preds.residual) {
-    d.residual_texts.push_back(ComputeShape(*r).text);
+  for (const ExprShape& r : analysis.query_residual_shapes) {
+    d.residual_texts.push_back(r.text);
+  }
+  for (const ExprShape& r : analysis.check_residual_shapes) {
+    d.residual_texts.push_back(r.text);
   }
   SortUnique(&d.residual_texts);
 
-  for (const auto& [cls, range] : a.ranges.ranges()) {
-    (void)range;
-    for (ColumnRefId m : a.ec.ClassMembers(cls)) {
+  // Every member of every range-constrained class.
+  auto add_range_class = [&](const RangePred& p) {
+    for (ColumnRefId m : ec.ClassMembers(ec.ClassOf(p.column))) {
       d.extended_range_columns.push_back(
           CatalogColId(query.tables[m.table_ref].table, m.column));
     }
-  }
+  };
+  for (const RangePred& p : analysis.query_preds.ranges) add_range_class(p);
+  for (const RangePred& p : analysis.check_preds.ranges) add_range_class(p);
   SortUnique(&d.extended_range_columns);
   return d;
+}
+
+QueryDescription DescribeQuery(const Catalog& catalog,
+                               const SpjgQuery& query) {
+  return DescribeQuery(catalog,
+                       AnalyzeProbeQuery(catalog, query, MatchOptions()));
 }
 
 }  // namespace mvopt

@@ -16,10 +16,14 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "query/estimate_shape.h"
 #include "query/spjg.h"
 #include "query/view_def.h"
 
 namespace mvopt {
+
+class EquivalenceClasses;
+struct MatchProbeContext;
 
 /// Catalog-level column identity used as filter-tree key atoms.
 inline uint32_t CatalogColId(TableId table, ColumnOrdinal column) {
@@ -86,10 +90,28 @@ struct QueryDescription {
 };
 
 /// Computes a view's description (in the view's own reference space).
+/// With `estimate_shape`, also stores there the view's cardinality-
+/// estimate shape, built from the same analysis.
 ViewDescription DescribeView(const Catalog& catalog,
-                             const ViewDefinition& view);
+                             const ViewDefinition& view,
+                             EstimateShape* estimate_shape = nullptr);
 
-/// Computes a query's search keys.
+/// The cardinality-estimate shape of `query`, from its classified
+/// conjuncts and the equivalence classes over every column of its FROM
+/// slots with its column equalities applied.
+EstimateShape BuildEstimateShape(const SpjgQuery& query,
+                                 const ClassifiedPredicates& preds,
+                                 const EquivalenceClasses& ec);
+/// Same, running that analysis.
+EstimateShape BuildEstimateShape(const Catalog& catalog,
+                                 const SpjgQuery& query);
+
+/// Computes a query's search keys from the probe's analysis of it
+/// (rewrite/match_program.h: AnalyzeProbeQuery).
+QueryDescription DescribeQuery(const Catalog& catalog,
+                               const MatchProbeContext& analysis);
+
+/// Same, analyzing `query` first.
 QueryDescription DescribeQuery(const Catalog& catalog,
                                const SpjgQuery& query);
 

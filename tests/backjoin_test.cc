@@ -288,8 +288,8 @@ TEST_F(BackjoinTest, BackjoinedRangeIsPricedWithBaseTableStatistics) {
   OptimizationResult r = optimizer.Optimize(qb.Build(), ctx);
   const PhysPlan* scan = FindViewScan(r.plan);
   ASSERT_NE(scan, nullptr) << "the view plan should win";
-  ASSERT_EQ(scan->substitute.backjoins.size(), 1u);
-  ASSERT_EQ(scan->substitute.predicates.size(), 1u);
+  ASSERT_EQ(scan->substitute->backjoins.size(), 1u);
+  ASSERT_EQ(scan->substitute->predicates.size(), 1u);
   const double view_rows = static_cast<double>(
       catalog_.table(v->materialized_table()).row_count());
   const double sel = CardinalityEstimator(&catalog_).RangeSelectivity(

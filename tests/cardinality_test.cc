@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/harness.h"
+#include "optimizer/optimizer.h"
+#include "tests/cardinality_oracle.h"
 #include "tpch/schema.h"
 
 namespace mvopt {
@@ -235,6 +238,76 @@ TEST_F(CardinalityTest, ResidualsUseDefaultSelectivity) {
       static_cast<double>(catalog_.table(schema_.part).row_count());
   EXPECT_NEAR(estimator_.EstimateSpj(b.Build()), rows / 3, rows / 30);
 }
+
+class CardinalityOracleSweepTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+// Every registered view's estimate shape, evaluated, and every memo-group
+// signature the view-matching rule probes over the §5 query set estimate
+// exactly (==, not NEAR) what the frozen query-at-a-time estimator
+// (tests/cardinality_oracle.h) computes — with the statistics the views
+// were registered under, and again after three tables' row and distinct
+// counts change under them.
+TEST_P(CardinalityOracleSweepTest, ShapesAndSignaturesEqualTheFrozenEstimator) {
+  bench::Workload workload(/*num_views=*/1000, /*num_queries=*/150,
+                           GetParam());
+  auto service = workload.MakeService(1000, /*use_filter_tree=*/true);
+  const ViewCatalog& views = service->views();
+  ASSERT_EQ(views.num_views(), 1000);
+  bench::RecordingSource recorder(service.get());
+  Optimizer optimizer(&workload.catalog(), &recorder);
+  for (const SpjgQuery& q : workload.queries()) {
+    QueryContext ctx;
+    (void)optimizer.Optimize(q, ctx);
+  }
+  ASSERT_FALSE(recorder.signatures().empty());
+
+  Catalog& catalog = workload.mutable_catalog();
+  const CardinalityEstimator estimator(&catalog);
+  auto sweep = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    int64_t mismatches = 0;
+    auto check = [&](double got, double want, const std::string& what) {
+      if (got == want) return;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << what << ": " << got << " != oracle " << want;
+      }
+    };
+    for (ViewId id = 0; id < views.num_views(); ++id) {
+      const ViewDefinition& v = views.view(id);
+      const double spj = oracle::EstimateSpj(catalog, v.query());
+      const double result = oracle::EstimateResult(catalog, v.query());
+      check(estimator.EstimateSpj(v.estimate_shape()), spj,
+            v.name() + " shape spj");
+      check(estimator.EstimateResult(v.estimate_shape()), result,
+            v.name() + " shape result");
+      check(estimator.EstimateResult(v.query()), result,
+            v.name() + " query result");
+    }
+    for (const SpjgQuery& sig : recorder.signatures()) {
+      check(estimator.EstimateSpj(sig), oracle::EstimateSpj(catalog, sig),
+            "signature spj " + sig.ToSql(catalog));
+      check(estimator.EstimateResult(sig),
+            oracle::EstimateResult(catalog, sig),
+            "signature result " + sig.ToSql(catalog));
+    }
+    EXPECT_EQ(mismatches, 0);
+  };
+  sweep("registration statistics");
+
+  for (const char* name : {"lineitem", "orders", "part"}) {
+    TableDef& table = catalog.mutable_table(catalog.FindTable(name)->id());
+    table.set_row_count(table.row_count() * 3 + 7);
+    for (ColumnOrdinal c = 0; c < table.num_columns(); ++c) {
+      ColumnStats& stats = table.mutable_column(c).stats;
+      stats.distinct = stats.distinct > 0 ? stats.distinct * 2 + 1 : 17;
+    }
+  }
+  sweep("changed statistics");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CardinalityOracleSweepTest,
+                         ::testing::Values(uint64_t{1}, uint64_t{17}));
 
 }  // namespace
 }  // namespace mvopt

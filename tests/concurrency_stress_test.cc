@@ -1,12 +1,14 @@
 // Multi-threaded stress for the MatchingService concurrency model:
-// FindSubstitutes from several threads while AddView proceeds, with the
-// final concurrent answers cross-checked against a single-threaded
-// reference service. Run under MVOPT_SANITIZE=thread in CI.
+// FindSubstitutes (and whole optimizations) from several threads while
+// AddView proceeds, with the final concurrent answers cross-checked
+// against a single-threaded reference service. Run under
+// MVOPT_SANITIZE=thread in CI.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,8 +19,10 @@
 #include "common/failpoint.h"
 #include "engine/maintenance.h"
 #include "index/matching_service.h"
+#include "optimizer/optimizer.h"
 #include "rewrite/catalog_store.h"
 #include "rewrite/view_lifecycle.h"
+#include "shard/sharded_catalog_service.h"
 #include "tpch/datagen.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
@@ -141,6 +145,103 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
   for (std::thread& c : checkers) c.join();
   for (size_t q = 0; q < queries_.size(); ++q) {
     EXPECT_EQ(actual[q], expected[q]) << "query " << q;
+  }
+}
+
+// Costing races registration: three threads optimize the query set —
+// pricing every substitute from its view's estimate shape, reached
+// through ResolveView — while a writer registers 200 more views, first
+// against one MatchingService and then against a 4-shard
+// ShardedCatalogService. Once the writer is done, every thread's plans
+// must equal a single-thread reference over the final catalog.
+TEST_F(ConcurrencyStressTest, CostingRacesRegistration) {
+  constexpr int kBaseViews = 40;
+  constexpr int kAddedViews = 200;
+  constexpr int kOptimizers = 3;
+  std::vector<SpjgQuery> defs;
+  tpch::WorkloadGenerator view_gen(&catalog_, 23);
+  for (int i = 0; i < kBaseViews + kAddedViews; ++i) {
+    defs.push_back(view_gen.GenerateView());
+  }
+  auto plan_texts = [&](Optimizer& optimizer) {
+    std::vector<std::string> out;
+    for (const SpjgQuery& q : queries_) {
+      QueryContext ctx;
+      out.push_back(optimizer.Optimize(q, ctx).plan->ToString(catalog_));
+    }
+    return out;
+  };
+
+  // `add(i)` registers view i on the service under test.
+  auto race = [&](SubstituteSource* service,
+                  const std::function<void(int)>& add,
+                  const std::vector<std::string>& expected) {
+    for (int i = 0; i < kBaseViews; ++i) add(i);
+    Optimizer optimizer(&catalog_, service);
+    std::atomic<bool> writer_done{false};
+    std::atomic<int64_t> optimized{0};
+    std::thread writer([&] {
+      for (int i = kBaseViews; i < kBaseViews + kAddedViews; ++i) add(i);
+      writer_done.store(true);
+    });
+    std::vector<std::vector<std::string>> final_plans(kOptimizers);
+    std::vector<std::thread> optimizers;
+    for (int t = 0; t < kOptimizers; ++t) {
+      optimizers.emplace_back([&, t] {
+        do {
+          for (size_t q = t; q < queries_.size(); q += kOptimizers) {
+            QueryContext ctx;
+            OptimizationResult r = optimizer.Optimize(queries_[q], ctx);
+            EXPECT_NE(r.plan, nullptr);
+            optimized.fetch_add(1);
+          }
+        } while (!writer_done.load());
+        final_plans[t] = plan_texts(optimizer);
+      });
+    }
+    writer.join();
+    for (std::thread& t : optimizers) t.join();
+    EXPECT_GT(optimized.load(), 0);
+    for (int t = 0; t < kOptimizers; ++t) {
+      ASSERT_EQ(final_plans[t].size(), expected.size());
+      for (size_t q = 0; q < expected.size(); ++q) {
+        EXPECT_EQ(final_plans[t][q], expected[q])
+            << "thread " << t << " query " << q;
+      }
+    }
+  };
+
+  {
+    SCOPED_TRACE("MatchingService");
+    auto add_to = [&](MatchingService* service, int i) {
+      std::string error;
+      ASSERT_NE(service->AddView("v" + std::to_string(i), defs[i], &error),
+                nullptr)
+          << error;
+    };
+    MatchingService reference(&catalog_);
+    for (int i = 0; i < kBaseViews + kAddedViews; ++i) add_to(&reference, i);
+    Optimizer reference_optimizer(&catalog_, &reference);
+    const std::vector<std::string> expected = plan_texts(reference_optimizer);
+    MatchingService service(&catalog_);
+    race(&service, [&](int i) { add_to(&service, i); }, expected);
+  }
+  {
+    SCOPED_TRACE("ShardedCatalogService");
+    ShardedCatalogOptions options;
+    options.num_shards = 4;
+    auto add_to = [&](ShardedCatalogService* service, int i) {
+      std::string error;
+      ASSERT_NE(service->AddView("v" + std::to_string(i), defs[i], &error),
+                kInvalidViewId)
+          << error;
+    };
+    ShardedCatalogService reference(&catalog_, options);
+    for (int i = 0; i < kBaseViews + kAddedViews; ++i) add_to(&reference, i);
+    Optimizer reference_optimizer(&catalog_, &reference);
+    const std::vector<std::string> expected = plan_texts(reference_optimizer);
+    ShardedCatalogService service(&catalog_, options);
+    race(&service, [&](int i) { add_to(&service, i); }, expected);
   }
 }
 

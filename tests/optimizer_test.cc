@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "optimizer/plan_exec.h"
 #include "tpch/datagen.h"
@@ -120,6 +123,166 @@ TEST_F(OptimizerTest, IndexRangeScanChosenForSelectivePkRange) {
   ASSERT_EQ(result.plan->kind, PhysKind::kProject);
   EXPECT_EQ(result.plan->children[0]->kind, PhysKind::kIndexRangeScan);
   ExpectPlanMatchesReference(b.Build(), &optimizer);
+}
+
+void CollectViewScans(const PhysPlanPtr& plan,
+                      std::vector<const PhysPlan*>* out) {
+  if (plan->kind == PhysKind::kViewScan ||
+      plan->kind == PhysKind::kViewIndexScan) {
+    out->push_back(plan.get());
+  }
+  for (const PhysPlanPtr& child : plan->children) {
+    CollectViewScans(child, out);
+  }
+}
+
+// A view that is not materialized is priced from its estimate, evaluated
+// against the statistics current at optimization time: after lineitem's
+// statistics change — set directly, then refreshed from loaded rows —
+// every view scan is priced differently, and exactly as in a service
+// whose views were registered after the change.
+TEST_F(OptimizerTest, StatisticsChangeRepricesRegisteredViews) {
+  auto lit = [](int64_t v) { return Expr::MakeLiteral(Value::Int64(v)); };
+  auto register_views = [&](MatchingService* service) {
+    SpjgBuilder wide(&catalog_);
+    int l = wide.AddTable("lineitem");
+    wide.Where(Expr::MakeCompare(CompareOp::kGt, wide.Col(l, "l_quantity"),
+                                 lit(10)));
+    wide.Output(wide.Col(l, "l_orderkey"));
+    wide.Output(wide.Col(l, "l_quantity"));
+    wide.Output(wide.Col(l, "l_partkey"));
+    ASSERT_NE(service->AddView("li_wide", wide.Build()), nullptr);
+
+    SpjgBuilder agg(&catalog_);
+    l = agg.AddTable("lineitem");
+    agg.Where(Expr::MakeCompare(CompareOp::kGt, agg.Col(l, "l_quantity"),
+                                lit(5)));
+    agg.Output(agg.Col(l, "l_orderkey"));
+    agg.Output(agg.Col(l, "l_partkey"));
+    agg.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr), "cnt");
+    agg.Output(Expr::MakeAggregate(AggKind::kSum, agg.Col(l, "l_quantity")),
+               "sumq");
+    agg.GroupBy(agg.Col(l, "l_orderkey"));
+    agg.GroupBy(agg.Col(l, "l_partkey"));
+    ASSERT_NE(service->AddView("li_by_order", agg.Build()), nullptr);
+  };
+
+  std::vector<SpjgQuery> queries;
+  {
+    SpjgBuilder b(&catalog_);
+    int l = b.AddTable("lineitem");
+    b.Where(Expr::MakeCompare(CompareOp::kGt, b.Col(l, "l_quantity"),
+                              lit(20)));
+    b.Output(b.Col(l, "l_orderkey"));
+    b.Output(b.Col(l, "l_quantity"));
+    queries.push_back(b.Build());
+  }
+  {
+    SpjgBuilder b(&catalog_);
+    int l = b.AddTable("lineitem");
+    b.Where(Expr::MakeCompare(CompareOp::kGt, b.Col(l, "l_quantity"),
+                              lit(5)));
+    b.Output(b.Col(l, "l_orderkey"));
+    b.Output(b.Col(l, "l_partkey"));
+    b.Output(Expr::MakeAggregate(AggKind::kSum, b.Col(l, "l_quantity")),
+             "q");
+    b.GroupBy(b.Col(l, "l_orderkey"));
+    b.GroupBy(b.Col(l, "l_partkey"));
+    queries.push_back(b.Build());
+  }
+
+  auto plans = [&](MatchingService* service) {
+    std::vector<OptimizationResult> out;
+    Optimizer optimizer(&catalog_, service);
+    for (const SpjgQuery& q : queries) {
+      QueryContext ctx;
+      out.push_back(optimizer.Optimize(q, ctx));
+    }
+    return out;
+  };
+  auto view_scans = [](const OptimizationResult& r) {
+    std::vector<const PhysPlan*> scans;
+    CollectViewScans(r.plan, &scans);
+    return scans;
+  };
+
+  MatchingService service(&catalog_);
+  register_views(&service);
+  std::vector<OptimizationResult> before = plans(&service);
+  for (const OptimizationResult& r : before) {
+    ASSERT_TRUE(r.uses_view) << r.plan->ToString(catalog_);
+  }
+
+  auto expect_repriced = [&](const char* change) {
+    SCOPED_TRACE(change);
+    std::vector<OptimizationResult> after = plans(&service);
+    MatchingService fresh_service(&catalog_);
+    register_views(&fresh_service);
+    std::vector<OptimizationResult> fresh = plans(&fresh_service);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(after[q].plan->ToString(catalog_),
+                fresh[q].plan->ToString(catalog_));
+      const auto old_scans = view_scans(before[q]);
+      const auto new_scans = view_scans(after[q]);
+      const auto fresh_scans = view_scans(fresh[q]);
+      ASSERT_FALSE(new_scans.empty()) << after[q].plan->ToString(catalog_);
+      ASSERT_EQ(new_scans.size(), old_scans.size());
+      ASSERT_EQ(new_scans.size(), fresh_scans.size());
+      for (size_t i = 0; i < new_scans.size(); ++i) {
+        EXPECT_NE(new_scans[i]->rows, old_scans[i]->rows);
+        EXPECT_NE(new_scans[i]->cost, old_scans[i]->cost);
+        EXPECT_EQ(new_scans[i]->rows, fresh_scans[i]->rows);
+        EXPECT_EQ(new_scans[i]->cost, fresh_scans[i]->cost);
+      }
+    }
+    before = std::move(after);
+  };
+
+  TableDef& lineitem = catalog_.mutable_table(schema_.lineitem);
+  lineitem.set_row_count(lineitem.row_count() * 4 + 3);
+  expect_repriced("set_row_count");
+
+  // Load a second copy of every row with a shifted quantity, which moves
+  // the row count, the quantity's maximum and its distinct count.
+  TableData* data = db_.table(schema_.lineitem);
+  const ColumnOrdinal quantity = *lineitem.FindColumn("l_quantity");
+  const std::vector<Row> rows = data->rows();
+  for (Row row : rows) {
+    row[quantity] = Value::Int64(row[quantity].int64() + 100);
+    data->AppendRow(std::move(row));
+  }
+  db_.RefreshStatistics(schema_.lineitem);
+  expect_repriced("RefreshStatistics");
+}
+
+// The memo enumerates every split of a 32-bit table mask, so a query
+// over more tables than Optimize accepts is rejected before any memo
+// work, in every build.
+TEST_F(OptimizerTest, QueryOverTooManyTablesThrowsPromptly) {
+  SpjgBuilder b(&catalog_);
+  int first = -1;
+  for (int i = 0; i <= Optimizer::kMaxTables; ++i) {
+    const int t = b.AddTable("nation");
+    if (first < 0) first = t;
+    if (i > 0) {
+      b.Where(Eq(b.Col(first, "n_nationkey"), b.Col(t, "n_nationkey")));
+    }
+  }
+  b.Output(b.Col(first, "n_name"));
+  const SpjgQuery query = b.Build();
+  ASSERT_EQ(query.num_tables(), Optimizer::kMaxTables + 1);
+
+  Optimizer optimizer(&catalog_, nullptr);
+  QueryContext ctx;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)optimizer.Optimize(query, ctx);
+    ADD_FAILURE() << "a 31-table query must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("30"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 class OptimizerViewTest : public OptimizerTest {

@@ -46,7 +46,9 @@ run_thread() {
   echo "=== thread: test ==="
   # TSan only pays off on the multi-threaded suites (the `stress` ctest
   # label): catalog concurrency (probes racing AddView, per-query
-  # deadlines), the lock-free snapshot probe path (probes pinned on
+  # deadlines, and whole optimizations — ResolveView plus the estimate
+  # evaluation of every substitute — racing AddView on one service and on
+  # a 4-shard catalog), the lock-free snapshot probe path (probes pinned on
   # snapshots being retired by concurrent publication and lifecycle
   # flaps, and probes completing while a writer holds the writer mutex),
   # compiled-tier probes under cross-check enforce racing registration

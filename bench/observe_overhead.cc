@@ -18,6 +18,10 @@
 // (min + rotation filter scheduler noise and drift). Knobs:
 // MVOPT_BENCH_VIEWS (default 400), MVOPT_BENCH_QUERIES (default 300),
 // MVOPT_BENCH_REPS (default 15), MVOPT_BENCH_INNER (default 3).
+//
+// Output: one JSON document on stdout (committed as
+// results/observe_overhead.json; see bench/bench_report.h), one row per
+// configuration; the table and the verdict go to stderr.
 
 #include <algorithm>
 #include <chrono>
@@ -25,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "bench/harness.h"
 #include "observe/observe.h"
 #include "observe/trace.h"
@@ -108,28 +113,52 @@ int main() {
 
   const double baseline = configs[0].seconds;
   const int probes_per_pass = num_queries * inner;
-  std::printf("# observe overhead: views=%d queries=%d inner=%d reps=%d "
-              "(min-of-reps, seconds for %d probes)\n",
-              num_views, num_queries, inner, reps, probes_per_pass);
-  std::printf("%-12s %14s %14s %10s\n", "mode", "total(s)", "us/probe",
-              "vs-base");
-  for (const Config& config : configs) {
-    std::printf("%-12s %14.6f %14.3f %+9.2f%%\n", config.name,
-                config.seconds,
-                config.seconds * 1e6 / probes_per_pass,
-                (config.seconds / baseline - 1.0) * 100.0);
-  }
-
   const double off_overhead = configs[1].seconds / baseline - 1.0;
-  std::printf("# off-mode overhead: %+.2f%% (budget: +2%%)  [sink=%lld]\n",
-              off_overhead * 100.0, static_cast<long long>(sink));
-  if (off_overhead > 0.02) {
+  const bool pass = off_overhead <= 0.02;
+
+  JsonReport report("observe_overhead");
+  report.Caveat(
+      "min-of-reps wall clock of single-threaded probes on a shared host; "
+      "vs_baseline is a same-run ratio, absolute times do not carry across "
+      "hosts");
+  report.Meta("views", num_views);
+  report.Meta("queries", num_queries);
+  report.Meta("inner", inner);
+  report.Meta("reps", reps);
+  report.Meta("probes_per_pass", probes_per_pass);
+  report.Meta("off_budget", 0.02);
+  report.Meta("off_overhead", off_overhead);
+  report.Meta("off_within_budget", pass);
+
+  std::fprintf(stderr,
+               "# observe overhead: views=%d queries=%d inner=%d reps=%d "
+               "(min-of-reps, seconds for %d probes)\n",
+               num_views, num_queries, inner, reps, probes_per_pass);
+  std::fprintf(stderr, "%-12s %14s %14s %10s\n", "mode", "total(s)",
+               "us/probe", "vs-base");
+  for (const Config& config : configs) {
+    const double us_per_probe = config.seconds * 1e6 / probes_per_pass;
+    const double vs_baseline = config.seconds / baseline - 1.0;
+    std::fprintf(stderr, "%-12s %14.6f %14.3f %+9.2f%%\n", config.name,
+                 config.seconds, us_per_probe, vs_baseline * 100.0);
+    report.BeginRow();
+    report.Field("mode", config.name);
+    report.Field("us_per_probe", us_per_probe);
+    report.Field("vs_baseline", vs_baseline);
+    report.EndRow();
+  }
+  report.Finish();
+
+  std::fprintf(stderr, "# off-mode overhead: %+.2f%% (budget: +2%%)  "
+               "[sink=%lld]\n",
+               off_overhead * 100.0, static_cast<long long>(sink));
+  if (!pass) {
     std::fprintf(stderr,
                  "FAIL: off mode is %.2f%% slower than baseline "
                  "(budget 2%%)\n",
                  off_overhead * 100.0);
     return 1;
   }
-  std::printf("PASS: off mode within the 2%% budget\n");
+  std::fprintf(stderr, "PASS: off mode within the 2%% budget\n");
   return 0;
 }

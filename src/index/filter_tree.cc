@@ -431,9 +431,9 @@ decltype(auto) FilterTree::WithLevelCondition(FilterLevel level,
                                               const SearchContext& ctx,
                                               bool agg_tree,
                                               Visit&& visit) const {
-  auto hits_every = [](const KeyList& classes) {
-    return [&classes](KeySpan key) {
-      return classes.All([key](KeySpan cls) { return Intersects(key, cls); });
+  auto hits_every = [](const ColumnClassList* classes) {
+    return [classes](KeySpan key) {
+      return classes->All([key](KeySpan cls) { return Intersects(key, cls); });
     };
   };
   auto any = [](KeySpan) { return true; };
@@ -638,22 +638,9 @@ void FilterTree::BuildSearchContext(const QueryDescription& query,
   }
   std::sort(ctx->residual_atoms.begin(), ctx->residual_atoms.end());
 
-  auto assign_classes = [](const std::vector<std::vector<uint32_t>>& classes,
-                           KeyList* list) {
-    list->clear();
-    for (const auto& cls : classes) {
-      const auto begin = static_cast<std::ptrdiff_t>(list->atoms.size());
-      list->atoms.insert(list->atoms.end(), cls.begin(), cls.end());
-      std::sort(list->atoms.begin() + begin, list->atoms.end());
-      list->atoms.erase(
-          std::unique(list->atoms.begin() + begin, list->atoms.end()),
-          list->atoms.end());
-      list->ends.push_back(static_cast<uint32_t>(list->atoms.size()));
-    }
-  };
-  assign_classes(query.output_column_classes_spj, &ctx->output_classes_spj);
-  assign_classes(query.output_column_classes_agg, &ctx->output_classes_agg);
-  assign_classes(query.grouping_column_classes, &ctx->grouping_classes);
+  ctx->output_classes_spj = &query.output_column_classes_spj;
+  ctx->output_classes_agg = &query.output_column_classes_agg;
+  ctx->grouping_classes = &query.grouping_column_classes;
 }
 
 std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,

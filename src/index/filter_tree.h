@@ -260,26 +260,6 @@ class FilterTree {
     std::vector<Leaf> leaves;
   };
 
-  /// A flat list of keys (query-side column classes).
-  struct KeyList {
-    std::vector<uint32_t> atoms;
-    std::vector<uint32_t> ends;
-
-    void clear() {
-      atoms.clear();
-      ends.clear();
-    }
-    template <typename Fn>
-    bool All(Fn&& fn) const {
-      uint32_t begin = 0;
-      for (uint32_t end : ends) {
-        if (!fn(KeySpan(atoms.data() + begin, end - begin))) return false;
-        begin = end;
-      }
-      return true;
-    }
-  };
-
   /// Interned query-side keys, computed once per search.
   struct SearchContext {
     Key source_tables;
@@ -287,13 +267,15 @@ class FilterTree {
     bool output_exprs_impossible = false;
     Key output_agg_expr_atoms;   // agg tree (incl. agg texts)
     bool output_agg_exprs_impossible = false;
-    KeyList output_classes_spj;
-    KeyList output_classes_agg;
+    /// The query description's column classes, read in place; set by
+    /// BuildSearchContext and read only within the same search.
+    const ColumnClassList* output_classes_spj = nullptr;
+    const ColumnClassList* output_classes_agg = nullptr;
     Key residual_atoms;          // unknown texts dropped
     Key extended_range_columns;
     Key grouping_expr_atoms;
     bool grouping_exprs_impossible = false;
-    KeyList grouping_classes;
+    const ColumnClassList* grouping_classes = nullptr;
   };
 
   std::shared_ptr<Node> NewNode() const { return CowNew<Node>(owner_); }

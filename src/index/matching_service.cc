@@ -514,7 +514,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
     if (!analysis->has_value()) {
       analysis->emplace(AnalyzeProbeQuery(*catalog_, query, options_.match));
     }
-    CompleteMatchProbeContext(*catalog_, options_.match, &**analysis);
+    CompleteMatchProbeContext(options_.match, &**analysis);
   }
   // Per-candidate timing feeds the per-tier latency histograms; skipped
   // entirely (no clock reads) when counters are off.
@@ -545,7 +545,9 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
     if (timed) o.seconds = SecondsSince(start, SteadyClock::now());
   };
 
-  MatchProgramScratch scratch;
+  // Per-thread scratch, as FilterTree::FindCandidates keeps its search
+  // context: once warm, a compiled candidate allocates only its result.
+  thread_local MatchProgramScratch scratch;
   for (size_t i = 0; i < gated.size(); ++i) {
     if (ctx.TickDeadline()) {
       *truncated = true;

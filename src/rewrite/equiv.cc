@@ -1,20 +1,56 @@
 #include "rewrite/equiv.h"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <stdexcept>
 
 namespace mvopt {
 
-void EquivalenceClasses::AddTableColumns(int32_t table_ref, int num_columns) {
-  for (int c = 0; c < num_columns; ++c) {
-    EnsureIndex(ColumnRefId{table_ref, c});
+EquivalenceClasses::EquivalenceClasses(
+    std::span<const int32_t> num_columns_of_slot)
+    : num_slots_(num_columns_of_slot.size()),
+      num_columns_(std::accumulate(num_columns_of_slot.begin(),
+                                   num_columns_of_slot.end(), 0)) {
+  Allocate();
+  for (size_t s = 0; s < num_slots_; ++s) {
+    ints_[s + 1] = ints_[s] + num_columns_of_slot[s];
   }
 }
 
+EquivalenceClasses::EquivalenceClasses(const Catalog& catalog,
+                                       const std::vector<TableRef>& tables)
+    : num_slots_(tables.size()) {
+  for (const TableRef& t : tables) {
+    num_columns_ += catalog.table(t.table).num_columns();
+  }
+  Allocate();
+  for (size_t s = 0; s < num_slots_; ++s) {
+    ints_[s + 1] = ints_[s] + catalog.table(tables[s].table).num_columns();
+  }
+}
+
+void EquivalenceClasses::Allocate() {
+  ints_.resize(NontrivialOffset() + Columns() / 2);
+  std::iota(ints_.begin() + static_cast<std::ptrdiff_t>(ParentOffset()),
+            ints_.begin() + static_cast<std::ptrdiff_t>(ClassOfOffset()), 0);
+  members_.resize(Columns());
+  num_classes_ = -1;
+}
+
 void EquivalenceClasses::AddEquality(ColumnRefId a, ColumnRefId b) {
-  int ia = EnsureIndex(a);
-  int ib = EnsureIndex(b);
-  Union(ia, ib);
-  classes_valid_ = false;
+  const int32_t ia = IndexOf(a);
+  const int32_t ib = IndexOf(b);
+  if (ia < 0 || ib < 0) {
+    throw std::out_of_range("equality on a column outside the FROM slots");
+  }
+  const int32_t ra = Find(ia);
+  const int32_t rb = Find(ib);
+  if (ra == rb) return;
+  // Union by the smaller index: every root is its class's first column.
+  int32_t* parent = ints_.data() + ParentOffset();
+  parent[std::max(ra, rb)] = std::min(ra, rb);
+  num_classes_ = -1;
 }
 
 void EquivalenceClasses::AddEqualities(
@@ -22,81 +58,75 @@ void EquivalenceClasses::AddEqualities(
   for (const auto& p : preds) AddEquality(p.lhs, p.rhs);
 }
 
-int EquivalenceClasses::IndexOf(ColumnRefId col) const {
-  auto it = index_.find(col);
-  return it == index_.end() ? -1 : it->second;
-}
-
-int EquivalenceClasses::EnsureIndex(ColumnRefId col) {
-  auto it = index_.find(col);
-  if (it != index_.end()) return it->second;
-  int idx = static_cast<int>(columns_.size());
-  index_.emplace(col, idx);
-  columns_.push_back(col);
-  parent_.push_back(idx);
-  classes_valid_ = false;
-  return idx;
-}
-
-int EquivalenceClasses::Find(int x) const {
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // path halving
-    x = parent_[x];
+int32_t EquivalenceClasses::Find(int32_t x) const {
+  int32_t* parent = ints_.data() + ParentOffset();
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];  // path halving
+    x = parent[x];
   }
   return x;
 }
 
-void EquivalenceClasses::Union(int a, int b) {
-  int ra = Find(a);
-  int rb = Find(b);
-  if (ra != rb) parent_[rb] = ra;
-}
+void EquivalenceClasses::Rebuild() const {
+  const int32_t n = num_columns_;
+  int32_t* class_of = ints_.data() + ClassOfOffset();
+  int32_t* begin = ints_.data() + ClassBeginOffset();
+  int32_t* nontrivial = ints_.data() + NontrivialOffset();
 
-void EquivalenceClasses::BuildClassesIfNeeded() const {
-  if (classes_valid_) return;
-  root_to_class_.clear();
-  classes_.clear();
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    int root = Find(static_cast<int>(i));
-    auto [it, inserted] =
-        root_to_class_.emplace(root, static_cast<int>(classes_.size()));
-    if (inserted) classes_.emplace_back();
-    classes_[it->second].push_back(columns_[i]);
+  // A root precedes the rest of its class, so one ascending pass numbers
+  // the classes by their first column.
+  int32_t num_classes = 0;
+  for (int32_t i = 0; i < n; ++i) {
+    const int32_t root = Find(i);
+    class_of[i] = root == i ? num_classes++ : class_of[root];
   }
-  classes_valid_ = true;
-}
 
-int EquivalenceClasses::ClassOf(ColumnRefId col) const {
-  int idx = IndexOf(col);
-  if (idx < 0) return -1;
-  BuildClassesIfNeeded();
-  return root_to_class_.at(Find(idx));
+  // Counting sort of the columns by class, slot-major within a class.
+  std::fill(begin, begin + num_classes + 1, 0);
+  for (int32_t i = 0; i < n; ++i) ++begin[class_of[i] + 1];
+  for (int32_t c = 0; c < num_classes; ++c) begin[c + 1] += begin[c];
+  const int32_t* base = ints_.data();
+  for (size_t s = 0; s < num_slots_; ++s) {
+    for (int32_t i = base[s]; i < base[s + 1]; ++i) {
+      members_[static_cast<size_t>(begin[class_of[i]]++)] =
+          ColumnRefId{static_cast<int32_t>(s), i - base[s]};
+    }
+  }
+  // The fill advanced each start to the next class's; shift them back.
+  for (int32_t c = num_classes; c > 0; --c) begin[c] = begin[c - 1];
+  begin[0] = 0;
+
+  int32_t num_nontrivial = 0;
+  for (int32_t c = 0; c < num_classes; ++c) {
+    if (begin[c + 1] - begin[c] >= 2) nontrivial[num_nontrivial++] = c;
+  }
+  num_classes_ = num_classes;
+  num_nontrivial_ = num_nontrivial;
 }
 
 bool EquivalenceClasses::IsTrivial(ColumnRefId col) const {
   int cls = ClassOf(col);
   assert(cls >= 0);
-  return classes_[cls].size() == 1;
+  return ClassMembers(cls).size() == 1;
 }
 
-const std::vector<ColumnRefId>& EquivalenceClasses::ClassMembers(
+std::span<const ColumnRefId> EquivalenceClasses::ClassMembers(
     int class_id) const {
-  BuildClassesIfNeeded();
-  return classes_[class_id];
+  Build();
+  const int32_t* begin = ints_.data() + ClassBeginOffset() + class_id;
+  return {members_.data() + begin[0], static_cast<size_t>(begin[1] - begin[0])};
 }
 
 int EquivalenceClasses::NumClasses() const {
-  BuildClassesIfNeeded();
-  return static_cast<int>(classes_.size());
+  Build();
+  return num_classes_;
 }
 
-std::vector<int> EquivalenceClasses::NontrivialClasses() const {
-  BuildClassesIfNeeded();
-  std::vector<int> out;
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    if (classes_[i].size() >= 2) out.push_back(static_cast<int>(i));
-  }
-  return out;
+std::span<const int32_t> EquivalenceClasses::NontrivialClasses() const {
+  Build();
+  if (num_nontrivial_ == 0) return {};
+  return {ints_.data() + NontrivialOffset(),
+          static_cast<size_t>(num_nontrivial_)};
 }
 
 }  // namespace mvopt

@@ -63,13 +63,12 @@ MatchProbeContext AnalyzeProbeQuery(const Catalog& catalog,
     }
     ctx.check_preds = ClassifyConjuncts(check_conjuncts);
   }
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx.query_ec.AddTableColumns(t,
-                                 catalog.table(query.tables[t].table)
-                                     .num_columns());
-  }
+  ctx.query_ec = EquivalenceClasses(catalog, query.tables);
   ctx.query_ec.AddEqualities(ctx.query_preds.equalities);
   ctx.query_ec.AddEqualities(ctx.check_preds.equalities);
+  // Built here, so the probe's later reads (possibly from several
+  // threads) never rebuild them.
+  (void)ctx.query_ec.NumClasses();
 
   ctx.query_residual_shapes.reserve(ctx.query_preds.residual.size());
   for (const auto& r : ctx.query_preds.residual) {
@@ -104,8 +103,7 @@ MatchProbeContext AnalyzeProbeQuery(const Catalog& catalog,
   return ctx;
 }
 
-void CompleteMatchProbeContext(const Catalog& catalog,
-                               const MatchOptions& options,
+void CompleteMatchProbeContext(const MatchOptions& options,
                                MatchProbeContext* ctx) {
   const SpjgQuery& query = *ctx->query;
   const int32_t num_slots = query.num_tables();
@@ -120,24 +118,6 @@ void CompleteMatchProbeContext(const Catalog& catalog,
       break;
     }
   }
-
-  ctx->col_base.resize(static_cast<size_t>(num_slots));
-  int32_t base = 0;
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx->col_base[static_cast<size_t>(t)] = base;
-    base += catalog.table(query.tables[t].table).num_columns();
-  }
-  ctx->class_of.resize(static_cast<size_t>(base));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    const int32_t ncols = catalog.table(query.tables[t].table).num_columns();
-    for (int32_t c = 0; c < ncols; ++c) {
-      ctx->class_of[static_cast<size_t>(
-          ctx->col_base[static_cast<size_t>(t)] + c)] =
-          ctx->query_ec.ClassOf(ColumnRefId{t, c});
-    }
-  }
-  ctx->num_classes = ctx->query_ec.NumClasses();
-  ctx->nontrivial_classes = ctx->query_ec.NontrivialClasses();
 
   ctx->query_ranges = RangeMap::Build(ctx->query_preds.ranges, ctx->query_ec);
   std::vector<RangePred> checked = ctx->query_preds.ranges;
@@ -176,7 +156,7 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
                                          const SpjgQuery& query,
                                          const MatchOptions& options) {
   MatchProbeContext ctx = AnalyzeProbeQuery(catalog, query, options);
-  CompleteMatchProbeContext(catalog, options, &ctx);
+  CompleteMatchProbeContext(options, &ctx);
   return ctx;
 }
 
@@ -240,35 +220,27 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
       }
     }
   }
-  EquivalenceClasses view_ec;
-  for (int32_t t = 0; t < num_slots; ++t) {
-    view_ec.AddTableColumns(t, program->num_columns_of_slot[
-                                   static_cast<size_t>(t)]);
-  }
+  EquivalenceClasses view_ec(program->num_columns_of_slot);
   view_ec.AddEqualities(view_preds.equalities);
   for (const MatchProgram::SlotChecks& sc : program->slot_checks) {
     view_ec.AddEqualities(sc.equalities);
   }
 
-  int32_t base = 0;
-  program->col_base.resize(static_cast<size_t>(num_slots));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    program->col_base[static_cast<size_t>(t)] = base;
-    base += program->num_columns_of_slot[static_cast<size_t>(t)];
-  }
-  program->class_of.resize(static_cast<size_t>(base));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    const int32_t ncols = program->num_columns_of_slot[static_cast<size_t>(t)];
-    for (int32_t c = 0; c < ncols; ++c) {
-      program->class_of[static_cast<size_t>(
-          program->col_base[static_cast<size_t>(t)] + c)] =
-          view_ec.ClassOf(ColumnRefId{t, c});
-    }
-  }
+  const std::span<const int32_t> col_base =
+      view_ec.col_base().first(static_cast<size_t>(num_slots));
+  program->col_base.assign(col_base.begin(), col_base.end());
+  program->class_of.assign(view_ec.class_of().begin(),
+                           view_ec.class_of().end());
   program->num_classes = view_ec.NumClasses();
-  program->class_members.reserve(static_cast<size_t>(program->num_classes));
+  program->class_begin.reserve(static_cast<size_t>(program->num_classes) + 1);
+  program->class_members.reserve(program->class_of.size());
+  program->class_begin.push_back(0);
   for (int32_t cls = 0; cls < program->num_classes; ++cls) {
-    program->class_members.push_back(view_ec.ClassMembers(cls));
+    const std::span<const ColumnRefId> members = view_ec.ClassMembers(cls);
+    program->class_members.insert(program->class_members.end(),
+                                  members.begin(), members.end());
+    program->class_begin.push_back(
+        static_cast<int32_t>(program->class_members.size()));
   }
 
   // Outputs and the §3.1.3 routing table: first simple output per view
@@ -417,7 +389,7 @@ struct ExecState {
   /// slots [0, num_qslots), then the eliminated extra view slots in view
   /// order.
   const int32_t num_qslots;
-  /// Size of the query class id space: ctx.num_classes, or the node
+  /// Size of the query class id space: the query's class count, or the node
   /// count once kCheckExtraTables extended the classes.
   int32_t num_class_ids;
   /// Set by kCheckExtraTables when the candidate's extra slots were
@@ -433,7 +405,7 @@ struct ExecState {
         ctx(c),
         scratch(s),
         num_qslots(static_cast<int32_t>(c.slot_by_table.size())),
-        num_class_ids(c.num_classes) {}
+        num_class_ids(c.query_ec.NumClasses()) {}
 
   /// The unified-slot image of a view-space column reference.
   ColumnRefId ToQuery(ColumnRefId view_col) const {
@@ -510,7 +482,7 @@ struct ExecState {
   void ExtendQueryClasses() {
     const size_t num_vslots = program.table_of_slot.size();
     scratch.xnode_base.clear();
-    int32_t num_nodes = ctx.num_classes;
+    int32_t num_nodes = ctx.query_ec.NumClasses();
     for (size_t v = 0; v < num_vslots; ++v) {
       if (scratch.qslot_of_vslot[v] >= 0) continue;
       scratch.qslot_of_vslot[v] =
@@ -546,7 +518,8 @@ struct ExecState {
       scratch.xclass[n] =
           scratch.xclass[static_cast<size_t>(scratch.xclass[n])];
     }
-    for (int32_t qc = 0; qc < ctx.num_classes; ++qc) {
+    const int32_t num_classes = ctx.query_ec.NumClasses();
+    for (int32_t qc = 0; qc < num_classes; ++qc) {
       if (scratch.xclass[static_cast<size_t>(qc)] != qc) {
         merged = true;
         break;
@@ -555,22 +528,22 @@ struct ExecState {
     if (!merged) return;
     // Two query classes became one: regather the query-slot members per
     // class label, slot-major (a counting sort over the query columns).
+    const std::span<const int32_t> class_of = ctx.query_ec.class_of();
+    const std::span<const int32_t> col_base = ctx.query_ec.col_base();
     std::vector<int32_t>& begin = scratch.member_begin;
-    begin.assign(static_cast<size_t>(ctx.num_classes) + 1, 0);
-    for (int32_t cls : ctx.class_of) {
+    begin.assign(static_cast<size_t>(num_classes) + 1, 0);
+    for (int32_t cls : class_of) {
       ++begin[static_cast<size_t>(scratch.xclass[static_cast<size_t>(cls)]) +
               1];
     }
     for (size_t c = 1; c < begin.size(); ++c) begin[c] += begin[c - 1];
-    scratch.members.resize(ctx.class_of.size());
+    scratch.members.resize(class_of.size());
     for (int32_t t = 0; t < num_qslots; ++t) {
-      const int32_t first = ctx.col_base[static_cast<size_t>(t)];
-      const int32_t last =
-          t + 1 < num_qslots ? ctx.col_base[static_cast<size_t>(t) + 1]
-                             : static_cast<int32_t>(ctx.class_of.size());
+      const int32_t first = col_base[static_cast<size_t>(t)];
+      const int32_t last = col_base[static_cast<size_t>(t) + 1];
       for (int32_t i = first; i < last; ++i) {
         const int32_t label = scratch.xclass[static_cast<size_t>(
-            ctx.class_of[static_cast<size_t>(i)])];
+            class_of[static_cast<size_t>(i)])];
         scratch.members[static_cast<size_t>(
             begin[static_cast<size_t>(label)]++)] = ColumnRefId{t, i - first};
       }
@@ -918,8 +891,8 @@ MatchResult ExecuteMatchProgram(const MatchProgram& program,
       case MatchOp::kCheckEquivClass: {
         // §3.1.2 equijoin subsumption: this (nontrivial) view class must
         // lie inside one query class.
-        const auto& members =
-            program.class_members[static_cast<size_t>(insn.a)];
+        const std::span<const ColumnRefId> members =
+            program.ClassMembers(insn.a);
         const int32_t qc = st.QueryClassOf(st.ToQuery(members[0]));
         for (size_t i = 1; i < members.size(); ++i) {
           if (st.QueryClassOf(st.ToQuery(members[i])) != qc) {
@@ -934,14 +907,14 @@ MatchResult ExecuteMatchProgram(const MatchProgram& program,
         // a query-slot member hold one view class and need nothing;
         // without a merge, neither does a one-member query class.
         if (!st.merged) {
-          for (int qc : ctx.nontrivial_classes) {
+          for (int qc : ctx.query_ec.NontrivialClasses()) {
             if (!st.EmitEqualityCompensation(qc)) {
               return Reject(RejectReason::kCompensationNotComputable);
             }
           }
           break;
         }
-        for (int32_t qc = 0; qc < ctx.num_classes; ++qc) {
+        for (int32_t qc = 0; qc < ctx.query_ec.NumClasses(); ++qc) {
           // A class merged into a smaller one was scanned with it.
           if (scratch.xclass[static_cast<size_t>(qc)] != qc) continue;
           if (!st.EmitEqualityCompensation(qc)) {
@@ -956,8 +929,7 @@ MatchResult ExecuteMatchProgram(const MatchProgram& program,
         // check-strengthened query range of the enclosing query class.
         const MatchProgram::ClassRange& cr =
             program.ranges[static_cast<size_t>(insn.a)];
-        const ColumnRefId col =
-            program.class_members[static_cast<size_t>(cr.cls)][0];
+        const ColumnRefId col = program.ClassMembers(cr.cls)[0];
         const int32_t qc = st.QueryClassOf(st.ToQuery(col));
         if (!cr.range.Contains(st.CheckedRange(qc))) {
           return Reject(RejectReason::kRangeSubsumption);

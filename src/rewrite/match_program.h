@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -218,8 +219,10 @@ struct MatchProgram {
   std::vector<int32_t> col_base;
   std::vector<int32_t> class_of;
   int32_t num_classes = 0;
-  /// Members of each class, dense (slot, column) order.
-  std::vector<std::vector<ColumnRefId>> class_members;
+  /// Members of each class, slot-major, as one CSR list: class c is
+  /// class_members[class_begin[c], class_begin[c + 1]).
+  std::vector<int32_t> class_begin;
+  std::vector<ColumnRefId> class_members;
   /// First simple view output ordinal per class, or -1 (the precompiled
   /// §3.1.3 routing table through view equivalences).
   std::vector<int32_t> route_of_class;
@@ -308,6 +311,13 @@ struct MatchProgram {
 
   /// The instruction stream executed by ExecuteMatchProgram.
   std::vector<MatchInsn> insns;
+
+  std::span<const ColumnRefId> ClassMembers(int32_t cls) const {
+    const int32_t begin = class_begin[static_cast<size_t>(cls)];
+    return {class_members.data() + begin,
+            static_cast<size_t>(class_begin[static_cast<size_t>(cls) + 1] -
+                                begin)};
+  }
 };
 
 /// Query-side match state, built ONCE per probe and shared read-only by
@@ -331,14 +341,10 @@ struct MatchProbeContext {
 
   ClassifiedPredicates query_preds;
   ClassifiedPredicates check_preds;
+  /// Query classes over the query's slots, flattened slot-major like the
+  /// program's (col_base()/class_of()). Built by the analysis, so shared
+  /// reads never rebuild them.
   EquivalenceClasses query_ec;
-  /// Dense query-class lookup, flattened slot-major like the program's.
-  std::vector<int32_t> col_base;
-  std::vector<int32_t> class_of;
-  int32_t num_classes = 0;
-  /// Classes with two or more members, ascending: the only ones that can
-  /// hold two view classes (equality compensation).
-  std::vector<int> nontrivial_classes;
   RangeMap query_ranges;          ///< plain query ranges (compensation)
   RangeMap query_ranges_checked;  ///< check-strengthened (subsumption)
   std::vector<ExprShape> query_residual_shapes;
@@ -374,7 +380,7 @@ struct MatchProbeContext {
   std::vector<ColumnRefId> null_rejected;
 
   int32_t QueryClassOf(ColumnRefId col) const {
-    return class_of[col_base[col.table_ref] + col.column];
+    return query_ec.ClassOf(col);
   }
 };
 
@@ -435,10 +441,9 @@ MatchProbeContext AnalyzeProbeQuery(const Catalog& catalog,
                                     const MatchOptions& options);
 
 /// Completes an analyzed context for ExecuteMatchProgram: slot lookup,
-/// dense class ids, range maps, the nullable-FK relaxation set and the
-/// cached grouping expressions. Run at most once per context.
-void CompleteMatchProbeContext(const Catalog& catalog,
-                               const MatchOptions& options,
+/// range maps, the nullable-FK relaxation set and the cached grouping
+/// expressions. Run at most once per context.
+void CompleteMatchProbeContext(const MatchOptions& options,
                                MatchProbeContext* ctx);
 
 /// Both steps: the query-side context for one probe. `options` must be

@@ -187,12 +187,7 @@ MatchResult ViewMatcher::MatchWithMapping(
   }
 
   // ---- 2. View equivalence classes over the unified table space.
-  EquivalenceClasses view_ec;
-  for (size_t t = 0; t < unified_tables.size(); ++t) {
-    view_ec.AddTableColumns(static_cast<int32_t>(t),
-                            catalog_->table(unified_tables[t].table)
-                                .num_columns());
-  }
+  EquivalenceClasses view_ec(*catalog_, unified_tables);
   view_ec.AddEqualities(view_preds.equalities);
   view_ec.AddEqualities(check_preds.equalities);
 
@@ -233,12 +228,7 @@ MatchResult ViewMatcher::MatchWithMapping(
   // ---- 4. Query equivalence classes, extended with the join conditions
   // of the eliminated edges (§3.2: "we merely simulate the addition of
   // extra tables by updating query equivalence classes").
-  EquivalenceClasses query_ec;
-  for (size_t t = 0; t < unified_tables.size(); ++t) {
-    query_ec.AddTableColumns(static_cast<int32_t>(t),
-                             catalog_->table(unified_tables[t].table)
-                                 .num_columns());
-  }
+  EquivalenceClasses query_ec(*catalog_, unified_tables);
   query_ec.AddEqualities(query_preds.equalities);
   query_ec.AddEqualities(check_preds.equalities);
   for (const FkJoinEdge& e : eliminated_edges) {

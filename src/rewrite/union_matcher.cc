@@ -39,10 +39,7 @@ ValueRange ViewRangeOn(const Catalog& catalog, const ViewDefinition& view,
                        TableId table, ColumnOrdinal column) {
   const SpjgQuery& q = view.query();
   ClassifiedPredicates preds = ClassifyConjuncts(q.conjuncts);
-  EquivalenceClasses ec;
-  for (int t = 0; t < q.num_tables(); ++t) {
-    ec.AddTableColumns(t, catalog.table(q.tables[t].table).num_columns());
-  }
+  EquivalenceClasses ec(catalog, q.tables);
   ec.AddEqualities(preds.equalities);
   RangeMap ranges = RangeMap::Build(preds.ranges, ec);
   for (int t = 0; t < q.num_tables(); ++t) {
@@ -104,11 +101,7 @@ std::optional<UnionSubstitute> UnionMatcher::TryPartitionColumn(
     const std::vector<ViewId>& candidates, QueryContext* ctx) const {
   // The query's target range on the partition column's class.
   ClassifiedPredicates preds = ClassifyConjuncts(query.conjuncts);
-  EquivalenceClasses ec;
-  for (int t = 0; t < query.num_tables(); ++t) {
-    ec.AddTableColumns(t,
-                       catalog_->table(query.tables[t].table).num_columns());
-  }
+  EquivalenceClasses ec(*catalog_, query.tables);
   ec.AddEqualities(preds.equalities);
   RangeMap ranges = RangeMap::Build(preds.ranges, ec);
   ValueRange target = ranges.Get(ec.ClassOf(column));

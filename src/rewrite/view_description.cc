@@ -1,7 +1,7 @@
 #include "rewrite/view_description.h"
 
 #include <algorithm>
-#include <set>
+#include <span>
 #include <unordered_map>
 
 #include "expr/classify.h"
@@ -33,6 +33,20 @@ std::vector<uint32_t> ClassCatalogIds(const SpjgQuery& q,
   return out;
 }
 
+// Appends the sorted unique catalog ids of `col`'s equivalence class to
+// `into` as one class.
+void AppendClass(const SpjgQuery& q, const EquivalenceClasses& ec,
+                 ColumnRefId col, ColumnClassList* into) {
+  const auto begin = static_cast<std::ptrdiff_t>(into->atoms.size());
+  for (ColumnRefId m : ec.ClassMembers(ec.ClassOf(col))) {
+    into->atoms.push_back(CatalogColId(q.tables[m.table_ref].table, m.column));
+  }
+  std::sort(into->atoms.begin() + begin, into->atoms.end());
+  into->atoms.erase(std::unique(into->atoms.begin() + begin, into->atoms.end()),
+                    into->atoms.end());
+  into->ends.push_back(static_cast<uint32_t>(into->atoms.size()));
+}
+
 // Shared analysis: classified predicates + equivalence classes + ranges.
 struct Analysis {
   ClassifiedPredicates preds;
@@ -43,9 +57,7 @@ struct Analysis {
 Analysis Analyze(const Catalog& catalog, const SpjgQuery& q) {
   Analysis a;
   a.preds = ClassifyConjuncts(q.conjuncts);
-  for (int t = 0; t < q.num_tables(); ++t) {
-    a.ec.AddTableColumns(t, catalog.table(q.tables[t].table).num_columns());
-  }
+  a.ec = EquivalenceClasses(catalog, q.tables);
   a.ec.AddEqualities(a.preds.equalities);
   a.ranges = RangeMap::Build(a.preds.ranges, a.ec);
   return a;
@@ -56,25 +68,6 @@ Analysis Analyze(const Catalog& catalog, const SpjgQuery& q) {
 EstimateShape BuildEstimateShape(const SpjgQuery& query,
                                  const ClassifiedPredicates& preds,
                                  const EquivalenceClasses& ec) {
-  EstimateShape shape;
-  shape.tables.reserve(query.tables.size());
-  for (const auto& tr : query.tables) shape.tables.push_back(tr.table);
-
-  // Every vector is sized exactly: a registered view keeps its shape for
-  // the catalog's lifetime.
-  const std::vector<int> classes = ec.NontrivialClasses();
-  size_t num_members = 0;
-  for (int cls : classes) num_members += ec.ClassMembers(cls).size();
-  shape.class_members.reserve(num_members);
-  shape.class_end.reserve(classes.size());
-  for (int cls : classes) {
-    const auto& members = ec.ClassMembers(cls);
-    shape.class_members.insert(shape.class_members.end(), members.begin(),
-                               members.end());
-    shape.class_end.push_back(
-        static_cast<uint32_t>(shape.class_members.size()));
-  }
-
   // The estimator folds each column's predicates into one interval and
   // multiplies the intervals in this map's iteration order. Floating-
   // point products depend on their order, so the groups keep it.
@@ -84,21 +77,45 @@ EstimateShape BuildEstimateShape(const SpjgQuery& query,
                    static_cast<uint32_t>(p.column.column);
     by_column[key].push_back(p);
   }
+
+  // Every part is sized exactly: a registered view keeps its shape for
+  // the catalog's lifetime.
+  const std::span<const int32_t> classes = ec.NontrivialClasses();
+  EstimateShape::Sizes sizes;
+  sizes.tables = static_cast<uint32_t>(query.tables.size());
+  for (int cls : classes) {
+    sizes.class_members += static_cast<uint32_t>(ec.ClassMembers(cls).size());
+  }
+  sizes.classes = static_cast<uint32_t>(classes.size());
+  sizes.range_groups = static_cast<uint32_t>(by_column.size());
+  sizes.group_columns = static_cast<uint32_t>(query.group_by.size());
+  EstimateShape shape(sizes);
+
+  for (size_t t = 0; t < query.tables.size(); ++t) {
+    shape.tables()[t] = query.tables[t].table;
+  }
+  uint32_t end = 0;
+  for (size_t i = 0; i < classes.size(); ++i) {
+    for (ColumnRefId m : ec.ClassMembers(classes[i])) {
+      shape.class_members()[end++] = m;
+    }
+    shape.class_end()[i] = end;
+  }
   shape.ranges.reserve(preds.ranges.size());
-  shape.range_end.reserve(by_column.size());
+  size_t group = 0;
   for (auto& [key, plist] : by_column) {
     (void)key;
     for (RangePred& p : plist) shape.ranges.push_back(std::move(p));
-    shape.range_end.push_back(static_cast<uint32_t>(shape.ranges.size()));
+    shape.range_end()[group++] = static_cast<uint32_t>(shape.ranges.size());
   }
 
   shape.residuals = static_cast<int32_t>(preds.residual.size());
   shape.is_aggregate = query.is_aggregate;
-  shape.group_columns.reserve(query.group_by.size());
-  for (const auto& g : query.group_by) {
-    shape.group_columns.push_back(g->kind() == ExprKind::kColumnRef
-                                      ? g->column_ref()
-                                      : ColumnRefId{});
+  for (size_t i = 0; i < query.group_by.size(); ++i) {
+    const ExprPtr& g = query.group_by[i];
+    shape.group_columns()[i] = g->kind() == ExprKind::kColumnRef
+                                   ? g->column_ref()
+                                   : ColumnRefId{};
   }
   return shape;
 }
@@ -106,10 +123,7 @@ EstimateShape BuildEstimateShape(const SpjgQuery& query,
 EstimateShape BuildEstimateShape(const Catalog& catalog,
                                  const SpjgQuery& query) {
   ClassifiedPredicates preds = ClassifyConjuncts(query.conjuncts);
-  EquivalenceClasses ec;
-  for (int t = 0; t < query.num_tables(); ++t) {
-    ec.AddTableColumns(t, catalog.table(query.tables[t].table).num_columns());
-  }
+  EquivalenceClasses ec(catalog, query.tables);
   ec.AddEqualities(preds.equalities);
   return BuildEstimateShape(query, preds, ec);
 }
@@ -224,9 +238,8 @@ QueryDescription DescribeQuery(const Catalog& catalog,
   for (const auto& tr : query.tables) d.source_tables.push_back(tr.table);
   SortUnique(&d.source_tables);
 
-  auto add_class = [&](ColumnRefId col,
-                       std::vector<std::vector<uint32_t>>* into) {
-    into->push_back(ClassCatalogIds(query, ec, col));
+  auto add_class = [&](ColumnRefId col, ColumnClassList* into) {
+    AppendClass(query, ec, col, into);
   };
 
   for (size_t k = 0; k < query.outputs.size(); ++k) {

@@ -12,6 +12,7 @@
 #define MVOPT_REWRITE_VIEW_DESCRIPTION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,19 +61,41 @@ struct ViewDescription {
   std::vector<std::string> grouping_expr_texts;
 };
 
+/// Column classes in one flat list, the form the filter tree searches
+/// them in: class i is atoms[ends[i - 1], ends[i]) (class 0 starts at
+/// 0), its sorted unique catalog column ids.
+struct ColumnClassList {
+  std::vector<uint32_t> atoms;
+  std::vector<uint32_t> ends;
+
+  size_t size() const { return ends.size(); }
+  /// True when `fn` holds for every class.
+  template <typename Fn>
+  bool All(Fn&& fn) const {
+    uint32_t begin = 0;
+    for (uint32_t end : ends) {
+      if (!fn(std::span<const uint32_t>(atoms.data() + begin, end - begin))) {
+        return false;
+      }
+      begin = end;
+    }
+    return true;
+  }
+};
+
 /// Per-query search keys, computed once per view-matching invocation.
 struct QueryDescription {
   bool is_aggregate = false;
 
   std::vector<TableId> source_tables;
-  /// One entry per column that must be routable to a view output when the
-  /// view is an SPJ view: the catalog ids of the column's query
+  /// One class per column that must be routable to a view output when
+  /// the view is an SPJ view: the catalog ids of the column's query
   /// equivalence class. Covers simple outputs, simple aggregate
   /// arguments, and simple grouping expressions.
-  std::vector<std::vector<uint32_t>> output_column_classes_spj;
+  ColumnClassList output_column_classes_spj;
   /// Same, for aggregation views (aggregate arguments excluded — they map
   /// to the view's aggregate outputs, not plain columns).
-  std::vector<std::vector<uint32_t>> output_column_classes_agg;
+  ColumnClassList output_column_classes_agg;
   /// Texts of complex non-aggregate output expressions.
   std::vector<std::string> output_expr_texts;
   /// Normalized aggregate output texts an aggregation view must provide
@@ -84,7 +107,7 @@ struct QueryDescription {
   /// range-constrained query equivalence class.
   std::vector<uint32_t> extended_range_columns;
   /// Grouping-column classes (simple grouping expressions only).
-  std::vector<std::vector<uint32_t>> grouping_column_classes;
+  ColumnClassList grouping_column_classes;
   /// All grouping expression texts.
   std::vector<std::string> grouping_expr_texts;
 };

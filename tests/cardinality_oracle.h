@@ -18,7 +18,7 @@
 #include "catalog/catalog.h"
 #include "expr/classify.h"
 #include "query/spjg.h"
-#include "rewrite/equiv.h"
+#include "tests/equiv_oracle.h"
 
 namespace mvopt {
 namespace oracle {
@@ -82,7 +82,7 @@ inline double EstimateSpj(const Catalog& catalog, const SpjgQuery& query) {
 
   // Equijoins: one selectivity per nontrivial equivalence class — divide
   // by every distinct count except the largest (containment assumption).
-  EquivalenceClasses ec;
+  HashMapEquivalenceClasses ec;
   for (int t = 0; t < query.num_tables(); ++t) {
     ec.AddTableColumns(t, catalog_->table(query.tables[t].table)
                               .num_columns());

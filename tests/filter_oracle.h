@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,12 +43,11 @@ inline bool Hits(const std::vector<uint32_t>& cls,
   return false;
 }
 
-inline bool HitsEvery(const std::vector<std::vector<uint32_t>>& classes,
+inline bool HitsEvery(const ColumnClassList& classes,
                       const std::vector<uint32_t>& columns) {
-  for (const auto& cls : classes) {
-    if (!Hits(cls, columns)) return false;
-  }
-  return true;
+  return classes.All([&columns](std::span<const uint32_t> cls) {
+    return Hits(std::vector<uint32_t>(cls.begin(), cls.end()), columns);
+  });
 }
 
 /// The §4.2 condition of `level` for view `v` and query `q`, evaluated

@@ -22,10 +22,7 @@ class FkGraphTest : public ::testing::Test {
 
   Built BuildFor(SpjgBuilder& b, const FkGraphOptions& opts = {}) {
     Built out{b.Build(), {}, {}};
-    for (int t = 0; t < out.query.num_tables(); ++t) {
-      out.ec.AddTableColumns(
-          t, catalog_.table(out.query.tables[t].table).num_columns());
-    }
+    out.ec = EquivalenceClasses(catalog_, out.query.tables);
     out.ec.AddEqualities(ClassifyConjuncts(out.query.conjuncts).equalities);
     out.graph = FkJoinGraph::Build(catalog_, out.query.tables, out.ec, opts);
     return out;

@@ -90,9 +90,7 @@ TEST(RangeTest, TighteningKeepsTightest) {
 TEST(RangeMapTest, GroupsByEquivalenceClass) {
   // Columns (0,0) and (1,0) are equivalent; predicates on both fold into
   // one range for the class.
-  EquivalenceClasses ec;
-  ec.AddTableColumns(0, 1);
-  ec.AddTableColumns(1, 1);
+  EquivalenceClasses ec(std::vector<int32_t>{1, 1});
   ec.AddEquality(ColumnRefId{0, 0}, ColumnRefId{1, 0});
   std::vector<RangePred> preds = {
       {ColumnRefId{0, 0}, CompareOp::kGt, V(10)},
@@ -109,8 +107,7 @@ TEST(RangeMapTest, GroupsByEquivalenceClass) {
 }
 
 TEST(RangeMapTest, DoubleAndDateBounds) {
-  EquivalenceClasses ec;
-  ec.AddTableColumns(0, 2);
+  EquivalenceClasses ec(std::vector<int32_t>{2});
   std::vector<RangePred> preds = {
       {ColumnRefId{0, 0}, CompareOp::kGe, Value::Double(1.5)},
       {ColumnRefId{0, 1}, CompareOp::kLt, Value::Date(9000)},

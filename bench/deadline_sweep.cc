@@ -6,6 +6,9 @@
 // = no quality loss). A degraded optimization must still return a valid
 // plan — the harness asserts that on every query.
 //
+// Emits one JSON document (bench/bench_report.h) on stdout, one row per
+// (views, deadline) point; the human-readable table goes to stderr.
+//
 // Knobs: MVOPT_BENCH_QUERIES (default 1000).
 
 #include <algorithm>
@@ -13,6 +16,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "bench/harness.h"
 #include "common/query_budget.h"
 
@@ -28,11 +32,19 @@ int main() {
 
   Workload workload(1000, num_queries);
 
-  std::printf("# Deadline sweep: plan quality vs per-query time budget\n");
-  std::printf("# %d queries per point\n", num_queries);
-  std::printf("%-8s %12s %10s %10s %12s %12s %12s %12s\n", "views",
-              "deadline_us", "degraded", "use_views", "mean_ratio",
-              "median_ratio", "total_s", "p_valid");
+  JsonReport report("deadline_sweep");
+  report.Caveat(
+      "deadlines are wall clock on a shared host: the share of degraded "
+      "queries at a deadline moves with the host's speed, and with the "
+      "optimizer's; total_s is one single-threaded pass per row");
+  report.Meta("queries", num_queries);
+
+  std::fprintf(stderr,
+               "# Deadline sweep: plan quality vs per-query time budget\n");
+  std::fprintf(stderr, "# %d queries per point\n", num_queries);
+  std::fprintf(stderr, "%-8s %12s %10s %10s %12s %12s %12s %12s\n", "views",
+               "deadline_us", "degraded", "use_views", "mean_ratio",
+               "median_ratio", "total_s", "p_valid");
 
   for (int n : view_counts) {
     auto service = workload.MakeService(n, /*use_filter_tree=*/true);
@@ -77,14 +89,27 @@ int main() {
         std::sort(ratios.begin(), ratios.end());
         median = ratios[ratios.size() / 2];
       }
-      std::printf("%-8d %12lld %9.1f%% %9.1f%% %12.3f %12.3f %12.3f %8d/%d\n",
-                  n, static_cast<long long>(deadline_us),
-                  100.0 * degraded / num_queries,
-                  100.0 * use_views / num_queries, mean, median, total, valid,
-                  num_queries);
+      std::fprintf(stderr,
+                   "%-8d %12lld %9.1f%% %9.1f%% %12.3f %12.3f %12.3f "
+                   "%8d/%d\n",
+                   n, static_cast<long long>(deadline_us),
+                   100.0 * degraded / num_queries,
+                   100.0 * use_views / num_queries, mean, median, total,
+                   valid, num_queries);
+      report.BeginRow();
+      report.Field("views", n);
+      report.Field("deadline_us", deadline_us);
+      report.Field("degraded", degraded);
+      report.Field("use_views", use_views);
+      report.Field("mean_cost_ratio", mean);
+      report.Field("median_cost_ratio", median);
+      report.Field("total_s", total);
+      report.Field("valid", valid);
+      report.EndRow();
     }
   }
-  std::printf(
+  std::fprintf(
+      stderr,
       "# ratios: plan cost relative to the unbounded run (>= 1; 1.000 =\n"
       "# the deadline cost no plan quality). The mean is dominated by the\n"
       "# few queries whose view plan beats the base plan by orders of\n"

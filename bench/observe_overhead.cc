@@ -13,17 +13,27 @@
 // and must not read clocks or collect filter statistics. Counters and
 // full-trace numbers are reported for the record, not gated.
 //
-// Each configuration is timed as min-of-reps over `inner` passes of the
-// whole query set, with the configuration order rotated per repetition
-// (min + rotation filter scheduler noise and drift). Knobs:
-// MVOPT_BENCH_VIEWS (default 400), MVOPT_BENCH_QUERIES (default 300),
-// MVOPT_BENCH_REPS (default 15), MVOPT_BENCH_INNER (default 3).
+// Each repetition times one pass of every configuration, a pass being
+// `inner` rounds of the whole query set. Baseline and off run back to
+// back as a pair, alternating which goes first, and counters and
+// full-trace follow. Every configuration is compared with the baseline
+// pass of its own repetition, and the gate reads the median of the
+// per-repetition off/baseline ratios: a pass on a shared host can swing
+// by tens of percent, but the two passes of a pair see the same host, so
+// their ratio keeps the 2% resolution that independent min-of-reps
+// timings lose. On a shared 4-vCPU host the median of 15 such ratios
+// still spread over -1.7% to +4.8% across runs of unchanged code, and
+// the median of 101 over about -0.3% to +1.4%, hence the default. Knobs:
+// MVOPT_BENCH_VIEWS (default 400),
+// MVOPT_BENCH_QUERIES (default 300), MVOPT_BENCH_REPS (default 101),
+// MVOPT_BENCH_INNER (default 5).
 //
 // Output: one JSON document on stdout (committed as
 // results/observe_overhead.json; see bench/bench_report.h), one row per
 // configuration; the table and the verdict go to stderr.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -61,13 +71,19 @@ double TimeOnePass(MatchingService* service,
   return std::chrono::duration<double>(end - start).count();
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 }  // namespace
 
 int main() {
   const int num_views = EnvInt("MVOPT_BENCH_VIEWS", 400);
   const int num_queries = EnvInt("MVOPT_BENCH_QUERIES", 300);
-  const int reps = EnvInt("MVOPT_BENCH_REPS", 15);
-  const int inner = EnvInt("MVOPT_BENCH_INNER", 3);
+  const int reps = std::max(1, EnvInt("MVOPT_BENCH_REPS", 101));
+  const int inner = EnvInt("MVOPT_BENCH_INNER", 5);
 
   Workload workload(num_views, num_queries);
   int64_t sink = 0;
@@ -77,13 +93,17 @@ int main() {
     ObserveMode mode;
     bool attach_registry;
     bool with_trace;
-    double seconds = 0;
+    /// Per repetition: the pass's seconds, and its ratio to and excess
+    /// over the baseline pass of the same repetition.
+    std::vector<double> seconds;
+    std::vector<double> ratios;
+    std::vector<double> extra_seconds;
   };
   Config configs[] = {
-      {"baseline", ObserveMode::kOff, false, false},
-      {"off", ObserveMode::kOff, true, false},
-      {"counters", ObserveMode::kCountersOnly, true, false},
-      {"full-trace", ObserveMode::kFullTrace, true, true},
+      {"baseline", ObserveMode::kOff, false, false, {}, {}, {}},
+      {"off", ObserveMode::kOff, true, false, {}, {}, {}},
+      {"counters", ObserveMode::kCountersOnly, true, false, {}, {}, {}},
+      {"full-trace", ObserveMode::kFullTrace, true, true, {}, {}, {}},
   };
 
   std::vector<std::unique_ptr<MetricsRegistry>> registries;
@@ -96,31 +116,36 @@ int main() {
       opts.observe.registry = registries.back().get();
     }
     services.push_back(workload.MakeService(num_views, opts));
-    config.seconds = 1e300;
   }
-  // Interleave the repetitions across configurations — rotating the order
-  // each round — so clock drift, frequency scaling, and cache warm-up hit
-  // every mode equally; the first (warm-up) round is discarded by the min.
+  // Repetition 0 warms every service up and is not recorded.
   const size_t num_configs = services.size();
   for (int r = 0; r < reps + 1; ++r) {
-    for (size_t i = 0; i < num_configs; ++i) {
-      const size_t c = (i + static_cast<size_t>(r)) % num_configs;
-      const double pass = TimeOnePass(services[c].get(), workload.queries(),
-                                      inner, configs[c].with_trace, &sink);
-      if (r > 0) configs[c].seconds = std::min(configs[c].seconds, pass);
+    const std::array<size_t, 4> order =
+        r % 2 == 0 ? std::array<size_t, 4>{0, 1, 2, 3}
+                   : std::array<size_t, 4>{1, 0, 2, 3};
+    std::array<double, 4> pass{};
+    for (size_t c : order) {
+      pass[c] = TimeOnePass(services[c].get(), workload.queries(), inner,
+                            configs[c].with_trace, &sink);
+    }
+    if (r == 0) continue;
+    for (size_t c = 0; c < num_configs; ++c) {
+      configs[c].seconds.push_back(pass[c]);
+      configs[c].ratios.push_back(pass[c] / pass[0]);
+      configs[c].extra_seconds.push_back(pass[c] - pass[0]);
     }
   }
 
-  const double baseline = configs[0].seconds;
   const int probes_per_pass = num_queries * inner;
-  const double off_overhead = configs[1].seconds / baseline - 1.0;
+  const double off_overhead = Median(configs[1].ratios) - 1.0;
   const bool pass = off_overhead <= 0.02;
 
   JsonReport report("observe_overhead");
   report.Caveat(
-      "min-of-reps wall clock of single-threaded probes on a shared host; "
-      "vs_baseline is a same-run ratio, absolute times do not carry across "
-      "hosts");
+      "wall clock of single-threaded probes on a shared host; vs_baseline "
+      "and us_over_baseline are medians over repetitions of each pass "
+      "against the baseline pass of its repetition, us_per_probe the "
+      "median pass; absolute times do not carry across hosts");
   report.Meta("views", num_views);
   report.Meta("queries", num_queries);
   report.Meta("inner", inner);
@@ -132,18 +157,22 @@ int main() {
 
   std::fprintf(stderr,
                "# observe overhead: views=%d queries=%d inner=%d reps=%d "
-               "(min-of-reps, seconds for %d probes)\n",
+               "(medians over repetitions; %d probes per pass)\n",
                num_views, num_queries, inner, reps, probes_per_pass);
-  std::fprintf(stderr, "%-12s %14s %14s %10s\n", "mode", "total(s)",
-               "us/probe", "vs-base");
+  std::fprintf(stderr, "%-12s %14s %14s %10s\n", "mode", "us/probe",
+               "us-over-base", "vs-base");
   for (const Config& config : configs) {
-    const double us_per_probe = config.seconds * 1e6 / probes_per_pass;
-    const double vs_baseline = config.seconds / baseline - 1.0;
-    std::fprintf(stderr, "%-12s %14.6f %14.3f %+9.2f%%\n", config.name,
-                 config.seconds, us_per_probe, vs_baseline * 100.0);
+    const double us_per_probe =
+        Median(config.seconds) * 1e6 / probes_per_pass;
+    const double us_over_baseline =
+        Median(config.extra_seconds) * 1e6 / probes_per_pass;
+    const double vs_baseline = Median(config.ratios) - 1.0;
+    std::fprintf(stderr, "%-12s %14.3f %14.3f %+9.2f%%\n", config.name,
+                 us_per_probe, us_over_baseline, vs_baseline * 100.0);
     report.BeginRow();
     report.Field("mode", config.name);
     report.Field("us_per_probe", us_per_probe);
+    report.Field("us_over_baseline", us_over_baseline);
     report.Field("vs_baseline", vs_baseline);
     report.EndRow();
   }

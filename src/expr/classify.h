@@ -35,6 +35,14 @@ struct ClassifiedPredicates {
   std::vector<ExprPtr> residual;
 };
 
+/// The list of ClassifiedPredicates a conjunct belongs to.
+enum class ConjunctKind { kEquality, kRange, kResidual };
+
+/// Appends `conjunct` to its list in `out` and returns which list.
+ConjunctKind ClassifyConjunct(const ExprPtr& conjunct,
+                              ClassifiedPredicates* out);
+
+/// Every conjunct through ClassifyConjunct, in order.
 ClassifiedPredicates ClassifyConjuncts(const std::vector<ExprPtr>& conjuncts);
 
 /// True if `conjunct` is a null-rejecting predicate on exactly the given

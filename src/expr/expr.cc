@@ -239,12 +239,42 @@ size_t Expr::Hash() const {
   return h;
 }
 
-ExprPtr Expr::RemapTableRefs(const std::vector<int32_t>& mapping) const {
-  return RewriteColumns([&mapping](ColumnRefId ref) -> ExprPtr {
+ExprPtr Expr::WithChildren(std::vector<ExprPtr> children) const {
+  switch (kind_) {
+    case ExprKind::kArithmetic:
+      return MakeArith(arith_op_, children[0], children[1]);
+    case ExprKind::kComparison:
+      return MakeCompare(compare_op_, children[0], children[1]);
+    case ExprKind::kAnd:
+      return MakeAnd(std::move(children));
+    case ExprKind::kOr:
+      return MakeOr(std::move(children));
+    case ExprKind::kNot:
+      return MakeNot(children[0]);
+    case ExprKind::kLike:
+      return MakeLike(children[0], like_pattern_);
+    case ExprKind::kIsNotNull:
+      return MakeIsNotNull(children[0]);
+    case ExprKind::kAggregate:
+      return MakeAggregate(agg_kind_,
+                           children.empty() ? nullptr : children[0]);
+    case ExprKind::kLiteral:
+      return MakeLiteral(literal_);
+    case ExprKind::kColumnRef:
+      return MakeColumn(column_ref_);
+  }
+  return nullptr;
+}
+
+ExprPtr Expr::RemapTableRefs(const ExprPtr& expr,
+                             const std::vector<int32_t>& mapping) {
+  return MapColumns(expr, [&mapping](const ExprPtr& column) -> ExprPtr {
+    const ColumnRefId ref = column->column_ref();
     assert(ref.table_ref >= 0 &&
            ref.table_ref < static_cast<int32_t>(mapping.size()));
-    int32_t mapped = mapping[ref.table_ref];
+    const int32_t mapped = mapping[ref.table_ref];
     assert(mapped >= 0 && "table ref not covered by mapping");
+    if (mapped == ref.table_ref) return column;
     return MakeColumn(ColumnRefId{mapped, ref.column});
   });
 }

@@ -12,6 +12,7 @@
 #ifndef MVOPT_EXPR_EXPR_H_
 #define MVOPT_EXPR_EXPR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -117,9 +118,18 @@ class Expr {
   bool Equals(const Expr& other) const;
   size_t Hash() const;
 
-  /// Rebuilds the tree with each column's table_ref replaced by
+  /// `expr` with each column's table_ref replaced by
   /// mapping[table_ref]. Every referenced slot must be mapped (>= 0).
-  ExprPtr RemapTableRefs(const std::vector<int32_t>& mapping) const;
+  /// Subtrees the mapping leaves unchanged are shared (MapColumns).
+  static ExprPtr RemapTableRefs(const ExprPtr& expr,
+                                const std::vector<int32_t>& mapping);
+
+  /// `expr` with each column-reference node `c` replaced by `fn(c)`.
+  /// Nodes are immutable, so a subtree whose column nodes all come back
+  /// unchanged is shared rather than copied, and `expr` itself comes
+  /// back when nothing changes.
+  template <typename Fn>
+  static ExprPtr MapColumns(const ExprPtr& expr, Fn&& fn);
 
   /// Rebuilds the tree replacing each column ref through `fn`; `fn` may
   /// return a full expression (used when routing refs to view outputs).
@@ -135,6 +145,9 @@ class Expr {
   Expr() = default;
 
  private:
+  /// A node like this one (same kind and payload) over `children`.
+  ExprPtr WithChildren(std::vector<ExprPtr> children) const;
+
   ExprKind kind_ = ExprKind::kLiteral;
   ColumnRefId column_ref_;
   Value literal_;
@@ -161,13 +174,28 @@ struct ExprShape {
 ExprShape ComputeShape(const Expr& expr);
 
 template <typename Fn>
+ExprPtr Expr::MapColumns(const ExprPtr& expr, Fn&& fn) {
+  if (expr->kind_ == ExprKind::kColumnRef) return fn(expr);
+  const std::vector<ExprPtr>& children = expr->children_;
+  std::vector<ExprPtr> mapped;  // filled from the first changed child on
+  for (size_t i = 0; i < children.size(); ++i) {
+    ExprPtr c = MapColumns(children[i], fn);
+    if (mapped.empty()) {
+      if (c == children[i]) continue;
+      mapped.reserve(children.size());
+      mapped.assign(children.begin(),
+                    children.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    mapped.push_back(std::move(c));
+  }
+  if (mapped.empty()) return expr;
+  return expr->WithChildren(std::move(mapped));
+}
+
+template <typename Fn>
 ExprPtr Expr::RewriteColumns(Fn&& fn) const {
   if (kind_ == ExprKind::kColumnRef) return fn(column_ref_);
-  if (children_.empty()) {
-    // Leaf without columns: share the node. Requires a copy because we
-    // only have *this; reconstruct cheaply by kind.
-    if (kind_ == ExprKind::kLiteral) return MakeLiteral(literal_);
-  }
+  if (kind_ == ExprKind::kLiteral) return MakeLiteral(literal_);
   std::vector<ExprPtr> new_children;
   new_children.reserve(children_.size());
   for (const auto& c : children_) {
@@ -175,30 +203,7 @@ ExprPtr Expr::RewriteColumns(Fn&& fn) const {
     if (nc == nullptr) return nullptr;
     new_children.push_back(std::move(nc));
   }
-  switch (kind_) {
-    case ExprKind::kArithmetic:
-      return MakeArith(arith_op_, new_children[0], new_children[1]);
-    case ExprKind::kComparison:
-      return MakeCompare(compare_op_, new_children[0], new_children[1]);
-    case ExprKind::kAnd:
-      return MakeAnd(std::move(new_children));
-    case ExprKind::kOr:
-      return MakeOr(std::move(new_children));
-    case ExprKind::kNot:
-      return MakeNot(new_children[0]);
-    case ExprKind::kLike:
-      return MakeLike(new_children[0], like_pattern_);
-    case ExprKind::kIsNotNull:
-      return MakeIsNotNull(new_children[0]);
-    case ExprKind::kAggregate:
-      return MakeAggregate(agg_kind_,
-                           new_children.empty() ? nullptr : new_children[0]);
-    case ExprKind::kLiteral:
-      return MakeLiteral(literal_);
-    case ExprKind::kColumnRef:
-      break;  // handled above
-  }
-  return nullptr;
+  return WithChildren(std::move(new_children));
 }
 
 }  // namespace mvopt

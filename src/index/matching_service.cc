@@ -434,8 +434,12 @@ std::vector<ViewId> MatchingService::StageProbe(
   if (snap.views.num_views() == 0) return candidates;
   if (options_.use_filter_tree) {
     analysis->emplace(AnalyzeProbeQuery(*catalog_, query, options_.match));
-    candidates = snap.tree.FindCandidates(
-        DescribeQuery(*catalog_, **analysis), ctx, fstats);
+    // Per-thread description, as FindCandidates keeps its search
+    // context: once warm, describing a probe allocates only the texts
+    // too long for a string's inline buffer.
+    thread_local QueryDescription description;
+    DescribeQuery(*catalog_, **analysis, &description);
+    candidates = snap.tree.FindCandidates(description, ctx, fstats);
   } else {
     // Without the index every view description must be considered; the
     // only cheap pre-test retained is the aggregation/table-set screen

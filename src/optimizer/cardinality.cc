@@ -80,7 +80,9 @@ double CardinalityEstimator::EstimateSpj(const EstimateShape& shape) const {
 
   // Equijoins: one selectivity per nontrivial equivalence class — divide
   // by every distinct count except the largest (containment assumption).
-  std::vector<double> ndvs;
+  // The distinct counts sort in a per-thread buffer: once warm, an
+  // estimate allocates nothing here.
+  thread_local std::vector<double> ndvs;
   uint32_t begin = 0;
   for (uint32_t end : shape.class_end()) {
     ndvs.clear();

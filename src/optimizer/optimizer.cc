@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "expr/classify.h"
+#include "rewrite/equiv.h"
+#include "rewrite/view_description.h"
 
 namespace mvopt {
 
@@ -27,7 +30,66 @@ void CollectMaskedColumns(const ExprPtr& expr, uint32_t mask,
   }
 }
 
+/// Slot of query table `t` in the signature of the group over `mask`:
+/// the group's tables keep their query order.
+int32_t SlotIn(uint32_t mask, int32_t t) {
+  return PopCount(mask & ((1u << t) - 1));
+}
+
 constexpr int kJoinedAggKeyBase = 100000;
+
+uint64_t GroupKey(uint32_t mask, int agg_spec) {
+  return (uint64_t{mask} << 32) | static_cast<uint32_t>(agg_spec);
+}
+
+/// A map from 64-bit keys to non-negative ints, open-addressed in one
+/// flat slot array, so an entry costs no allocation of its own.
+class FlatIndex {
+ public:
+  /// The value under `key`, or -1.
+  int Find(uint64_t key) const {
+    if (slots_.empty()) return -1;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i].value < 0) return -1;
+      if (slots_[i].key == key) return slots_[i].value;
+    }
+  }
+
+  /// Adds `key`, which must be absent.
+  void Insert(uint64_t key, int value) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Place(key, value);
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    int value = -1;
+  };
+
+  static size_t Hash(uint64_t key) {
+    key *= 0x9e3779b97f4a7c15ull;
+    return static_cast<size_t>(key ^ (key >> 32));
+  }
+  void Place(uint64_t key, int value) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash(key) & mask;
+    while (slots_[i].value >= 0) i = (i + 1) & mask;
+    slots_[i] = Slot{key, value};
+  }
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& s : old) {
+      if (s.value >= 0) Place(s.key, s.value);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -36,12 +98,87 @@ struct Optimizer::Context {
   QueryContext* qctx = nullptr;   // the caller's per-query context
   QueryBudget* budget = nullptr;  // == qctx->budget(); may be null
   uint32_t full_mask = 0;
-  std::vector<uint32_t> conjunct_mask;  // per query conjunct
-  std::map<std::pair<uint32_t, int>, int> group_index;
+  FlatIndex group_index;  // GroupKey(mask, agg_spec) -> group id
   std::vector<Group> groups;
   std::vector<AggSpec> agg_specs;
   OptimizerMetrics metrics;
   QueryTrace* trace = nullptr;  // full-trace mode only
+
+  // Derived from the query once (Derive); each group selects its part by
+  // mask instead of re-deriving it.
+  /// Per query conjunct: the FROM slots it reads, and the list of
+  /// conjunct_preds it was classified into with its index there.
+  std::vector<uint32_t> conjunct_mask;
+  std::vector<ConjunctKind> conjunct_kind;
+  std::vector<uint32_t> conjunct_pred;
+  ClassifiedPredicates conjunct_preds;
+  /// Every column of a FROM slot that a conjunct, output or grouping
+  /// expression reads, sorted unique.
+  std::vector<ColumnRefId> query_columns;
+
+  /// SPJ groups' required columns back to back (Group::required_begin).
+  std::vector<ColumnRefId> required_pool;
+  /// MakeSpjGroup's connected splits; each call pushes and pops its own
+  /// above those of the groups it was called for.
+  std::vector<uint32_t> splits;
+
+  // Signature parts shared across groups (Expr nodes are immutable).
+  /// One column node per (signature slot, column):
+  /// column_nodes[slot * column_stride + column], made on first use.
+  std::vector<ExprPtr> column_nodes;
+  size_t column_stride = 0;
+  /// Remapped conjuncts (RemappedConjunct), and their index by
+  /// (conjunct, the group's tables below the conjunct's last table).
+  FlatIndex remapped_index;
+  std::vector<ExprPtr> remapped_conjuncts;
+  /// "o0", "o1", ...: the names of an SPJ signature's outputs.
+  std::vector<std::string> output_names;
+  /// An SPJ group's classified predicates, refilled per estimate.
+  ClassifiedPredicates group_preds;
+
+  void Derive(const Catalog& catalog) {
+    const SpjgQuery& q = *query;
+    full_mask = (1u << q.num_tables()) - 1;
+    for (const ExprPtr& c : q.conjuncts) {
+      const size_t first = query_columns.size();
+      c->CollectColumnRefs(&query_columns);
+      uint32_t m = 0;
+      for (size_t i = first; i < query_columns.size(); ++i) {
+        const int32_t t = query_columns[i].table_ref;
+        if (t < kSyntheticRefBase) m |= 1u << t;
+      }
+      conjunct_mask.push_back(m);
+      const ConjunctKind kind = ClassifyConjunct(c, &conjunct_preds);
+      conjunct_kind.push_back(kind);
+      const size_t listed = kind == ConjunctKind::kEquality
+                                ? conjunct_preds.equalities.size()
+                            : kind == ConjunctKind::kRange
+                                ? conjunct_preds.ranges.size()
+                                : conjunct_preds.residual.size();
+      conjunct_pred.push_back(static_cast<uint32_t>(listed - 1));
+    }
+    for (const OutputExpr& o : q.outputs) {
+      o.expr->CollectColumnRefs(&query_columns);
+    }
+    for (const ExprPtr& g : q.group_by) g->CollectColumnRefs(&query_columns);
+    query_columns.erase(
+        std::remove_if(query_columns.begin(), query_columns.end(),
+                       [](ColumnRefId c) {
+                         return c.table_ref >= kSyntheticRefBase;
+                       }),
+        query_columns.end());
+    std::sort(query_columns.begin(), query_columns.end());
+    query_columns.erase(
+        std::unique(query_columns.begin(), query_columns.end()),
+        query_columns.end());
+
+    for (const TableRef& tr : q.tables) {
+      column_stride = std::max(
+          column_stride,
+          static_cast<size_t>(catalog.table(tr.table).num_columns()));
+    }
+    column_nodes.resize(q.tables.size() * column_stride);
+  }
 
   uint32_t MaskOf(const ExprPtr& e) const {
     std::vector<ColumnRefId> cols;
@@ -53,25 +190,63 @@ struct Optimizer::Context {
     return m;
   }
 
-  // Conjunct indices fully inside `mask`.
-  std::vector<int> ConjunctsWithin(uint32_t mask) const {
-    std::vector<int> out;
-    for (size_t i = 0; i < conjunct_mask.size(); ++i) {
-      if ((conjunct_mask[i] & ~mask) == 0) out.push_back(static_cast<int>(i));
-    }
-    return out;
+  bool Within(size_t ci, uint32_t mask) const {
+    return (conjunct_mask[ci] & ~mask) == 0;
   }
 
-  // Conjunct indices crossing the (a, b) partition.
-  std::vector<int> ConjunctsCrossing(uint32_t a, uint32_t b) const {
-    std::vector<int> out;
-    for (size_t i = 0; i < conjunct_mask.size(); ++i) {
-      uint32_t m = conjunct_mask[i];
-      if ((m & a) != 0 && (m & b) != 0 && (m & ~(a | b)) == 0) {
-        out.push_back(static_cast<int>(i));
-      }
+  /// True when conjunct `ci` joins `a` to `b`: it reads both and nothing
+  /// outside them.
+  bool Crosses(size_t ci, uint32_t a, uint32_t b) const {
+    const uint32_t m = conjunct_mask[ci];
+    return (m & a) != 0 && (m & b) != 0 && (m & ~(a | b)) == 0;
+  }
+
+  std::span<const ColumnRefId> RequiredColumns(const Group& g) const {
+    return std::span<const ColumnRefId>(required_pool)
+        .subspan(g.required_begin, g.required_end - g.required_begin);
+  }
+
+  const std::string& OutputName(size_t i) {
+    while (output_names.size() <= i) {
+      output_names.push_back("o" + std::to_string(output_names.size()));
     }
-    return out;
+    return output_names[i];
+  }
+
+  const ExprPtr& ColumnNode(int32_t slot, ColumnOrdinal column) {
+    ExprPtr& node =
+        column_nodes[static_cast<size_t>(slot) * column_stride +
+                     static_cast<size_t>(column)];
+    if (node == nullptr) node = Expr::MakeColumn(slot, column);
+    return node;
+  }
+
+  /// `e` (over the query's slots) over the slots of the group's
+  /// signature: unchanged subtrees and column nodes are shared.
+  ExprPtr Remap(const ExprPtr& e, uint32_t mask) {
+    return Expr::MapColumns(e, [this, mask](const ExprPtr& column) {
+      const ColumnRefId ref = column->column_ref();
+      const int32_t slot = SlotIn(mask, ref.table_ref);
+      return slot == ref.table_ref ? column : ColumnNode(slot, ref.column);
+    });
+  }
+
+  /// Conjunct `ci` over the slots of the group over `mask`, which
+  /// contains its tables. Its slots depend only on the group's tables
+  /// below its last table, so every group agreeing on those shares one
+  /// remapped conjunct.
+  ExprPtr RemappedConjunct(size_t ci, uint32_t mask) {
+    const uint32_t m = conjunct_mask[ci];
+    const uint32_t below =
+        m == 0 ? 0 : mask & ((1u << (31 - __builtin_clz(m))) - 1);
+    const uint64_t key = (uint64_t{ci} << 32) | below;
+    int idx = remapped_index.Find(key);
+    if (idx < 0) {
+      idx = static_cast<int>(remapped_conjuncts.size());
+      remapped_conjuncts.push_back(Remap(query->conjuncts[ci], mask));
+      remapped_index.Insert(key, idx);
+    }
+    return remapped_conjuncts[static_cast<size_t>(idx)];
   }
 };
 
@@ -111,36 +286,44 @@ void Optimizer::RegisterMetrics() {
       "mvopt_optimize_latency_seconds", "Optimize wall-clock latency");
 }
 
-const SpjgQuery& Optimizer::SignatureOf(const Context& ctx,
-                                        Group& group) const {
+const SpjgQuery& Optimizer::SignatureOf(Context& ctx, Group& group) const {
   if (group.signature.has_value()) return *group.signature;
   const SpjgQuery& q = *ctx.query;
+  const uint32_t mask = group.mask;
   SpjgQuery& sig = group.signature.emplace();
-  std::vector<int32_t> remap(q.num_tables(), -1);
+  sig.tables.reserve(static_cast<size_t>(PopCount(mask)));
   for (int t = 0; t < q.num_tables(); ++t) {
-    if (group.mask & (1u << t)) {
-      remap[t] = static_cast<int32_t>(sig.tables.size());
-      sig.tables.push_back(q.tables[t]);
+    if (mask & (1u << t)) sig.tables.push_back(q.tables[t]);
+  }
+  size_t within = 0;
+  for (size_t ci = 0; ci < q.conjuncts.size(); ++ci) {
+    within += ctx.Within(ci, mask) ? 1 : 0;
+  }
+  sig.conjuncts.reserve(within);
+  for (size_t ci = 0; ci < q.conjuncts.size(); ++ci) {
+    if (ctx.Within(ci, mask)) {
+      sig.conjuncts.push_back(ctx.RemappedConjunct(ci, mask));
     }
   }
-  for (int ci : ctx.ConjunctsWithin(group.mask)) {
-    sig.conjuncts.push_back(q.conjuncts[ci]->RemapTableRefs(remap));
-  }
   if (group.agg_spec < 0) {
-    for (size_t i = 0; i < group.required_columns.size(); ++i) {
-      ColumnRefId c = group.required_columns[i];
-      sig.outputs.push_back(OutputExpr{
-          "o" + std::to_string(i),
-          Expr::MakeColumn(remap[c.table_ref], c.column)});
+    const std::span<const ColumnRefId> required = ctx.RequiredColumns(group);
+    sig.outputs.reserve(required.size());
+    for (size_t i = 0; i < required.size(); ++i) {
+      const ColumnRefId c = required[i];
+      sig.outputs.push_back(
+          OutputExpr{ctx.OutputName(i),
+                     ctx.ColumnNode(SlotIn(mask, c.table_ref), c.column)});
     }
     sig.is_aggregate = false;
   } else {
     const AggSpec& spec = ctx.agg_specs[group.agg_spec];
+    sig.group_by.reserve(spec.group_by.size());
     for (const auto& g : spec.group_by) {
-      sig.group_by.push_back(g->RemapTableRefs(remap));
+      sig.group_by.push_back(ctx.Remap(g, mask));
     }
+    sig.outputs.reserve(spec.outputs.size());
     for (const auto& o : spec.outputs) {
-      sig.outputs.push_back(OutputExpr{o.name, o.expr->RemapTableRefs(remap)});
+      sig.outputs.push_back(OutputExpr{o.name, ctx.Remap(o.expr, mask)});
     }
     sig.is_aggregate = true;
   }
@@ -183,12 +366,12 @@ void Optimizer::ApplyViewMatching(Context* ctx, int group_id) {
 }
 
 int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
-  auto key = std::make_pair(mask, -1);
-  auto it = ctx->group_index.find(key);
-  if (it != ctx->group_index.end()) return it->second;
+  const uint64_t key = GroupKey(mask, -1);
+  int gid = ctx->group_index.Find(key);
+  if (gid >= 0) return gid;
 
-  int gid = static_cast<int>(ctx->groups.size());
-  ctx->group_index[key] = gid;
+  gid = static_cast<int>(ctx->groups.size());
+  ctx->group_index.Insert(key, gid);
   ctx->groups.push_back(Group{});
   ++ctx->metrics.groups_created;
   // Charge the budget for the group; creation itself always proceeds
@@ -201,18 +384,11 @@ int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
     g.agg_spec = -1;
     // Required columns: every column of the group's tables referenced
     // anywhere in the query (predicates, outputs, grouping).
-    std::vector<ColumnRefId> required;
-    for (const auto& c : ctx->query->conjuncts) {
-      CollectMaskedColumns(c, mask, &required);
+    g.required_begin = static_cast<uint32_t>(ctx->required_pool.size());
+    for (ColumnRefId c : ctx->query_columns) {
+      if (mask & (1u << c.table_ref)) ctx->required_pool.push_back(c);
     }
-    for (const auto& o : ctx->query->outputs) {
-      CollectMaskedColumns(o.expr, mask, &required);
-    }
-    for (const auto& gb : ctx->query->group_by) {
-      CollectMaskedColumns(gb, mask, &required);
-    }
-    std::sort(required.begin(), required.end());
-    g.required_columns = std::move(required);
+    g.required_end = static_cast<uint32_t>(ctx->required_pool.size());
   }
 
   if (PopCount(mask) == 1) {
@@ -240,17 +416,23 @@ int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
       }
       return reached == m;
     };
-    std::vector<uint32_t> connected;
-    std::vector<uint32_t> all;
+    auto crossed = [ctx](uint32_t a, uint32_t b) {
+      for (size_t ci = 0; ci < ctx->conjunct_mask.size(); ++ci) {
+        if (ctx->Crosses(ci, a, b)) return true;
+      }
+      return false;
+    };
+    const size_t first = ctx->splits.size();
     for (uint32_t s = (mask - 1) & mask; s != 0; s = (s - 1) & mask) {
-      all.push_back(s);
-      if (!ctx->ConjunctsCrossing(s, mask & ~s).empty() &&
-          internally_connected(s) && internally_connected(mask & ~s)) {
-        connected.push_back(s);
+      if (crossed(s, mask & ~s) && internally_connected(s) &&
+          internally_connected(mask & ~s)) {
+        ctx->splits.push_back(s);
       }
     }
-    const std::vector<uint32_t>& splits = connected.empty() ? all : connected;
-    for (uint32_t s : splits) {
+    const size_t last = ctx->splits.size();
+    // Adds the join over split `s`; false once the budget stops further
+    // splits.
+    auto add_join = [this, ctx, gid, mask](uint32_t s) {
       // Graceful degradation: the first split always materializes (its
       // recursion gives every group at least one complete alternative,
       // so a plan always exists); further splits stop once the budget is
@@ -258,7 +440,7 @@ int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
       if (ctx->budget != nullptr && !ctx->groups[gid].exprs.empty()) {
         ctx->budget->TickDeadline();
         ctx->budget->ConsumeMemoExpr();
-        if (ctx->budget->exhausted()) break;
+        if (ctx->budget->exhausted()) return false;
       }
       int left = MakeSpjGroup(ctx, s);
       int right = MakeSpjGroup(ctx, mask & ~s);
@@ -268,6 +450,19 @@ int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
       e.children[1] = right;
       ctx->groups[gid].exprs.push_back(e);
       ++ctx->metrics.expressions_generated;
+      return true;
+    };
+    if (first == last) {
+      for (uint32_t s = (mask - 1) & mask; s != 0; s = (s - 1) & mask) {
+        if (!add_join(s)) break;
+      }
+    } else {
+      // By index: the recursion pushes above `last` (and pops back), so
+      // the stack may reallocate.
+      for (size_t i = first; i < last; ++i) {
+        if (!add_join(ctx->splits[i])) break;
+      }
+      ctx->splits.resize(first);
     }
   }
   ApplyViewMatching(ctx, gid);
@@ -275,11 +470,11 @@ int Optimizer::MakeSpjGroup(Context* ctx, uint32_t mask) {
 }
 
 int Optimizer::MakeAggGroup(Context* ctx, uint32_t mask, int agg_spec) {
-  auto key = std::make_pair(mask, agg_spec);
-  auto it = ctx->group_index.find(key);
-  if (it != ctx->group_index.end()) return it->second;
-  int gid = static_cast<int>(ctx->groups.size());
-  ctx->group_index[key] = gid;
+  const uint64_t key = GroupKey(mask, agg_spec);
+  int gid = ctx->group_index.Find(key);
+  if (gid >= 0) return gid;
+  gid = static_cast<int>(ctx->groups.size());
+  ctx->group_index.Insert(key, gid);
   ctx->groups.push_back(Group{});
   ++ctx->metrics.groups_created;
   ctx->groups[gid].mask = mask;
@@ -328,7 +523,12 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
     // (b) The crossing predicates must be column equalities whose r-side
     // columns cover a unique key of r's table (each inner row then joins
     // at most one r row, so pre-aggregated sums stay correct).
-    std::vector<int> crossing = ctx->ConjunctsCrossing(inner_mask, rbit);
+    std::vector<int> crossing;
+    for (size_t ci = 0; ci < q.conjuncts.size(); ++ci) {
+      if (ctx->Crosses(ci, inner_mask, rbit)) {
+        crossing.push_back(static_cast<int>(ci));
+      }
+    }
     if (crossing.empty()) continue;
     std::vector<ColumnOrdinal> r_cols;
     std::vector<ColumnRefId> inner_join_cols;
@@ -452,14 +652,11 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
     // Memo wiring: inner agg group, the join-above-aggregate group, and
     // the alternative root expression.
     int inner_gid = MakeAggGroup(ctx, inner_mask, inner_spec_id);
-    auto jkey = std::make_pair(mask, kJoinedAggKeyBase + inner_spec_id);
-    int join_gid;
-    auto jit = ctx->group_index.find(jkey);
-    if (jit != ctx->group_index.end()) {
-      join_gid = jit->second;
-    } else {
+    const uint64_t jkey = GroupKey(mask, kJoinedAggKeyBase + inner_spec_id);
+    int join_gid = ctx->group_index.Find(jkey);
+    if (join_gid < 0) {
       join_gid = static_cast<int>(ctx->groups.size());
-      ctx->group_index[jkey] = join_gid;
+      ctx->group_index.Insert(jkey, join_gid);
       ctx->groups.push_back(Group{});
       ++ctx->metrics.groups_created;
       ctx->groups[join_gid].mask = mask;
@@ -482,10 +679,44 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
   }
 }
 
-double Optimizer::SpjCardinality(const Context& ctx, Group& group) const {
-  if (group.card < 0) {
-    group.card = estimator_.EstimateSpj(SignatureOf(ctx, group));
+double Optimizer::SpjCardinality(Context& ctx, Group& group) const {
+  if (group.card >= 0) return group.card;
+  const SpjgQuery& sig = SignatureOf(ctx, group);
+  // The signature's conjuncts, classified as ClassifyConjuncts would list
+  // them: each query conjunct inside the group, in order, moved to the
+  // signature's slots. The residuals are the signature's own conjuncts.
+  const uint32_t mask = group.mask;
+  auto slot = [mask](ColumnRefId c) {
+    return ColumnRefId{SlotIn(mask, c.table_ref), c.column};
+  };
+  ClassifiedPredicates& preds = ctx.group_preds;
+  preds.equalities.clear();
+  preds.ranges.clear();
+  preds.residual.clear();
+  size_t k = 0;  // the conjunct's position in sig.conjuncts
+  for (size_t ci = 0; ci < ctx.conjunct_mask.size(); ++ci) {
+    if (!ctx.Within(ci, mask)) continue;
+    const uint32_t i = ctx.conjunct_pred[ci];
+    switch (ctx.conjunct_kind[ci]) {
+      case ConjunctKind::kEquality: {
+        const ColumnEqualityPred& e = ctx.conjunct_preds.equalities[i];
+        preds.equalities.push_back({slot(e.lhs), slot(e.rhs)});
+        break;
+      }
+      case ConjunctKind::kRange: {
+        const RangePred& r = ctx.conjunct_preds.ranges[i];
+        preds.ranges.push_back({slot(r.column), r.op, r.bound});
+        break;
+      }
+      case ConjunctKind::kResidual:
+        preds.residual.push_back(sig.conjuncts[k]);
+        break;
+    }
+    ++k;
   }
+  EquivalenceClasses ec(*catalog_, sig.tables);
+  ec.AddEqualities(preds.equalities);
+  group.card = estimator_.EstimateSpj(BuildEstimateShape(sig, preds, ec));
   return group.card;
 }
 
@@ -499,8 +730,8 @@ PhysPlanPtr Optimizer::ImplementGet(Context* ctx, Group& group,
   const double out_rows = std::max(1.0, SpjCardinality(*ctx, group));
 
   std::vector<ExprPtr> filters;
-  for (int ci : ctx->ConjunctsWithin(group.mask)) {
-    filters.push_back(q.conjuncts[ci]);
+  for (size_t ci = 0; ci < q.conjuncts.size(); ++ci) {
+    if (ctx->Within(ci, group.mask)) filters.push_back(q.conjuncts[ci]);
   }
 
   auto scan = std::make_shared<PhysPlan>();
@@ -515,11 +746,15 @@ PhysPlanPtr Optimizer::ImplementGet(Context* ctx, Group& group,
   if (options_.enable_index_scans && !def.unique_keys().empty()) {
     // Consider the primary index when a range predicate constrains its
     // leading column.
-    ClassifiedPredicates preds = ClassifyConjuncts(filters);
     const ColumnOrdinal lead = def.unique_keys()[0][0];
     ValueRange range;
     bool constrained = false;
-    for (const auto& p : preds.ranges) {
+    for (size_t ci = 0; ci < q.conjuncts.size(); ++ci) {
+      if (!ctx->Within(ci, group.mask) ||
+          ctx->conjunct_kind[ci] != ConjunctKind::kRange) {
+        continue;
+      }
+      const RangePred& p = ctx->conjunct_preds.ranges[ctx->conjunct_pred[ci]];
       if (p.column.column == lead) {
         range.Apply(p.op, p.bound);
         constrained = true;
@@ -554,18 +789,11 @@ PhysPlanPtr Optimizer::ImplementGet(Context* ctx, Group& group,
   return best;
 }
 
-PhysPlanPtr Optimizer::ImplementJoin(Context* ctx, Group& group,
-                                     const LogicalExpr& expr) {
-  PhysPlanPtr left = OptimizeGroup(ctx, expr.children[0]);
-  PhysPlanPtr right = OptimizeGroup(ctx, expr.children[1]);
-  if (left == nullptr || right == nullptr) return nullptr;
-
-  const Group& lg = ctx->groups[expr.children[0]];
-  const Group& rg = ctx->groups[expr.children[1]];
-  std::vector<ExprPtr> crossing;
-  for (int ci : ctx->ConjunctsCrossing(lg.mask, rg.mask)) {
-    crossing.push_back(ctx->query->conjuncts[ci]);
-  }
+void Optimizer::ImplementJoin(Context* ctx, Group& group,
+                              const LogicalExpr& expr, PhysPlanPtr* best) {
+  const PhysPlanPtr& left = OptimizeGroup(ctx, expr.children[0]);
+  const PhysPlanPtr& right = OptimizeGroup(ctx, expr.children[1]);
+  if (left == nullptr || right == nullptr) return;
 
   double out_rows;
   if (group.agg_spec >= kJoinedAggKeyBase) {
@@ -575,15 +803,23 @@ PhysPlanPtr Optimizer::ImplementJoin(Context* ctx, Group& group,
   } else {
     out_rows = std::max(1.0, SpjCardinality(*ctx, group));
   }
+  const double cost =
+      left->cost + right->cost + left->rows + right->rows + out_rows;
+  if (*best != nullptr && !(cost < (*best)->cost)) return;
 
+  const uint32_t lmask = ctx->groups[expr.children[0]].mask;
+  const uint32_t rmask = ctx->groups[expr.children[1]].mask;
   auto join = std::make_shared<PhysPlan>();
   join->kind = PhysKind::kHashJoin;
   join->children = {left, right};
-  join->filter = crossing;
+  for (size_t ci = 0; ci < ctx->conjunct_mask.size(); ++ci) {
+    if (ctx->Crosses(ci, lmask, rmask)) {
+      join->filter.push_back(ctx->query->conjuncts[ci]);
+    }
+  }
   join->rows = out_rows;
-  join->cost = left->cost + right->cost + left->rows + right->rows +
-               out_rows;
-  return join;
+  join->cost = cost;
+  *best = std::move(join);
 }
 
 PhysPlanPtr Optimizer::ImplementAggregate(Context* ctx, const Group& group,
@@ -619,9 +855,8 @@ PhysPlanPtr Optimizer::ImplementAggregate(Context* ctx, const Group& group,
   return agg;
 }
 
-std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
-    Context* ctx, const Group& group, const LogicalExpr& expr) {
-  std::vector<PhysPlanPtr> out;
+void Optimizer::ImplementViewGet(Context* ctx, const Group& group,
+                                 const LogicalExpr& expr, PhysPlanPtr* best) {
   const Substitute& sub = *expr.substitute;
   const ViewDefinition& view = matching_->ResolveView(sub.view_id);
 
@@ -673,34 +908,43 @@ std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
         std::max<int64_t>(1, catalog_->table(bj.table).row_count());
   }
 
-  auto scan = std::make_shared<PhysPlan>();
-  scan->kind = PhysKind::kViewScan;
-  scan->table = vt;
-  scan->view = sub.view_id;
-  scan->view_name = view.name();
-  scan->substitute = expr.substitute;
-  if (group.agg_spec < 0) {
-    scan->provides = group.required_columns;
-  } else {
-    // Aggregation groups expose their spec outputs: grouping columns keep
-    // their global identity, aggregates get synthetic references.
-    const AggSpec& spec = ctx->agg_specs[group.agg_spec];
-    for (size_t i = 0; i < spec.outputs.size(); ++i) {
-      const Expr& oe = *spec.outputs[i].expr;
-      if (oe.kind() == ExprKind::kColumnRef &&
-          oe.column_ref().table_ref < kSyntheticRefBase) {
-        scan->provides.push_back(oe.column_ref());
-      } else {
-        scan->provides.push_back(
-            ColumnRefId{kSyntheticRefBase + group.agg_spec,
-                        static_cast<ColumnOrdinal>(i)});
+  // A scan of the view at `cost`, built only for a plan that wins.
+  auto make_scan = [&](double cost) {
+    auto scan = std::make_shared<PhysPlan>();
+    scan->kind = PhysKind::kViewScan;
+    scan->table = vt;
+    scan->view = sub.view_id;
+    scan->view_name = view.name();
+    scan->substitute = expr.substitute;
+    if (group.agg_spec < 0) {
+      const std::span<const ColumnRefId> required =
+          ctx->RequiredColumns(group);
+      scan->provides.assign(required.begin(), required.end());
+    } else {
+      // Aggregation groups expose their spec outputs: grouping columns
+      // keep their global identity, aggregates get synthetic references.
+      const AggSpec& spec = ctx->agg_specs[group.agg_spec];
+      for (size_t i = 0; i < spec.outputs.size(); ++i) {
+        const Expr& oe = *spec.outputs[i].expr;
+        if (oe.kind() == ExprKind::kColumnRef &&
+            oe.column_ref().table_ref < kSyntheticRefBase) {
+          scan->provides.push_back(oe.column_ref());
+        } else {
+          scan->provides.push_back(
+              ColumnRefId{kSyntheticRefBase + group.agg_spec,
+                          static_cast<ColumnOrdinal>(i)});
+        }
       }
     }
-  }
-  scan->rows = final_rows;
-  scan->cost =
+    scan->rows = final_rows;
+    scan->cost = cost;
+    return scan;
+  };
+  const double scan_cost =
       view_rows + backjoin_cost + selected_rows + agg_cost + final_rows;
-  out.push_back(scan);
+  if (*best == nullptr || scan_cost < (*best)->cost) {
+    *best = make_scan(scan_cost);
+  }
 
   if (options_.enable_index_scans && sub.backjoins.empty()) {
     // Secondary (and clustered) indexes on the view are considered
@@ -739,54 +983,51 @@ std::vector<PhysPlanPtr> Optimizer::ImplementViewGet(
           isel = std::max(0.0, isel + s2 - 1.0);
         }
       }
-      auto iscan = std::make_shared<PhysPlan>(*scan);
+      const double iscan_cost = isel * view_rows + std::log2(view_rows + 2) +
+                                selected_rows + agg_cost + final_rows;
+      if (*best != nullptr && !(iscan_cost < (*best)->cost)) continue;
+      auto iscan = make_scan(iscan_cost);
       iscan->kind = PhysKind::kViewIndexScan;
       iscan->index_name = idx->name;
       iscan->index_column = lead;
       iscan->index_range = range;
-      iscan->cost = isel * view_rows + std::log2(view_rows + 2) +
-                    selected_rows + agg_cost + final_rows;
-      out.push_back(iscan);
+      *best = std::move(iscan);
     }
   }
-  return out;
 }
 
-PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
-  {
-    Group& group = ctx->groups[group_id];
-    if (group.costed) return group.best;
-    group.costed = true;
-  }
+const PhysPlanPtr& Optimizer::OptimizeGroup(Context* ctx, int group_id) {
   // Costing only reads the memo: exploration has finished, so no group
   // or expression is added and references into it stay valid across the
   // recursion into child groups.
   Group& group = ctx->groups[group_id];
+  if (group.costed) return group.best;
+  group.costed = true;
   PhysPlanPtr best;
+  auto offer = [&best](PhysPlanPtr plan) {
+    if (plan != nullptr && (best == nullptr || plan->cost < best->cost)) {
+      best = std::move(plan);
+    }
+  };
   for (const LogicalExpr& expr : group.exprs) {
-    std::vector<PhysPlanPtr> candidates;
     switch (expr.kind) {
       case ExprKindL::kGet:
-        candidates.push_back(ImplementGet(ctx, group, expr));
+        offer(ImplementGet(ctx, group, expr));
         break;
       case ExprKindL::kJoin:
-        candidates.push_back(ImplementJoin(ctx, group, expr));
+        ImplementJoin(ctx, group, expr, &best);
         break;
       case ExprKindL::kAggregate:
-        candidates.push_back(ImplementAggregate(ctx, group, expr));
+        offer(ImplementAggregate(ctx, group, expr));
         break;
       case ExprKindL::kViewGet:
-        candidates = ImplementViewGet(ctx, group, expr);
+        ImplementViewGet(ctx, group, expr, &best);
         break;
     }
-    for (const auto& c : candidates) {
-      if (c == nullptr) continue;
-      if (best == nullptr || c->cost < best->cost) best = c;
-    }
   }
-  group.best = best;
-  group.best_cost = best != nullptr ? best->cost : 0;
-  return best;
+  group.best = std::move(best);
+  group.best_cost = group.best != nullptr ? group.best->cost : 0;
+  return group.best;
 }
 
 OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
@@ -809,10 +1050,7 @@ OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
   ctx.query = &query;
   ctx.qctx = &qctx;
   ctx.budget = budget;
-  ctx.full_mask = (1u << query.num_tables()) - 1;
-  for (const auto& c : query.conjuncts) {
-    ctx.conjunct_mask.push_back(ctx.MaskOf(c));
-  }
+  ctx.Derive(*catalog_);
 
   const bool counters = metrics_.optimizations != nullptr;
   // Tracing: a trace already on the context (caller-owned) wins;

@@ -18,7 +18,7 @@ void AppendCheckConjuncts(const Catalog& catalog, TableId table, int32_t slot,
                           std::vector<ExprPtr>* out) {
   for (const auto& c : catalog.table(table).check_constraints()) {
     std::vector<int32_t> self = {slot};
-    out->push_back(c->RemapTableRefs(self));
+    out->push_back(Expr::RemapTableRefs(c, self));
   }
 }
 

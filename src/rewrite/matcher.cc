@@ -161,7 +161,7 @@ MatchResult ViewMatcher::MatchWithMapping(
   std::vector<ExprPtr> view_conjuncts;
   view_conjuncts.reserve(vq.conjuncts.size());
   for (const auto& c : vq.conjuncts) {
-    view_conjuncts.push_back(c->RemapTableRefs(slot_of));
+    view_conjuncts.push_back(Expr::RemapTableRefs(c, slot_of));
   }
   ClassifiedPredicates view_preds = ClassifyConjuncts(view_conjuncts);
   ClassifiedPredicates query_preds = ClassifyConjuncts(query.conjuncts);
@@ -180,7 +180,7 @@ MatchResult ViewMatcher::MatchWithMapping(
       for (const auto& c :
            catalog_->table(unified_tables[t].table).check_constraints()) {
         std::vector<int32_t> self = {static_cast<int32_t>(t)};
-        check_conjuncts.push_back(c->RemapTableRefs(self));
+        check_conjuncts.push_back(Expr::RemapTableRefs(c, self));
       }
     }
     check_preds = ClassifyConjuncts(check_conjuncts);
@@ -253,7 +253,7 @@ MatchResult ViewMatcher::MatchWithMapping(
   std::vector<ComplexOutput> complex_outputs;
   std::vector<ExprPtr> view_outputs_unified;
   for (size_t k = 0; k < vq.outputs.size(); ++k) {
-    ExprPtr e = vq.outputs[k].expr->RemapTableRefs(slot_of);
+    ExprPtr e = Expr::RemapTableRefs(vq.outputs[k].expr, slot_of);
     view_outputs_unified.push_back(e);
     if (e->kind() == ExprKind::kColumnRef) {
       simple_outputs.push_back({e->column_ref(), static_cast<int>(k)});
@@ -557,7 +557,7 @@ MatchResult ViewMatcher::MatchWithMapping(
       }
     }
     for (const auto& g : vq.group_by) {
-      ExprPtr unified = g->RemapTableRefs(slot_of);
+      ExprPtr unified = Expr::RemapTableRefs(g, slot_of);
       ExprShape shape = ComputeShape(*unified);
       // Locate the output ordinal carrying this grouping expression.
       int ordinal = -1;

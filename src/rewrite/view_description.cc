@@ -216,8 +216,21 @@ ViewDescription DescribeView(const Catalog& catalog,
   return d;
 }
 
-QueryDescription DescribeQuery(const Catalog& catalog,
-                               const MatchProbeContext& analysis) {
+void QueryDescription::clear() {
+  is_aggregate = false;
+  source_tables.clear();
+  output_column_classes_spj.clear();
+  output_column_classes_agg.clear();
+  output_expr_texts.clear();
+  agg_expr_texts.clear();
+  residual_texts.clear();
+  extended_range_columns.clear();
+  grouping_column_classes.clear();
+  grouping_expr_texts.clear();
+}
+
+void DescribeQuery(const Catalog& catalog, const MatchProbeContext& analysis,
+                   QueryDescription* out) {
   const SpjgQuery& query = *analysis.query;
   // Query-side search keys include check constraints, mirroring their
   // role in the matcher's antecedent (§3.1.2) so the filter conditions
@@ -226,14 +239,16 @@ QueryDescription DescribeQuery(const Catalog& catalog,
   if (!analysis.checks_classified) {
     for (const TableRef& tr : query.tables) {
       if (!catalog.table(tr.table).check_constraints().empty()) {
-        return DescribeQuery(
-            catalog, AnalyzeProbeQuery(catalog, query, MatchOptions()));
+        DescribeQuery(catalog,
+                      AnalyzeProbeQuery(catalog, query, MatchOptions()), out);
+        return;
       }
     }
   }
   const EquivalenceClasses& ec = analysis.query_ec;
 
-  QueryDescription d;
+  QueryDescription& d = *out;
+  d.clear();
   d.is_aggregate = query.is_aggregate;
   for (const auto& tr : query.tables) d.source_tables.push_back(tr.table);
   SortUnique(&d.source_tables);
@@ -309,13 +324,14 @@ QueryDescription DescribeQuery(const Catalog& catalog,
   for (const RangePred& p : analysis.query_preds.ranges) add_range_class(p);
   for (const RangePred& p : analysis.check_preds.ranges) add_range_class(p);
   SortUnique(&d.extended_range_columns);
-  return d;
 }
 
 QueryDescription DescribeQuery(const Catalog& catalog,
                                const SpjgQuery& query) {
-  return DescribeQuery(catalog,
-                       AnalyzeProbeQuery(catalog, query, MatchOptions()));
+  QueryDescription d;
+  DescribeQuery(catalog, AnalyzeProbeQuery(catalog, query, MatchOptions()),
+                &d);
+  return d;
 }
 
 }  // namespace mvopt

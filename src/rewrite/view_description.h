@@ -69,6 +69,10 @@ struct ColumnClassList {
   std::vector<uint32_t> ends;
 
   size_t size() const { return ends.size(); }
+  void clear() {
+    atoms.clear();
+    ends.clear();
+  }
   /// True when `fn` holds for every class.
   template <typename Fn>
   bool All(Fn&& fn) const {
@@ -110,6 +114,9 @@ struct QueryDescription {
   ColumnClassList grouping_column_classes;
   /// All grouping expression texts.
   std::vector<std::string> grouping_expr_texts;
+
+  /// Empties every list, keeping its capacity.
+  void clear();
 };
 
 /// Computes a view's description (in the view's own reference space).
@@ -129,12 +136,14 @@ EstimateShape BuildEstimateShape(const SpjgQuery& query,
 EstimateShape BuildEstimateShape(const Catalog& catalog,
                                  const SpjgQuery& query);
 
-/// Computes a query's search keys from the probe's analysis of it
-/// (rewrite/match_program.h: AnalyzeProbeQuery).
-QueryDescription DescribeQuery(const Catalog& catalog,
-                               const MatchProbeContext& analysis);
+/// Fills `out` with a query's search keys, computed from the probe's
+/// analysis of it (rewrite/match_program.h: AnalyzeProbeQuery). `out`'s
+/// lists are cleared and refilled in place, so a description reused
+/// across probes stops allocating once its lists have grown.
+void DescribeQuery(const Catalog& catalog, const MatchProbeContext& analysis,
+                   QueryDescription* out);
 
-/// Same, analyzing `query` first.
+/// Same, analyzing `query` first, into a new description.
 QueryDescription DescribeQuery(const Catalog& catalog,
                                const SpjgQuery& query);
 

@@ -580,23 +580,23 @@ Verdict RewriteChecker::CheckWithMapping(
   std::vector<ExprPtr> view_conjuncts;
   view_conjuncts.reserve(vq.conjuncts.size());
   for (const auto& c : vq.conjuncts) {
-    view_conjuncts.push_back(c->RemapTableRefs(slot_of));
+    view_conjuncts.push_back(Expr::RemapTableRefs(c, slot_of));
   }
   std::vector<ExprPtr> view_outputs;
   view_outputs.reserve(vq.outputs.size());
   for (const auto& o : vq.outputs) {
-    view_outputs.push_back(o.expr->RemapTableRefs(slot_of));
+    view_outputs.push_back(Expr::RemapTableRefs(o.expr, slot_of));
   }
   std::vector<ExprPtr> view_group_by;
   view_group_by.reserve(vq.group_by.size());
   for (const auto& g : vq.group_by) {
-    view_group_by.push_back(g->RemapTableRefs(slot_of));
+    view_group_by.push_back(Expr::RemapTableRefs(g, slot_of));
   }
   std::vector<ExprPtr> check_conjuncts;
   for (size_t t = 0; t < unified.size(); ++t) {
     for (const auto& c : catalog_->table(unified[t].table).check_constraints()) {
       std::vector<int32_t> self = {static_cast<int32_t>(t)};
-      check_conjuncts.push_back(c->RemapTableRefs(self));
+      check_conjuncts.push_back(Expr::RemapTableRefs(c, self));
     }
   }
 

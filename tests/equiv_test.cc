@@ -291,7 +291,7 @@ TEST_P(EquivOracleSweepTest, ViewsAndSignaturesMatchTheFrozenClasses) {
       for (const ExprPtr& c :
            catalog.table(q.tables[static_cast<size_t>(t)].table)
                .check_constraints()) {
-        checks.push_back(c->RemapTableRefs({t}));
+        checks.push_back(Expr::RemapTableRefs(c, {t}));
       }
     }
     const ClassifiedPredicates check_preds = ClassifyConjuncts(checks);

@@ -41,12 +41,59 @@ TEST(ExprTest, ShapeDistinguishesConstants) {
 
 TEST(ExprTest, RemapTableRefs) {
   ExprPtr e = Expr::MakeArith(ArithOp::kAdd, Col(0, 3), Col(1, 4));
-  ExprPtr remapped = e->RemapTableRefs({5, 7});
+  ExprPtr remapped = Expr::RemapTableRefs(e, {5, 7});
   std::vector<ColumnRefId> cols;
   remapped->CollectColumnRefs(&cols);
   ASSERT_EQ(cols.size(), 2u);
   EXPECT_EQ(cols[0], (ColumnRefId{5, 3}));
   EXPECT_EQ(cols[1], (ColumnRefId{7, 4}));
+}
+
+TEST(ExprTest, RemapTableRefsSharesUnchangedSubtrees) {
+  // (t0.c1 < 5) OR (t2.c3 > 9) with slot 2 moved to 1: the left
+  // comparison is untouched and shared, the right one is rebuilt around
+  // its shared literal.
+  ExprPtr left = Expr::MakeCompare(CompareOp::kLt, Col(0, 1), Lit(5));
+  ExprPtr right = Expr::MakeCompare(CompareOp::kGt, Col(2, 3), Lit(9));
+  ExprPtr e = Expr::MakeOr({left, right});
+  ExprPtr remapped = Expr::RemapTableRefs(e, {0, -1, 1});
+  ExprPtr expected = Expr::MakeOr(
+      {Expr::MakeCompare(CompareOp::kLt, Col(0, 1), Lit(5)),
+       Expr::MakeCompare(CompareOp::kGt, Col(1, 3), Lit(9))});
+  EXPECT_TRUE(remapped->Equals(*expected));
+  EXPECT_NE(remapped, e);
+  EXPECT_EQ(remapped->child(0), left);
+  EXPECT_NE(remapped->child(1), right);
+  EXPECT_EQ(remapped->child(1)->child(1), right->child(1));
+}
+
+TEST(ExprTest, RemapTableRefsUnderAnIdentityMappingReturnsTheNode) {
+  ExprPtr e = Expr::MakeAggregate(
+      AggKind::kSum, Expr::MakeArith(ArithOp::kMul, Col(0, 1), Col(1, 2)));
+  EXPECT_EQ(Expr::RemapTableRefs(e, {0, 1}), e);
+  ExprPtr count = Expr::MakeAggregate(AggKind::kCountStar, nullptr);
+  EXPECT_EQ(Expr::RemapTableRefs(count, {}), count);
+}
+
+TEST(ExprTest, MapColumnsUsesTheSuppliedColumnNodes) {
+  // A caller keeping one node per (slot, column) gets the same node at
+  // every occurrence, and the same tree as a fresh remap.
+  ExprPtr e = Expr::MakeAnd(
+      {Expr::MakeCompare(CompareOp::kEq, Col(1, 0), Col(2, 0)),
+       Expr::MakeCompare(CompareOp::kGe, Col(1, 0), Lit(3))});
+  const std::vector<int32_t> mapping = {-1, 0, 1};
+  std::vector<ExprPtr> nodes(4);  // (slot, column) -> node, 2 x 2
+  ExprPtr mapped = Expr::MapColumns(e, [&](const ExprPtr& column) {
+    const ColumnRefId ref = column->column_ref();
+    const int32_t slot = mapping[static_cast<size_t>(ref.table_ref)];
+    ExprPtr& node = nodes[static_cast<size_t>(slot * 2 + ref.column)];
+    if (node == nullptr) node = Expr::MakeColumn(slot, ref.column);
+    return node;
+  });
+  EXPECT_TRUE(mapped->Equals(*Expr::RemapTableRefs(e, mapping)));
+  EXPECT_EQ(mapped->child(0)->child(0), mapped->child(1)->child(0));
+  EXPECT_EQ(mapped->child(0)->child(0), nodes[0]);
+  EXPECT_EQ(mapped->child(1)->child(1), e->child(1)->child(1));
 }
 
 TEST(ExprTest, RewriteColumnsFailurePropagates) {

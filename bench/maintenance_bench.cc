@@ -3,10 +3,15 @@
 // mandatory count_big(*)). Measures wall time to apply small base-table
 // deltas to a set of materialized aggregation views incrementally and by
 // recomputing from scratch.
+//
+// Output: one JSON document on stdout (committed as
+// results/maintenance_bench.json; see bench/bench_report.h); the table
+// goes to stderr.
 
 #include <chrono>
 #include <cstdio>
 
+#include "bench/bench_report.h"
 #include "common/rng.h"
 #include "engine/maintenance.h"
 #include "tpch/datagen.h"
@@ -45,9 +50,11 @@ int Main() {
     maintainer.RegisterView(views.back().get());
   }
 
-  std::printf("# Ablation: incremental maintenance vs full recomputation\n");
-  std::printf("# %d views over TPC-H SF %.3f, %d rounds of %d-row deltas\n",
-              kNumViews, kScale, kRounds, kDeltaRows);
+  std::fprintf(stderr,
+               "# Ablation: incremental maintenance vs full recomputation\n");
+  std::fprintf(stderr,
+               "# %d views over TPC-H SF %.3f, %d rounds of %d-row deltas\n",
+               kNumViews, kScale, kRounds, kDeltaRows);
 
   Rng rng(5);
   const TableData* lineitem = db.table(schema.lineitem);
@@ -95,15 +102,35 @@ int Main() {
   double recompute =
       Seconds(t2, t3) * (static_cast<double>(kRounds) / kRecomputeRounds);
 
-  std::printf("incremental: %8.3f s  (%lld incremental updates, %lld "
-              "fallback recomputations)\n",
-              incremental,
-              static_cast<long long>(maintainer.incremental_updates()),
-              static_cast<long long>(maintainer.full_recomputations()));
-  std::printf("recompute:   %8.3f s (extrapolated from %d rounds)\n",
-              recompute, kRecomputeRounds);
-  std::printf("speedup:     %8.1fx\n",
-              recompute / std::max(1e-9, incremental));
+  const double speedup = recompute / std::max(1e-9, incremental);
+  std::fprintf(stderr,
+               "incremental: %8.3f s  (%lld incremental updates, %lld "
+               "fallback recomputations)\n",
+               incremental,
+               static_cast<long long>(maintainer.incremental_updates()),
+               static_cast<long long>(maintainer.full_recomputations()));
+  std::fprintf(stderr, "recompute:   %8.3f s (extrapolated from %d rounds)\n",
+               recompute, kRecomputeRounds);
+  std::fprintf(stderr, "speedup:     %8.1fx\n", speedup);
+
+  bench::JsonReport report("maintenance_bench");
+  report.Caveat(
+      "single-thread wall clock on a shared host; recompute_s is "
+      "extrapolated from recompute_rounds rounds to all rounds; compare "
+      "the speedup, not absolute seconds");
+  report.Meta("views", kNumViews);
+  report.Meta("scale_factor", kScale);
+  report.Meta("rounds", kRounds);
+  report.Meta("delta_rows", kDeltaRows);
+  report.Meta("recompute_rounds", kRecomputeRounds);
+  report.BeginRow();
+  report.Field("incremental_s", incremental);
+  report.Field("recompute_s", recompute);
+  report.Field("speedup", speedup);
+  report.Field("incremental_updates", maintainer.incremental_updates());
+  report.Field("full_recomputations", maintainer.full_recomputations());
+  report.EndRow();
+  report.Finish();
   return 0;
 }
 

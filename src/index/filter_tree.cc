@@ -12,21 +12,6 @@ namespace {
 
 using KeySpan = LatticeIndex::KeySpan;
 
-// True if sorted keys `a` and `b` intersect.
-bool Intersects(KeySpan a, KeySpan b) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 // `values` as a sorted unique key, into `key`.
 template <typename T>
 void AssignKey(const std::vector<T>& values, LatticeIndex::Key* key) {
@@ -34,14 +19,6 @@ void AssignKey(const std::vector<T>& values, LatticeIndex::Key* key) {
   for (T v : values) key->push_back(static_cast<uint32_t>(v));
   std::sort(key->begin(), key->end());
   key->erase(std::unique(key->begin(), key->end()), key->end());
-}
-
-template <typename T>
-LatticeIndex::Key ToKey(const std::vector<T>& values) {
-  LatticeIndex::Key key;
-  key.reserve(values.size());
-  AssignKey(values, &key);
-  return key;
 }
 
 }  // namespace
@@ -107,58 +84,100 @@ uint32_t FilterTree::Intern(const std::string& text) {
 
 // --- keys -------------------------------------------------------------------
 
+std::span<const uint32_t> FilterTree::ViewKeys::Suffix(size_t from) const {
+  const uint32_t* p = words.data();
+  for (size_t l = 0; l < from; ++l) p += 1 + *p;
+  return std::span<const uint32_t>(p, words.data() + words.size());
+}
+
+LatticeIndex::KeySpan FilterTree::ViewKeys::operator[](size_t level) const {
+  const std::span<const uint32_t> suffix = Suffix(level);
+  return suffix.subspan(1, suffix[0]);
+}
+
 template <typename AtomOf>
-std::optional<LatticeIndex::Key> FilterTree::LevelKey(const ViewDescription& d,
-                                                      FilterLevel level,
-                                                      AtomOf atom_of) {
-  auto texts = [&atom_of](const std::vector<std::string>& list)
-      -> std::optional<Key> {
-    Key key;
-    key.reserve(list.size());
+std::optional<FilterTree::ViewKeys> FilterTree::MakeViewKeys(
+    const ViewDescription& d, const std::vector<FilterLevel>& levels,
+    AtomOf atom_of) {
+  ViewKeys keys;
+  keys.levels = levels.size();
+  keys.words.reserve(
+      levels.size() + d.hub.size() + d.source_tables.size() +
+      d.output_expr_texts.size() + d.extended_output_columns.size() +
+      d.residual_texts.size() + d.reduced_range_columns.size() +
+      d.grouping_expr_texts.size() + d.extended_grouping_columns.size());
+  std::vector<uint32_t>& out = keys.words;
+  // Each key is [#atoms, atoms...]: the atoms sorted, and unique where
+  // they are ids (a description's texts are unique already).
+  auto ids = [&out](const auto& list) {
+    const size_t at = out.size();
+    out.push_back(0);
+    for (auto v : list) out.push_back(static_cast<uint32_t>(v));
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(at + 1), out.end());
+    out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(at + 1),
+                          out.end()),
+              out.end());
+    out[at] = static_cast<uint32_t>(out.size() - at - 1);
+  };
+  auto texts = [&out, &atom_of](const std::vector<std::string>& list) {
+    const size_t at = out.size();
+    out.push_back(static_cast<uint32_t>(list.size()));
     for (const auto& t : list) {
       const std::optional<uint32_t> atom = atom_of(t);
-      if (!atom.has_value()) return std::nullopt;
-      key.push_back(*atom);
+      if (!atom.has_value()) return false;
+      out.push_back(*atom);
     }
-    std::sort(key.begin(), key.end());
-    return key;
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(at + 1), out.end());
+    return true;
   };
-  switch (level) {
-    case FilterLevel::kHub:
-      return ToKey(d.hub);
-    case FilterLevel::kSourceTables:
-      return ToKey(d.source_tables);
-    case FilterLevel::kOutputExprs:
-      return texts(d.output_expr_texts);
-    case FilterLevel::kOutputColumns:
-      return ToKey(d.extended_output_columns);
-    case FilterLevel::kResidual:
-      return texts(d.residual_texts);
-    case FilterLevel::kRangeConstraints:
-      return ToKey(d.reduced_range_columns);
-    case FilterLevel::kGroupingExprs:
-      return texts(d.grouping_expr_texts);
-    case FilterLevel::kGroupingColumns:
-      return ToKey(d.extended_grouping_columns);
+  for (FilterLevel level : levels) {
+    bool known = true;
+    switch (level) {
+      case FilterLevel::kHub:
+        ids(d.hub);
+        break;
+      case FilterLevel::kSourceTables:
+        ids(d.source_tables);
+        break;
+      case FilterLevel::kOutputExprs:
+        known = texts(d.output_expr_texts);
+        break;
+      case FilterLevel::kOutputColumns:
+        ids(d.extended_output_columns);
+        break;
+      case FilterLevel::kResidual:
+        known = texts(d.residual_texts);
+        break;
+      case FilterLevel::kRangeConstraints:
+        ids(d.reduced_range_columns);
+        break;
+      case FilterLevel::kGroupingExprs:
+        known = texts(d.grouping_expr_texts);
+        break;
+      case FilterLevel::kGroupingColumns:
+        ids(d.extended_grouping_columns);
+        break;
+    }
+    if (!known) return std::nullopt;
   }
-  return Key{};
+  return keys;
 }
 
-LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
-                                      FilterLevel level) {
-  return *LevelKey(d, level,
-                   [this](const std::string& t) -> std::optional<uint32_t> {
-                     return Intern(t);
-                   });
+FilterTree::ViewKeys FilterTree::InternViewKeys(
+    const ViewDescription& d, const std::vector<FilterLevel>& levels) {
+  return *MakeViewKeys(d, levels,
+                       [this](const std::string& t) -> std::optional<uint32_t> {
+                         return Intern(t);
+                       });
 }
 
-std::optional<LatticeIndex::Key> FilterTree::LookupViewKey(
-    const ViewDescription& d, FilterLevel level) const {
-  return LevelKey(d, level,
-                  [this](const std::string& t) -> std::optional<uint32_t> {
-                    if (const uint32_t* atom = atoms_.Find(t)) return *atom;
-                    return std::nullopt;
-                  });
+std::optional<FilterTree::ViewKeys> FilterTree::LookupViewKeys(
+    const ViewDescription& d, const std::vector<FilterLevel>& levels) const {
+  return MakeViewKeys(
+      d, levels, [this](const std::string& t) -> std::optional<uint32_t> {
+        if (const uint32_t* atom = atoms_.Find(t)) return *atom;
+        return std::nullopt;
+      });
 }
 
 // --- leaves and tails -------------------------------------------------------
@@ -172,56 +191,67 @@ bool FilterTree::Leaf::Contains(ViewId id) const {
   return found;
 }
 
-FilterTree::Leaf FilterTree::Leaf::With(const ViewDescription& view) const {
-  size_t size = records.size() + 2;
+size_t FilterTree::RecordWords(const ViewDescription& view) {
+  size_t size = 2;
   for (const auto& cls : view.range_constrained_classes) {
     size += 1 + cls.size();
   }
-  Leaf leaf;
-  leaf.records.reserve(size);
-  leaf.records = records;
-  leaf.records.push_back(static_cast<uint32_t>(view.id));
-  leaf.records.push_back(
-      static_cast<uint32_t>(view.range_constrained_classes.size()));
+  return size;
+}
+
+uint32_t* FilterTree::WriteRecord(const ViewDescription& view, uint32_t* out) {
+  *out++ = static_cast<uint32_t>(view.id);
+  *out++ = static_cast<uint32_t>(view.range_constrained_classes.size());
   for (const auto& cls : view.range_constrained_classes) {
     // DescribeView stores each class sorted and unique, so it is
     // intersected as stored.
     assert(std::is_sorted(cls.begin(), cls.end()));
-    leaf.records.push_back(static_cast<uint32_t>(cls.size()));
-    leaf.records.insert(leaf.records.end(), cls.begin(), cls.end());
+    *out++ = static_cast<uint32_t>(cls.size());
+    out = std::copy(cls.begin(), cls.end(), out);
   }
-  return leaf;
+  return out;
 }
 
-FilterTree::Leaf FilterTree::Leaf::Without(ViewId id) const {
-  Leaf leaf;
+std::vector<uint32_t> FilterTree::Leaf::With(
+    const ViewDescription& view) const {
+  std::vector<uint32_t> out(records.size() + RecordWords(view));
+  std::copy(records.begin(), records.end(), out.begin());
+  WriteRecord(view, out.data() + records.size());
+  return out;
+}
+
+std::vector<uint32_t> FilterTree::Leaf::Without(ViewId id) const {
+  std::vector<uint32_t> out;
   const uint32_t* p = records.data();
   ForEach([&](ViewId v, const ClassList& classes) {
-    if (v != id) leaf.records.insert(leaf.records.end(), p, classes.end());
+    if (v != id) out.insert(out.end(), p, classes.end());
     p = classes.end();
     return true;
   });
-  return leaf;
+  return out;
 }
 
-std::shared_ptr<const FilterTree::Tail> FilterTree::MakeTail(
-    const std::vector<Key>& keys, size_t from, Leaf leaf) {
-  auto tail = std::make_shared<Tail>();
-  size_t size = 0;
-  for (size_t l = from; l < keys.size(); ++l) size += 1 + keys[l].size();
-  tail->keys.reserve(size);
-  for (size_t l = from; l < keys.size(); ++l) {
-    tail->keys.push_back(static_cast<uint32_t>(keys[l].size()));
-    tail->keys.insert(tail->keys.end(), keys[l].begin(), keys[l].end());
-  }
-  tail->leaf = std::move(leaf);
+FilterTree::Tail FilterTree::MakeTail(const ViewKeys& keys, size_t from,
+                                      Leaf leaf, const ViewDescription* view) {
+  const std::span<const uint32_t> key_words = keys.Suffix(from);
+  const size_t leaf_words =
+      leaf.records.size() + (view != nullptr ? RecordWords(*view) : 0);
+  // One allocation holds the reference count and the whole record.
+  std::shared_ptr<uint32_t[]> tail = std::make_shared_for_overwrite<uint32_t[]>(
+      2 + key_words.size() + leaf_words);
+  uint32_t* out = tail.get();
+  *out++ = static_cast<uint32_t>(key_words.size());
+  *out++ = static_cast<uint32_t>(leaf_words);
+  out = std::copy(key_words.begin(), key_words.end(), out);
+  out = std::copy(leaf.records.begin(), leaf.records.end(), out);
+  if (view != nullptr) WriteRecord(*view, out);
   return tail;
 }
 
 std::shared_ptr<FilterTree::Node> FilterTree::SplitTail(
     const Child& tail, size_t first, size_t diverge,
-    const std::vector<Key>& keys, const ViewDescription& view) const {
-  TailKeys old_keys(*tail.tail, tail.skip);
+    const ViewKeys& keys, const ViewDescription& view) const {
+  TailKeys old_keys(tail.tail.get(), tail.skip);
   std::shared_ptr<Node> head = NewNode();
   Node* node = head.get();
   for (size_t level = first; level < diverge; ++level) {
@@ -235,8 +265,10 @@ std::shared_ptr<FilterTree::Node> FilterTree::SplitTail(
   const int old_id = node->index.Insert(old_keys.Next());
   const int new_id = node->index.Insert(keys[diverge]);
   if (diverge + 1 == keys.size()) {
+    const Leaf old_leaf = TailLeaf(tail.tail.get());
     node->leaves.resize(2);
-    node->leaves[old_id] = tail.tail->leaf;
+    node->leaves[old_id].assign(old_leaf.records.begin(),
+                                old_leaf.records.end());
     node->leaves[new_id] = Leaf().With(view);
   } else {
     node->children.resize(2);
@@ -244,7 +276,7 @@ std::shared_ptr<FilterTree::Node> FilterTree::SplitTail(
         nullptr, tail.tail,
         tail.skip + static_cast<uint32_t>(diverge + 1 - first)};
     node->children[new_id] =
-        Child{nullptr, MakeTail(keys, diverge + 1, Leaf().With(view)), 0};
+        Child{nullptr, MakeTail(keys, diverge + 1, Leaf(), &view), 0};
   }
   return head;
 }
@@ -255,9 +287,7 @@ void FilterTree::AddView(const ViewDescription& d) {
   MVOPT_FAILPOINT("filter_tree.add_view");
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
-  std::vector<Key> keys;
-  keys.reserve(levels.size());
-  for (FilterLevel level : levels) keys.push_back(ViewKey(d, level));
+  const ViewKeys keys = InternViewKeys(d, levels);
   std::shared_ptr<Node>* slot = d.is_aggregate ? &agg_root_ : &spj_root_;
   // Descend through branching nodes (copying the shared ones) to the
   // level where the view's path ends. Each ending builds its
@@ -271,7 +301,7 @@ void FilterTree::AddView(const ViewDescription& d) {
     const int existing = node->index.Find(keys[depth]);
     if (existing >= 0 && node->index.alive(existing)) {
       if (last) {
-        Leaf leaf = node->leaves[existing].With(d);
+        std::vector<uint32_t> leaf = Leaf{node->leaves[existing]}.With(d);
         MVOPT_FAILPOINT("filter_tree.insert_leaf");
         node->leaves[existing] = std::move(leaf);
         break;
@@ -284,7 +314,7 @@ void FilterTree::AddView(const ViewDescription& d) {
       }
       // The key leads to a tail: the view joins its leaf when every
       // remaining key agrees, and splits it where the first one differs.
-      TailKeys tail_keys(*child.tail, child.skip);
+      TailKeys tail_keys(child.tail.get(), child.skip);
       size_t diverge = depth + 1;
       while (diverge < levels.size() &&
              std::ranges::equal(tail_keys.Next(), keys[diverge])) {
@@ -292,7 +322,8 @@ void FilterTree::AddView(const ViewDescription& d) {
       }
       Child replacement;
       if (diverge == levels.size()) {
-        replacement.tail = MakeTail(keys, depth + 1, child.tail->leaf.With(d));
+        replacement.tail =
+            MakeTail(keys, depth + 1, TailLeaf(child.tail.get()), &d);
       } else {
         replacement.node = SplitTail(child, depth + 1, diverge, keys, d);
       }
@@ -304,12 +335,12 @@ void FilterTree::AddView(const ViewDescription& d) {
     const auto id = static_cast<size_t>(node->index.Insert(keys[depth]));
     try {
       if (last) {
-        Leaf leaf = Leaf().With(d);
+        std::vector<uint32_t> leaf = Leaf().With(d);
         if (node->leaves.size() <= id) node->leaves.resize(id + 1);
         MVOPT_FAILPOINT("filter_tree.insert_leaf");
         node->leaves[id] = std::move(leaf);
       } else {
-        Child child{nullptr, MakeTail(keys, depth + 1, Leaf().With(d)), 0};
+        Child child{nullptr, MakeTail(keys, depth + 1, Leaf(), &d), 0};
         if (node->children.size() <= id) node->children.resize(id + 1);
         MVOPT_FAILPOINT("filter_tree.insert_leaf");
         node->children[id] = std::move(child);
@@ -331,13 +362,9 @@ void FilterTree::RemoveView(const ViewDescription& d) {
     return std::logic_error("FilterTree::RemoveView: view " +
                             std::to_string(d.id) + " is not on the tree");
   };
-  std::vector<Key> keys;
-  keys.reserve(levels.size());
-  for (FilterLevel level : levels) {
-    std::optional<Key> key = LookupViewKey(d, level);
-    if (!key.has_value()) throw not_on_tree();
-    keys.push_back(std::move(*key));
-  }
+  const std::optional<ViewKeys> found = LookupViewKeys(d, levels);
+  if (!found.has_value()) throw not_on_tree();
+  const ViewKeys& keys = *found;
   // Locate the view read-only first: a view that is not on the tree
   // changes nothing. `path[depth]` is the lattice node of its key.
   std::vector<int> path;
@@ -348,7 +375,7 @@ void FilterTree::RemoveView(const ViewDescription& d) {
     if (id < 0 || !node->index.alive(id)) throw not_on_tree();
     path.push_back(id);
     if (depth + 1 == levels.size()) {
-      if (!node->leaves[id].Contains(d.id)) throw not_on_tree();
+      if (!Leaf{node->leaves[id]}.Contains(d.id)) throw not_on_tree();
       break;
     }
     const Child& child = node->children[id];
@@ -357,13 +384,13 @@ void FilterTree::RemoveView(const ViewDescription& d) {
       continue;
     }
     if (child.tail == nullptr) throw not_on_tree();
-    TailKeys tail_keys(*child.tail, child.skip);
+    TailKeys tail_keys(child.tail.get(), child.skip);
     for (size_t level = depth + 1; level < levels.size(); ++level) {
       if (!std::ranges::equal(tail_keys.Next(), keys[level])) {
         throw not_on_tree();
       }
     }
-    if (!child.tail->leaf.Contains(d.id)) throw not_on_tree();
+    if (!TailLeaf(child.tail.get()).Contains(d.id)) throw not_on_tree();
     break;
   }
   // Copy the path and take the view out of its leaf.
@@ -375,7 +402,7 @@ void FilterTree::RemoveView(const ViewDescription& d) {
     nodes.push_back(node);
     const int id = path[depth];
     if (depth + 1 == path.size() && depth + 1 == levels.size()) {
-      node->leaves[id] = node->leaves[id].Without(d.id);
+      node->leaves[id] = Leaf{node->leaves[id]}.Without(d.id);
       emptied = node->leaves[id].empty();
       break;
     }
@@ -384,11 +411,12 @@ void FilterTree::RemoveView(const ViewDescription& d) {
       slot = &child.node;
       continue;
     }
-    Leaf rest = child.tail->leaf.Without(d.id);
+    const std::vector<uint32_t> rest = TailLeaf(child.tail.get()).Without(d.id);
     emptied = rest.empty();
-    child = emptied ? Child()
-                    : Child{nullptr,
-                            MakeTail(keys, depth + 1, std::move(rest)), 0};
+    child = emptied
+                ? Child()
+                : Child{nullptr, MakeTail(keys, depth + 1, Leaf{rest}, nullptr),
+                        0};
     break;
   }
   // Erase, bottom-up, every key whose subtree is now empty, dropping
@@ -404,98 +432,76 @@ void FilterTree::RemoveView(const ViewDescription& d) {
 
 // --- search -----------------------------------------------------------------
 
-namespace {
-
-// The walk a level condition performs, as FilterSearchStats counts it.
-enum class WalkKind { kSubset, kSuperset, kScan };
-
-void CountWalk(WalkKind kind, FilterSearchStats* stats) {
+void FilterTree::CountWalk(const LatticeIndex::Condition& cond,
+                           FilterSearchStats* stats) {
   if (stats == nullptr) return;
-  switch (kind) {
-    case WalkKind::kSubset:
-      ++stats->subset_searches;
-      return;
-    case WalkKind::kSuperset:
-      ++stats->superset_searches;
-      return;
-    case WalkKind::kScan:
-      ++stats->scan_searches;
-      return;
+  if (cond.walks_up()) {
+    ++stats->subset_searches;
+  } else if (cond.kind == LatticeIndex::Condition::Kind::kAll) {
+    ++stats->scan_searches;
+  } else {
+    ++stats->superset_searches;
   }
 }
 
-}  // namespace
-
-template <typename Visit>
-decltype(auto) FilterTree::WithLevelCondition(FilterLevel level,
-                                              const SearchContext& ctx,
-                                              bool agg_tree,
-                                              Visit&& visit) const {
-  auto hits_every = [](const ColumnClassList* classes) {
-    return [classes](KeySpan key) {
-      return classes->All([key](KeySpan cls) { return Intersects(key, cls); });
-    };
+FilterTree::LevelTest FilterTree::MakeLevelTest(FilterLevel level,
+                                                const SearchContext& ctx,
+                                                bool agg_tree) const {
+  using Kind = LatticeIndex::Condition::Kind;
+  auto test = [level](Kind kind, KeySpan atoms) {
+    return LevelTest{level, {kind, atoms, {}}};
   };
-  auto any = [](KeySpan) { return true; };
+  auto hits_every = [level](const ColumnClassList* classes) {
+    return LevelTest{level, {Kind::kHitsEvery, classes->atoms, classes->ends}};
+  };
+  const LevelTest scan = test(Kind::kAll, {});
   switch (level) {
     case FilterLevel::kHub:
       // Hub condition (§4.2.2): hub ⊆ query source tables.
-      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
-        return LatticeIndex::IsSubset(key, ctx.source_tables);
-      });
+      return test(Kind::kSubsetOf, ctx.source_tables);
     case FilterLevel::kSourceTables:
       // Source table condition (§4.2.1): view tables ⊇ query tables.
-      return visit(WalkKind::kSuperset, [&ctx](KeySpan key) {
-        return LatticeIndex::IsSubset(ctx.source_tables, key);
-      });
+      return test(Kind::kSupersetOf, ctx.source_tables);
     case FilterLevel::kOutputExprs: {
       // A required text no view carries fails every key.
       const bool impossible = agg_tree ? ctx.output_agg_exprs_impossible
                                        : ctx.output_exprs_impossible;
-      const Key& atoms =
-          agg_tree ? ctx.output_agg_expr_atoms : ctx.output_expr_atoms;
-      return visit(WalkKind::kSuperset, [impossible, &atoms](KeySpan key) {
-        return !impossible && LatticeIndex::IsSubset(atoms, key);
-      });
+      return test(impossible ? Kind::kNone : Kind::kSupersetOf,
+                  agg_tree ? ctx.output_agg_expr_atoms
+                           : ctx.output_expr_atoms);
     }
     case FilterLevel::kOutputColumns:
       // Output column condition (§4.2.3): every query output class must
       // be hit by the view's extended output list. Upward-closed, so
       // descend from the tops. Not applicable when backjoins can recover
       // missing columns.
-      if (assume_backjoins_) return visit(WalkKind::kScan, any);
-      return visit(WalkKind::kSuperset,
-                   hits_every(agg_tree ? ctx.output_classes_agg
-                                       : ctx.output_classes_spj));
+      if (assume_backjoins_) return scan;
+      return hits_every(agg_tree ? ctx.output_classes_agg
+                                 : ctx.output_classes_spj);
     case FilterLevel::kResidual:
       // Residual predicate condition (§4.2.6): view residual texts ⊆
       // query residual texts.
-      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
-        return LatticeIndex::IsSubset(key, ctx.residual_atoms);
-      });
+      return test(Kind::kSubsetOf, ctx.residual_atoms);
     case FilterLevel::kRangeConstraints:
       // Weak range constraint condition (§4.2.5); the full condition is
       // applied per view at the leaf.
-      return visit(WalkKind::kSubset, [&ctx](KeySpan key) {
-        return LatticeIndex::IsSubset(key, ctx.extended_range_columns);
-      });
+      return test(Kind::kSubsetOf, ctx.extended_range_columns);
     case FilterLevel::kGroupingExprs:
       // The FD relaxation lets grouping expressions be recovered via
       // backjoins; the textual containment is no longer necessary.
-      if (assume_backjoins_) return visit(WalkKind::kScan, any);
-      return visit(WalkKind::kSuperset, [&ctx](KeySpan key) {
-        return !ctx.grouping_exprs_impossible &&
-               LatticeIndex::IsSubset(ctx.grouping_expr_atoms, key);
-      });
+      if (assume_backjoins_) return scan;
+      return test(ctx.grouping_exprs_impossible ? Kind::kNone
+                                                : Kind::kSupersetOf,
+                  ctx.grouping_expr_atoms);
     case FilterLevel::kGroupingColumns:
-      if (assume_backjoins_) return visit(WalkKind::kScan, any);
-      return visit(WalkKind::kSuperset, hits_every(ctx.grouping_classes));
+      if (assume_backjoins_) return scan;
+      return hits_every(ctx.grouping_classes);
   }
   assert(false && "unknown filter level");
-  return visit(WalkKind::kScan, any);
+  return scan;
 }
 
-bool FilterTree::ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
+bool FilterTree::ScanLeaf(Leaf leaf, const SearchContext& ctx,
                           std::vector<ViewId>* out, FilterSearchStats* stats,
                           QueryBudget* budget) {
   bool capped = false;
@@ -505,7 +511,7 @@ bool FilterTree::ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
     // equivalence class must have a column in the query's extended
     // range constraint list.
     if (classes.All([&ctx](KeySpan cls) {
-          return Intersects(cls, ctx.extended_range_columns);
+          return LatticeIndex::Intersects(cls, ctx.extended_range_columns);
         })) {
       if (budget != nullptr && budget->ConsumeCandidate()) {
         capped = true;
@@ -520,72 +526,61 @@ bool FilterTree::ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
   return capped;
 }
 
-void FilterTree::Search(const Node& node,
-                        const std::vector<FilterLevel>& levels, size_t depth,
-                        const SearchContext& ctx, bool agg_tree,
+void FilterTree::Search(const Node& node, std::span<const LevelTest> tests,
+                        size_t depth, const SearchContext& ctx,
                         std::vector<int>* qualifying, std::vector<ViewId>* out,
                         FilterSearchStats* stats, QueryBudget* budget) const {
   if (budget != nullptr && budget->TickDeadline()) return;
   // This level's qualifying keys occupy qualifying[begin, end); deeper
   // levels stack theirs above and pop them before returning.
   const size_t begin = qualifying->size();
-  WithLevelCondition(levels[depth], ctx, agg_tree,
-                     [&](WalkKind kind, const auto& pred) {
-                       CountWalk(kind, stats);
-                       if (kind == WalkKind::kSubset) {
-                         node.index.SearchUp(pred, qualifying);
-                       } else {
-                         node.index.SearchDown(pred, qualifying);
-                       }
-                     });
+  const LevelTest& test = tests[depth];
+  CountWalk(test.cond, stats);
+  node.index.Search(test.cond, qualifying);
   const size_t end = qualifying->size();
   if (stats != nullptr) {
-    const size_t li = static_cast<size_t>(levels[depth]);
+    const size_t li = static_cast<size_t>(test.level);
     ++stats->level_probes[li];
     stats->level_qualifying[li] += static_cast<int64_t>(end - begin);
     stats->lattice_nodes_visited += static_cast<int64_t>(end - begin);
   }
-  const bool last = depth + 1 == levels.size();
+  const bool last = depth + 1 == tests.size();
   for (size_t i = begin; i < end; ++i) {
     const int n = (*qualifying)[i];
     if (last) {
-      if (ScanLeaf(node.leaves[n], ctx, out, stats, budget)) return;
+      if (ScanLeaf(Leaf{node.leaves[n]}, ctx, out, stats, budget)) return;
       continue;
     }
     const Child& child = node.children[n];
     assert(!child.empty() && "a live key leads to a subtree");
     if (child.node != nullptr) {
-      Search(*child.node, levels, depth + 1, ctx, agg_tree, qualifying, out,
-             stats, budget);
+      Search(*child.node, tests, depth + 1, ctx, qualifying, out, stats,
+             budget);
     } else {
-      SearchTail(*child.tail, child.skip, levels, depth + 1, ctx, agg_tree,
-                 out, stats, budget);
+      SearchTail(child.tail.get(), child.skip, tests, depth + 1, ctx, out,
+                 stats, budget);
     }
     if (budget != nullptr && budget->exhausted()) return;
   }
   qualifying->resize(begin);
 }
 
-void FilterTree::SearchTail(const Tail& tail, uint32_t skip,
-                            const std::vector<FilterLevel>& levels,
-                            size_t depth, const SearchContext& ctx,
-                            bool agg_tree, std::vector<ViewId>* out,
-                            FilterSearchStats* stats,
+void FilterTree::SearchTail(const uint32_t* tail, uint32_t skip,
+                            std::span<const LevelTest> tests, size_t depth,
+                            const SearchContext& ctx,
+                            std::vector<ViewId>* out, FilterSearchStats* stats,
                             QueryBudget* budget) const {
   // Each level evaluates exactly as a one-key node would: a deadline
   // tick, one walk of the level's kind, one probe, and the key
   // qualifying or ending the path.
   TailKeys keys(tail, skip);
-  for (; depth < levels.size(); ++depth) {
+  for (; depth < tests.size(); ++depth) {
     if (budget != nullptr && budget->TickDeadline()) return;
-    const KeySpan key = keys.Next();
-    const bool qualifies = WithLevelCondition(
-        levels[depth], ctx, agg_tree, [&](WalkKind kind, const auto& pred) {
-          CountWalk(kind, stats);
-          return pred(key);
-        });
+    const LevelTest& test = tests[depth];
+    CountWalk(test.cond, stats);
+    const bool qualifies = test.cond.Holds(keys.Next());
     if (stats != nullptr) {
-      const size_t li = static_cast<size_t>(levels[depth]);
+      const size_t li = static_cast<size_t>(test.level);
       ++stats->level_probes[li];
       if (qualifies) {
         ++stats->level_qualifying[li];
@@ -594,7 +589,7 @@ void FilterTree::SearchTail(const Tail& tail, uint32_t skip,
     }
     if (!qualifies) return;
   }
-  ScanLeaf(tail.leaf, ctx, out, stats, budget);
+  ScanLeaf(TailLeaf(tail), ctx, out, stats, budget);
 }
 
 void FilterTree::BuildSearchContext(const QueryDescription& query,
@@ -641,6 +636,16 @@ void FilterTree::BuildSearchContext(const QueryDescription& query,
   ctx->output_classes_spj = &query.output_column_classes_spj;
   ctx->output_classes_agg = &query.output_column_classes_agg;
   ctx->grouping_classes = &query.grouping_column_classes;
+
+  ctx->spj_tests.clear();
+  for (FilterLevel level : spj_levels_) {
+    ctx->spj_tests.push_back(MakeLevelTest(level, *ctx, /*agg_tree=*/false));
+  }
+  ctx->agg_tests.clear();
+  if (!query.is_aggregate) return;  // only the SPJ tree is searched
+  for (FilterLevel level : agg_levels_) {
+    ctx->agg_tests.push_back(MakeLevelTest(level, *ctx, /*agg_tree=*/true));
+  }
 }
 
 std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
@@ -654,12 +659,12 @@ std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
   QueryBudget* budget = qctx.budget();
   std::vector<ViewId> out;
   if (spj_root_->index.num_live_nodes() > 0) {
-    Search(*spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &qualifying,
-           &out, stats, budget);
+    Search(*spj_root_, ctx.spj_tests, 0, ctx, &qualifying, &out, stats,
+           budget);
   }
   if (query.is_aggregate && agg_root_->index.num_live_nodes() > 0) {
-    Search(*agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &qualifying,
-           &out, stats, budget);
+    Search(*agg_root_, ctx.agg_tests, 0, ctx, &qualifying, &out, stats,
+           budget);
   }
   return out;
 }

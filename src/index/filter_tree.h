@@ -15,10 +15,13 @@
 //
 // Layout (DESIGN.md §17): a subtree with one key per level down to its
 // leaf — most of a large catalog — is stored as one immutable tail
-// record holding the remaining level keys and the leaf's views with
-// their §4.2.5 range-constrained classes, all flat. Only levels that
-// branch are lattice nodes. A tail is evaluated inline with the same
-// level predicates, budget ticks and FilterSearchStats counts a chain of
+// record, in one allocation, holding the remaining level keys and the
+// leaf's views with their §4.2.5 range-constrained classes, all flat.
+// Only levels that branch are lattice nodes; a search decides a node's
+// level condition for all its keys at once from the lattice's postings
+// and walks only the passing keys, in the order the predicate walk
+// would visit them. A tail is evaluated inline with the same level
+// conditions, budget ticks and FilterSearchStats counts a chain of
 // one-key nodes would produce, so the layout changes neither the
 // candidates, nor their order, nor the statistics. An insert that
 // diverges inside a tail turns the levels down to the divergence into
@@ -46,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,14 +196,16 @@ class FilterTree {
   /// The views at one leaf key, each with the §4.2.5 range-constrained
   /// classes its full range check reads, as one flat record stream:
   /// per view, [id, #classes, then #atoms and the atoms of each class].
+  /// A node's last level owns one stream per key and a tail holds its
+  /// leaf's at the end of its record; both are read in place.
   struct Leaf {
-    std::vector<uint32_t> records;
+    std::span<const uint32_t> records;
 
     bool empty() const { return records.empty(); }
     bool Contains(ViewId id) const;
-    /// Copies with `view`'s record appended, or without `id`'s record.
-    Leaf With(const ViewDescription& view) const;
-    Leaf Without(ViewId id) const;
+    /// The stream with `view`'s record appended, or without `id`'s.
+    std::vector<uint32_t> With(const ViewDescription& view) const;
+    std::vector<uint32_t> Without(ViewId id) const;
 
     /// Calls `fn(id, classes)` per view in insertion order; stops when
     /// `fn` returns false.
@@ -214,19 +220,27 @@ class FilterTree {
       }
     }
   };
+  /// Words of `view`'s leaf record, and the record written at `out`
+  /// (returns its end).
+  static size_t RecordWords(const ViewDescription& view);
+  static uint32_t* WriteRecord(const ViewDescription& view, uint32_t* out);
 
   /// A subtree with one key per level down to its leaf, as one immutable
-  /// record: the level keys back to back ([#atoms, atoms...] each), then
-  /// the leaf. A child may reference a suffix of it.
-  struct Tail {
-    std::vector<uint32_t> keys;
-    Leaf leaf;
-  };
+  /// record in one allocation: [#key words, #leaf words], the level keys
+  /// back to back ([#atoms, atoms...] each), then the leaf's stream. A
+  /// child may reference a suffix of its levels.
+  using Tail = std::shared_ptr<const uint32_t[]>;
+  static std::span<const uint32_t> TailKeyWords(const uint32_t* tail) {
+    return {tail + 2, tail[0]};
+  }
+  static Leaf TailLeaf(const uint32_t* tail) {
+    return Leaf{{tail + 2 + tail[0], tail[1]}};
+  }
 
   /// Reads a tail's level keys in order, from its `skip`-th level on.
   class TailKeys {
    public:
-    TailKeys(const Tail& tail, uint32_t skip) : p_(tail.keys.data()) {
+    TailKeys(const uint32_t* tail, uint32_t skip) : p_(tail + 2) {
       for (uint32_t i = 0; i < skip; ++i) p_ += 1 + *p_;
     }
     KeySpan Next() {
@@ -244,7 +258,7 @@ class FilterTree {
   /// of `tail` from its `skip`-th on. Empty under an erased key.
   struct Child {
     std::shared_ptr<Node> node;
-    std::shared_ptr<const Tail> tail;
+    Tail tail;
     uint32_t skip = 0;
 
     bool empty() const { return node == nullptr && tail == nullptr; }
@@ -256,11 +270,19 @@ class FilterTree {
     LatticeIndex index;
     /// Interior levels: the subtree under each key, by lattice node id.
     std::vector<Child> children;
-    /// Last level: the views at each key, by lattice node id.
-    std::vector<Leaf> leaves;
+    /// Last level: the leaf record stream at each key, by lattice node
+    /// id.
+    std::vector<std::vector<uint32_t>> leaves;
   };
 
-  /// Interned query-side keys, computed once per search.
+  /// One level's condition for the query of a search.
+  struct LevelTest {
+    FilterLevel level;
+    LatticeIndex::Condition cond;
+  };
+
+  /// Interned query-side keys, and each tree's level tests over them,
+  /// computed once per search.
   struct SearchContext {
     Key source_tables;
     Key output_expr_atoms;       // SPJ tree
@@ -276,6 +298,9 @@ class FilterTree {
     Key grouping_expr_atoms;
     bool grouping_exprs_impossible = false;
     const ColumnClassList* grouping_classes = nullptr;
+    /// Per level of the SPJ and aggregation trees, in level order.
+    std::vector<LevelTest> spj_tests;
+    std::vector<LevelTest> agg_tests;
   };
 
   std::shared_ptr<Node> NewNode() const { return CowNew<Node>(owner_); }
@@ -283,49 +308,62 @@ class FilterTree {
     return CowMutable(slot, owner_);
   }
 
-  /// `d`'s key at `level`, with `atom_of(text)` giving the atom of an
-  /// expression text, or nullopt (then so is the key).
+  /// A view's key at every level of its tree, in the tail record's key
+  /// format: [#atoms, atoms...] per level, back to back.
+  struct ViewKeys {
+    std::vector<uint32_t> words;
+    size_t levels = 0;
+
+    size_t size() const { return levels; }
+    KeySpan operator[](size_t level) const;
+    /// The words of the keys of levels [from, size()).
+    std::span<const uint32_t> Suffix(size_t from) const;
+  };
+  /// `d`'s keys at `levels`, with `atom_of(text)` giving the atom of an
+  /// expression text, or nullopt (then so are the keys).
   template <typename AtomOf>
-  static std::optional<Key> LevelKey(const ViewDescription& d,
-                                     FilterLevel level, AtomOf atom_of);
+  static std::optional<ViewKeys> MakeViewKeys(
+      const ViewDescription& d, const std::vector<FilterLevel>& levels,
+      AtomOf atom_of);
   /// Interns new texts.
-  Key ViewKey(const ViewDescription& d, FilterLevel level);
+  ViewKeys InternViewKeys(const ViewDescription& d,
+                          const std::vector<FilterLevel>& levels);
   /// Without interning: nullopt when a text was never interned, so no
   /// view with it is on the tree.
-  std::optional<Key> LookupViewKey(const ViewDescription& d,
-                                   FilterLevel level) const;
+  std::optional<ViewKeys> LookupViewKeys(
+      const ViewDescription& d, const std::vector<FilterLevel>& levels) const;
 
-  /// A tail over keys[from..] with `leaf`.
-  static std::shared_ptr<const Tail> MakeTail(const std::vector<Key>& keys,
-                                              size_t from, Leaf leaf);
+  /// A tail over keys[from..] whose leaf is `leaf`, with `view`'s record
+  /// appended when given.
+  static Tail MakeTail(const ViewKeys& keys, size_t from, Leaf leaf,
+                       const ViewDescription* view);
   /// The subtree replacing `tail` (a child at level `first`) when
   /// `view`'s keys first differ from the tail's at level `diverge`: the
   /// levels above it become one-key nodes, the divergence level a
   /// two-key node over the old tail's suffix and a new tail for `view`.
   std::shared_ptr<Node> SplitTail(const Child& tail, size_t first,
                                   size_t diverge,
-                                  const std::vector<Key>& keys,
+                                  const ViewKeys& keys,
                                   const ViewDescription& view) const;
 
-  /// Returns `visit(kind, pred)` for the walk kind and the
-  /// `bool(KeySpan)` qualification predicate of `level` for the query in
-  /// `ctx`.
-  template <typename Visit>
-  decltype(auto) WithLevelCondition(FilterLevel level,
-                                    const SearchContext& ctx, bool agg_tree,
-                                    Visit&& visit) const;
-  void Search(const Node& node, const std::vector<FilterLevel>& levels,
-              size_t depth, const SearchContext& ctx, bool agg_tree,
+  /// Counts the walk `cond` performs in FilterSearchStats: a subset walk
+  /// when it walks up, a scan for kAll, a superset walk otherwise.
+  static void CountWalk(const LatticeIndex::Condition& cond,
+                        FilterSearchStats* stats);
+  /// The condition of `level` for the query in `ctx`.
+  LevelTest MakeLevelTest(FilterLevel level, const SearchContext& ctx,
+                          bool agg_tree) const;
+  void Search(const Node& node, std::span<const LevelTest> tests,
+              size_t depth, const SearchContext& ctx,
               std::vector<int>* qualifying, std::vector<ViewId>* out,
               FilterSearchStats* stats, QueryBudget* budget) const;
-  void SearchTail(const Tail& tail, uint32_t skip,
-                  const std::vector<FilterLevel>& levels, size_t depth,
-                  const SearchContext& ctx, bool agg_tree,
-                  std::vector<ViewId>* out, FilterSearchStats* stats,
-                  QueryBudget* budget) const;
+  void SearchTail(const uint32_t* tail, uint32_t skip,
+                  std::span<const LevelTest> tests, size_t depth,
+                  const SearchContext& ctx, std::vector<ViewId>* out,
+                  FilterSearchStats* stats, QueryBudget* budget) const;
   /// The full range check of each view at `leaf`; true when the
   /// candidate cap ran out.
-  static bool ScanLeaf(const Leaf& leaf, const SearchContext& ctx,
+  static bool ScanLeaf(Leaf leaf, const SearchContext& ctx,
                        std::vector<ViewId>* out, FilterSearchStats* stats,
                        QueryBudget* budget);
   void BuildSearchContext(const QueryDescription& query,

@@ -18,6 +18,11 @@ LatticeIndex::WalkScratch& LatticeIndex::ThreadScratch() {
   return scratch;
 }
 
+LatticeIndex::SearchScratch& LatticeIndex::ThreadSearchScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
+
 bool LatticeIndex::IsSubset(KeySpan a, KeySpan b) {
   if (a.size() > b.size()) return false;
   size_t i = 0;
@@ -35,6 +40,42 @@ bool LatticeIndex::IsSubset(KeySpan a, KeySpan b) {
   return i == a.size();
 }
 
+bool LatticeIndex::Intersects(KeySpan a, KeySpan b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+bool LatticeIndex::Condition::Holds(KeySpan key) const {
+  switch (kind) {
+    case Kind::kNone:
+      return false;
+    case Kind::kAll:
+      return true;
+    case Kind::kSubsetOf:
+      return IsSubset(key, atoms);
+    case Kind::kSupersetOf:
+      return IsSubset(atoms, key);
+    case Kind::kHitsEvery: {
+      uint32_t begin = 0;
+      for (uint32_t end : class_ends) {
+        if (!Intersects(key, atoms.subspan(begin, end - begin))) return false;
+        begin = end;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 bool LatticeIndex::Contains(std::span<const int> list, int target) {
   return std::find(list.begin(), list.end(), target) != list.end();
 }
@@ -45,6 +86,183 @@ size_t LatticeIndex::KeyPosition(KeySpan key) const {
         return std::ranges::lexicographical_compare(this->key(n), k);
       });
   return static_cast<size_t>(it - by_key_.begin());
+}
+
+int LatticeIndex::PostingLowerBound(uint32_t atom) const {
+  int lo = 0;
+  int hi = num_posting_atoms();
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (posting_atom(mid) < atom) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+int LatticeIndex::FindPosting(uint32_t atom) const {
+  const int row = PostingLowerBound(atom);
+  return row < num_posting_atoms() && posting_atom(row) == atom ? row : -1;
+}
+
+void LatticeIndex::Post(int id) {
+  const uint32_t need = static_cast<uint32_t>(id) / 64 + 1;
+  if (need > words_) {
+    // Widen every row to `need` words; the new words are empty.
+    std::vector<uint64_t> wider(rows_ * (need + 1), 0);
+    for (size_t r = 0; r < rows_; ++r) {
+      std::copy_n(postings_.begin() + static_cast<std::ptrdiff_t>(
+                                          r * (words_ + 1)),
+                  words_ + 1, wider.begin() + static_cast<std::ptrdiff_t>(
+                                                  r * (need + 1)));
+    }
+    postings_.swap(wider);
+    words_ = need;
+  }
+  const uint64_t bit = uint64_t{1} << (static_cast<uint32_t>(id) % 64);
+  const size_t word = 1 + static_cast<uint32_t>(id) / 64;
+  for (uint32_t atom : key(id)) {
+    const int row = PostingLowerBound(atom);
+    if (row == num_posting_atoms() || posting_atom(row) != atom) {
+      const auto at = postings_.begin() + static_cast<std::ptrdiff_t>(Row(row));
+      postings_.insert(at, words_ + 1, 0);
+      postings_[Row(row)] = atom;
+      ++rows_;
+    }
+    postings_[Row(row) + word] |= bit;
+  }
+}
+
+template <size_t kWords>
+bool LatticeIndex::Pass(const Condition& cond, uint64_t* pass,
+                        uint64_t* hit) const {
+  const size_t w = kWords != 0 ? kWords : words_;
+  // Every node passes until a condition's postings say otherwise.
+  std::fill_n(pass, w, ~uint64_t{0});
+  if (nodes_.size() % 64 != 0) {
+    pass[w - 1] = (uint64_t{1} << (nodes_.size() % 64)) - 1;
+  }
+  switch (cond.kind) {
+    case Condition::Kind::kNone:
+      return false;
+    case Condition::Kind::kAll:
+      return true;
+    case Condition::Kind::kSubsetOf: {
+      // A key fails when it holds an atom the query key lacks: clear the
+      // postings of every such atom.
+      const KeySpan query = cond.atoms;
+      size_t j = 0;
+      const int rows = num_posting_atoms();
+      for (int r = 0; r < rows; ++r) {
+        const uint64_t* row = postings_.data() + Row(r);
+        while (j < query.size() && query[j] < row[0]) ++j;
+        if (j < query.size() && query[j] == row[0]) continue;
+        for (size_t i = 0; i < w; ++i) pass[i] &= ~row[1 + i];
+      }
+      break;
+    }
+    case Condition::Kind::kSupersetOf:
+      // A key passes when it holds every query atom: AND their postings.
+      for (uint32_t atom : cond.atoms) {
+        const int r = FindPosting(atom);
+        if (r < 0) return false;
+        const uint64_t* bits = postings_.data() + Row(r) + 1;
+        for (size_t i = 0; i < w; ++i) pass[i] &= bits[i];
+      }
+      break;
+    case Condition::Kind::kHitsEvery: {
+      // A key passes when it holds an atom of every class: AND, over the
+      // classes, the OR of each class's postings.
+      uint32_t begin = 0;
+      for (uint32_t end : cond.class_ends) {
+        std::fill_n(hit, w, 0);
+        for (uint32_t atom : cond.atoms.subspan(begin, end - begin)) {
+          const int r = FindPosting(atom);
+          if (r < 0) continue;
+          const uint64_t* bits = postings_.data() + Row(r) + 1;
+          for (size_t i = 0; i < w; ++i) hit[i] |= bits[i];
+        }
+        for (size_t i = 0; i < w; ++i) pass[i] &= hit[i];
+        begin = end;
+      }
+      break;
+    }
+  }
+  for (size_t i = 0; i < w; ++i) {
+    if (pass[i] != 0) return true;
+  }
+  return false;
+}
+
+template <bool kDown, size_t kWords>
+void LatticeIndex::WalkPassing(const uint64_t* pass, uint64_t* seen,
+                               std::vector<int>& stack,
+                               std::vector<int>* out) const {
+  // The predicate walk pops a failing node only to mark it and drop it:
+  // it never emits or expands one. Pushing passing nodes only therefore
+  // leaves the order in which passing nodes pop unchanged.
+  std::fill_n(seen, kWords != 0 ? kWords : words_, 0);
+  auto test = [](const uint64_t* bits, int n) {
+    return (bits[static_cast<uint32_t>(n) / 64] >>
+            (static_cast<uint32_t>(n) % 64)) & 1;
+  };
+  stack.clear();
+  for (int n : kDown ? tops_ : roots_) {
+    if (test(pass, n)) stack.push_back(n);
+  }
+  while (!stack.empty()) {
+    const int n = stack.back();
+    stack.pop_back();
+    if (test(seen, n)) continue;
+    seen[static_cast<uint32_t>(n) / 64] |= uint64_t{1}
+                                           << (static_cast<uint32_t>(n) % 64);
+    const Node& node = nodes_[n];
+    if (node.alive) out->push_back(n);
+    for (int next : Edges(kDown ? node.down : node.up)) {
+      // A visited node would pop only to be skipped.
+      if (test(pass, next) && !test(seen, next)) stack.push_back(next);
+    }
+  }
+}
+
+template <size_t kWords>
+void LatticeIndex::SearchPostings(const Condition& cond, uint64_t* pass,
+                                  uint64_t* seen, uint64_t* hit,
+                                  std::vector<int>* out) const {
+  if (!Pass<kWords>(cond, pass, hit)) return;
+  std::vector<int>& stack = ThreadSearchScratch().stack;
+  if (cond.walks_up()) {
+    WalkPassing</*kDown=*/false, kWords>(pass, seen, stack, out);
+  } else {
+    WalkPassing</*kDown=*/true, kWords>(pass, seen, stack, out);
+  }
+}
+
+void LatticeIndex::Search(const Condition& cond, std::vector<int>* out) const {
+  if (nodes_.size() < 2) {
+    // A one-key index tests its key directly: the node is its only top
+    // and root.
+    if (!nodes_.empty() && nodes_[0].alive && cond.Holds(key(0))) {
+      out->push_back(0);
+    }
+    return;
+  }
+  if (words_ == 1) {
+    uint64_t pass = 0;
+    uint64_t seen = 0;
+    uint64_t hit = 0;
+    SearchPostings<1>(cond, &pass, &seen, &hit, out);
+    return;
+  }
+  SearchScratch& s = ThreadSearchScratch();
+  if (s.pass.size() < words_) {
+    s.pass.resize(words_);
+    s.seen.resize(words_);
+    s.hit.resize(words_);
+  }
+  SearchPostings<0>(cond, s.pass.data(), s.seen.data(), s.hit.data(), out);
 }
 
 int LatticeIndex::Find(KeySpan key) const {
@@ -158,6 +376,9 @@ int LatticeIndex::Insert(KeySpan key) {
   }
   if (minimal.empty()) tops_.push_back(id);
   if (maximal.empty()) roots_.push_back(id);
+  // Postings start with the second key: a one-key search tests its key.
+  if (id == 1) Post(0);
+  if (id >= 1) Post(id);
   return id;
 }
 

@@ -1,6 +1,7 @@
 #include "rewrite/view_description.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <unordered_map>
 
@@ -34,17 +35,25 @@ std::vector<uint32_t> ClassCatalogIds(const SpjgQuery& q,
 }
 
 // Appends the sorted unique catalog ids of `col`'s equivalence class to
-// `into` as one class.
+// `into` as one class, collecting and sorting them there once, then
+// copies that class to the end of each list in `also`.
 void AppendClass(const SpjgQuery& q, const EquivalenceClasses& ec,
-                 ColumnRefId col, ColumnClassList* into) {
-  const auto begin = static_cast<std::ptrdiff_t>(into->atoms.size());
+                 ColumnRefId col, ColumnClassList* into,
+                 std::initializer_list<ColumnClassList*> also = {}) {
+  const size_t begin = into->atoms.size();
   for (ColumnRefId m : ec.ClassMembers(ec.ClassOf(col))) {
     into->atoms.push_back(CatalogColId(q.tables[m.table_ref].table, m.column));
   }
-  std::sort(into->atoms.begin() + begin, into->atoms.end());
-  into->atoms.erase(std::unique(into->atoms.begin() + begin, into->atoms.end()),
-                    into->atoms.end());
+  const auto first = into->atoms.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, into->atoms.end());
+  into->atoms.erase(std::unique(first, into->atoms.end()), into->atoms.end());
   into->ends.push_back(static_cast<uint32_t>(into->atoms.size()));
+  for (ColumnClassList* list : also) {
+    list->atoms.insert(list->atoms.end(),
+                       into->atoms.begin() + static_cast<std::ptrdiff_t>(begin),
+                       into->atoms.end());
+    list->ends.push_back(static_cast<uint32_t>(list->atoms.size()));
+  }
 }
 
 // Shared analysis: classified predicates + equivalence classes + ranges.
@@ -253,16 +262,12 @@ void DescribeQuery(const Catalog& catalog, const MatchProbeContext& analysis,
   for (const auto& tr : query.tables) d.source_tables.push_back(tr.table);
   SortUnique(&d.source_tables);
 
-  auto add_class = [&](ColumnRefId col, ColumnClassList* into) {
-    AppendClass(query, ec, col, into);
-  };
-
   for (size_t k = 0; k < query.outputs.size(); ++k) {
     const Expr& e = *query.outputs[k].expr;
     const MatchProbeContext::OutputInfo& info = analysis.outputs[k];
     if (e.kind() == ExprKind::kColumnRef) {
-      add_class(e.column_ref(), &d.output_column_classes_spj);
-      add_class(e.column_ref(), &d.output_column_classes_agg);
+      AppendClass(query, ec, e.column_ref(), &d.output_column_classes_spj,
+                  {&d.output_column_classes_agg});
       continue;
     }
     if (e.kind() == ExprKind::kAggregate) {
@@ -283,7 +288,8 @@ void DescribeQuery(const Catalog& catalog, const MatchProbeContext& analysis,
       // argument must then be routable.
       if (e.agg_kind() != AggKind::kCountStar &&
           e.child(0)->kind() == ExprKind::kColumnRef) {
-        add_class(e.child(0)->column_ref(), &d.output_column_classes_spj);
+        AppendClass(query, ec, e.child(0)->column_ref(),
+                    &d.output_column_classes_spj);
       }
       continue;
     }
@@ -297,9 +303,8 @@ void DescribeQuery(const Catalog& catalog, const MatchProbeContext& analysis,
     const ExprPtr& g = query.group_by[i];
     d.grouping_expr_texts.push_back(analysis.group_by_shapes[i].text);
     if (g->kind() == ExprKind::kColumnRef) {
-      add_class(g->column_ref(), &d.output_column_classes_spj);
-      add_class(g->column_ref(), &d.output_column_classes_agg);
-      add_class(g->column_ref(), &d.grouping_column_classes);
+      AppendClass(query, ec, g->column_ref(), &d.output_column_classes_spj,
+                  {&d.output_column_classes_agg, &d.grouping_column_classes});
     }
   }
   SortUnique(&d.output_expr_texts);

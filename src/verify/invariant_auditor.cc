@@ -132,31 +132,86 @@ void InvariantAuditor::CheckLattice(const LatticeIndex& index,
   std::sort(all.begin(), all.end());
   all.erase(std::unique(all.begin(), all.end()), all.end());
   probes.push_back(all);
+
+  // Postings: one bitset per atom some key holds, in ascending atom
+  // order, each holding exactly the nodes whose key holds its atom, and
+  // wide enough for every node. None below two nodes, where a search
+  // tests the one key directly.
+  const int words = n < 2 ? 0 : (n + 63) / 64;
+  if (index.posting_words() != words) {
+    // Searches would read past bitsets too narrow for the nodes.
+    report->violations.push_back(
+        where + ": postings are " + std::to_string(index.posting_words()) +
+        " words wide for " + std::to_string(n) + " nodes (expected " +
+        std::to_string(words) + ")");
+    return;
+  }
+  if (words > 0) {
+    bool atoms_agree =
+        index.num_posting_atoms() == static_cast<int>(all.size());
+    for (int r = 0; atoms_agree && r < index.num_posting_atoms(); ++r) {
+      atoms_agree = index.posting_atom(r) == all[static_cast<size_t>(r)];
+    }
+    if (!atoms_agree) {
+      report->violations.push_back(where + ": posting atoms " +
+                                   "disagree with the keys' atoms " +
+                                   KeyText(all));
+    }
+    for (int r = 0; atoms_agree && r < index.num_posting_atoms(); ++r) {
+      const uint32_t atom = index.posting_atom(r);
+      const std::span<const uint64_t> bits = index.posting(r);
+      for (int i = 0; i < words * 64; ++i) {
+        const bool held =
+            i < n && std::ranges::binary_search(index.key(i), atom);
+        if (((bits[static_cast<size_t>(i / 64)] >> (i % 64)) & 1) != held) {
+          report->violations.push_back(
+              where + ": posting of atom " + std::to_string(atom) +
+              " disagrees with the key of node " + std::to_string(i));
+          break;
+        }
+      }
+    }
+  }
+
   for (const Key& probe : probes) {
+    // The postings searches return the predicate walk's nodes in its
+    // order, and the set a linear scan finds.
+    auto check = [&](const char* name, const std::vector<int>& fast,
+                     const std::vector<int>& walk,
+                     const std::vector<int>& slow) {
+      std::vector<int> sorted = fast;
+      std::sort(sorted.begin(), sorted.end());
+      if (sorted != slow) {
+        report->violations.push_back(where + ": " + name + "(" +
+                                     KeyText(probe) +
+                                     ") disagrees with a linear scan");
+      } else if (fast != walk) {
+        report->violations.push_back(where + ": " + name + "(" +
+                                     KeyText(probe) +
+                                     ") disagrees with the predicate walk's "
+                                     "order");
+      }
+    };
+    auto subset_of = [&probe](KeySpan k) {
+      return LatticeIndex::IsSubset(k, probe);
+    };
+    auto superset_of = [&probe](KeySpan k) {
+      return LatticeIndex::IsSubset(probe, k);
+    };
     std::vector<int> fast;
+    std::vector<int> walk;
     std::vector<int> slow;
     index.SearchSubsets(probe, &fast);
-    index.LinearScan(
-        [&probe](KeySpan k) { return LatticeIndex::IsSubset(k, probe); },
-        &slow);
-    std::sort(fast.begin(), fast.end());
-    if (fast != slow) {
-      report->violations.push_back(where + ": SearchSubsets(" +
-                                   KeyText(probe) +
-                                   ") disagrees with a linear scan");
-    }
+    index.SearchUp(subset_of, &walk);
+    index.LinearScan(subset_of, &slow);
+    check("SearchSubsets", fast, walk, slow);
     fast.clear();
+    walk.clear();
     slow.clear();
     index.SearchSupersets(probe, &fast);
-    index.LinearScan(
-        [&probe](KeySpan k) { return LatticeIndex::IsSubset(probe, k); },
-        &slow);
-    std::sort(fast.begin(), fast.end());
-    if (fast != slow) {
-      report->violations.push_back(where + ": SearchSupersets(" +
-                                   KeyText(probe) +
-                                   ") disagrees with a linear scan");
-    }
+    index.SearchDown(superset_of, &walk);
+    index.LinearScan(superset_of, &slow);
+    check("SearchSupersets", fast, walk, slow);
   }
 }
 
@@ -178,7 +233,7 @@ struct InvariantAuditor::TreeWalk {
   AuditReport* report;
 };
 
-void InvariantAuditor::CheckLeaf(const FilterTree::Leaf& leaf,
+void InvariantAuditor::CheckLeaf(FilterTree::Leaf leaf,
                                  const std::string& where,
                                  TreeWalk* walk) const {
   auto flag = [walk, &where](const std::string& what) {
@@ -201,10 +256,10 @@ void InvariantAuditor::CheckLeaf(const FilterTree::Leaf& leaf,
       disagrees("indexed in the wrong aggregation tree");
       return true;
     }
+    const std::optional<FilterTree::ViewKeys> keys =
+        walk->tree.LookupViewKeys(d, walk->levels);
     for (size_t l = 0; l < walk->levels.size(); ++l) {
-      const std::optional<Key> key =
-          walk->tree.LookupViewKey(d, walk->levels[l]);
-      if (!key.has_value() || *key != walk->path[l]) {
+      if (!keys.has_value() || !std::ranges::equal((*keys)[l], walk->path[l])) {
         disagrees(std::string("its ") + FilterLevelName(walk->levels[l]) +
                   " key differs from the path's");
         return true;
@@ -245,7 +300,9 @@ void InvariantAuditor::CheckTreeNode(const FilterTree::Node& node,
     walk->path.emplace_back(key.begin(), key.end());
     const size_t seen_before = walk->seen.size();
     if (last) {
-      if (i < node.leaves.size()) CheckLeaf(node.leaves[i], at, walk);
+      if (i < node.leaves.size()) {
+        CheckLeaf(FilterTree::Leaf{node.leaves[i]}, at, walk);
+      }
     } else if (i < node.children.size()) {
       const FilterTree::Child& child = node.children[i];
       if (child.node != nullptr && child.tail != nullptr) {
@@ -255,7 +312,8 @@ void InvariantAuditor::CheckTreeNode(const FilterTree::Node& node,
         CheckTreeNode(*child.node, depth + 1, at, walk);
       } else if (child.tail != nullptr) {
         // Exactly one key per remaining level, each sorted unique.
-        const std::vector<uint32_t>& stream = child.tail->keys;
+        const std::span<const uint32_t> stream =
+            FilterTree::TailKeyWords(child.tail.get());
         size_t pos = 0;
         bool well_formed = true;
         for (size_t l = 0; l < child.skip + (walk->levels.size() - depth - 1);
@@ -279,7 +337,7 @@ void InvariantAuditor::CheckTreeNode(const FilterTree::Node& node,
         if (!well_formed || pos != stream.size()) {
           flag(at + ": tail does not hold one key per remaining level");
         } else {
-          CheckLeaf(child.tail->leaf, at + "/tail", walk);
+          CheckLeaf(FilterTree::TailLeaf(child.tail.get()), at + "/tail", walk);
         }
         walk->path.resize(depth + 1);
       }
@@ -360,7 +418,7 @@ int64_t InvariantAuditor::CountUnsharedNodes(
 
 uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
   size_t digest = static_cast<size_t>(tree.num_views());
-  auto hash_words = [&digest](const std::vector<uint32_t>& words) {
+  auto hash_words = [&digest](std::span<const uint32_t> words) {
     HashCombine(&digest, words.size());
     for (uint32_t w : words) HashCombine(&digest, w);
   };
@@ -379,12 +437,12 @@ uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
       if (child.node != nullptr) self(self, *child.node);
       if (child.tail != nullptr) {
         HashCombine(&digest, child.skip);
-        hash_words(child.tail->keys);
-        hash_words(child.tail->leaf.records);
+        hash_words(FilterTree::TailKeyWords(child.tail.get()));
+        hash_words(FilterTree::TailLeaf(child.tail.get()).records);
       }
     }
     HashCombine(&digest, node.leaves.size());
-    for (const FilterTree::Leaf& leaf : node.leaves) hash_words(leaf.records);
+    for (const std::vector<uint32_t>& leaf : node.leaves) hash_words(leaf);
   };
   walk(walk, *tree.spj_root_);
   walk(walk, *tree.agg_root_);
@@ -394,18 +452,20 @@ uint64_t InvariantAuditor::TreeDigest(const FilterTree& tree) const {
 std::vector<ViewId> InvariantAuditor::IndexedViews(
     const FilterTree& tree) const {
   std::vector<ViewId> ids;
-  auto collect = [&ids](const FilterTree::Leaf& leaf) {
+  auto collect = [&ids](FilterTree::Leaf leaf) {
     leaf.ForEach([&ids](ViewId id, const FilterTree::ClassList&) {
       ids.push_back(id);
       return true;
     });
   };
   auto node_fn = [&collect](const FilterTree::Node& node) {
-    for (const FilterTree::Leaf& leaf : node.leaves) collect(leaf);
+    for (const std::vector<uint32_t>& leaf : node.leaves) {
+      collect(FilterTree::Leaf{leaf});
+    }
     return true;
   };
   auto tail_fn = [&collect](const FilterTree::Child& child) {
-    collect(child.tail->leaf);
+    collect(FilterTree::TailLeaf(child.tail.get()));
   };
   ForEachRecord(*tree.spj_root_, node_fn, tail_fn);
   ForEachRecord(*tree.agg_root_, node_fn, tail_fn);

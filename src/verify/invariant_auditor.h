@@ -5,8 +5,11 @@
 //
 //   - LatticeIndex: the stored cover edges form exactly the Hasse diagram
 //     of the key sets (minimal supersets / maximal subsets), keys are
-//     sorted duplicate-free, and the pruned subset/superset searches
-//     return exactly what a linear scan returns.
+//     sorted duplicate-free, each atom's posting bitset holds exactly
+//     the nodes whose key holds the atom and is as wide as the node
+//     count needs, and the postings subset/superset searches return
+//     exactly the predicate walk's nodes in its order, the set a linear
+//     scan returns.
 //   - FilterTree: every level node's lattice passes the audit; a live
 //     key leads to a subtree holding at least one view and an erased key
 //     to none; a tail holds exactly one key per remaining level; each
@@ -101,7 +104,7 @@ class InvariantAuditor {
   /// holds to `walk->seen`.
   void CheckTreeNode(const FilterTree::Node& node, size_t depth,
                      const std::string& where, TreeWalk* walk) const;
-  void CheckLeaf(const FilterTree::Leaf& leaf, const std::string& where,
+  void CheckLeaf(FilterTree::Leaf leaf, const std::string& where,
                  TreeWalk* walk) const;
   /// Calls `node_fn(node)` for each node of the subtree under `node`
   /// (descending only where it returns true) and `tail_fn(child)` for

@@ -50,6 +50,58 @@ TEST(LatticeAuditTest, BuiltLatticePassesIncludingAfterErase) {
       << auditor.AuditLattice(index).Summary();
 }
 
+}  // namespace
+
+// Corrupts a lattice's postings, which no public member can do.
+class LatticeIndexTestPeer {
+ public:
+  static void FlipPostingBit(LatticeIndex* index, int row, int node) {
+    index->postings_[index->Row(row) + 1 + static_cast<size_t>(node) / 64] ^=
+        uint64_t{1} << (node % 64);
+  }
+  static void NarrowPostings(LatticeIndex* index) { --index->words_; }
+};
+
+namespace {
+
+// Postings over more than one word, checked against the keys, including
+// after erasures and revivals; a flipped bit and a bitset too narrow for
+// the node count are flagged.
+TEST(LatticeAuditTest, PostingsMatchTheKeysAndCorruptionIsFlagged) {
+  LatticeIndex index;
+  std::vector<Key> keys;
+  for (uint32_t a = 0; a < 10; ++a) {
+    for (uint32_t b = a + 1; b < 10; ++b) keys.push_back({a, b});
+  }
+  for (uint32_t a = 0; a < 30; ++a) keys.push_back({a});
+  for (const auto& k : keys) index.Insert(k);
+  ASSERT_EQ(index.num_nodes(), 75);
+  EXPECT_EQ(index.posting_words(), 2);
+  InvariantAuditor auditor;
+  EXPECT_TRUE(auditor.AuditLattice(index).ok())
+      << auditor.AuditLattice(index).Summary();
+  index.Erase(Key{1, 2});
+  index.Erase(Key{17});
+  index.Insert(Key{1, 2});
+  EXPECT_TRUE(auditor.AuditLattice(index).ok())
+      << auditor.AuditLattice(index).Summary();
+
+  LatticeIndex flipped = index;
+  LatticeIndexTestPeer::FlipPostingBit(&flipped, /*row=*/3, /*node=*/70);
+  AuditReport report = auditor.AuditLattice(flipped);
+  EXPECT_NE(report.Summary().find("posting of atom 3 disagrees with the key "
+                                  "of node 70"),
+            std::string::npos)
+      << report.Summary();
+
+  LatticeIndex narrowed = index;
+  LatticeIndexTestPeer::NarrowPostings(&narrowed);
+  report = auditor.AuditLattice(narrowed);
+  EXPECT_NE(report.Summary().find("postings are 1 words wide for 75 nodes"),
+            std::string::npos)
+      << report.Summary();
+}
+
 TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
   Catalog catalog;
   tpch::BuildSchema(&catalog, 0.001);

@@ -197,5 +197,93 @@ TEST(LatticeTest, LinearScanMatchesSearch) {
   EXPECT_EQ(KeysOf(idx, fast), KeysOf(idx, slow));
 }
 
+Key RandomKey(Rng& rng, int max_len, int universe) {
+  Key k;
+  const auto len = rng.Uniform(0, max_len);
+  for (int64_t j = 0; j < len; ++j) {
+    k.push_back(static_cast<uint32_t>(rng.Uniform(0, universe - 1)));
+  }
+  std::sort(k.begin(), k.end());
+  k.erase(std::unique(k.begin(), k.end()), k.end());
+  return k;
+}
+
+// Random lattices of 1 to 200 keys (postings of one to four words),
+// with erased and revived keys: for every condition kind, the postings
+// search returns exactly the predicate walk's ids in its order, and the
+// set a linear scan finds.
+TEST(LatticeTest, PostingsSearchEqualsThePredicateWalk) {
+  using Kind = LatticeIndex::Condition::Kind;
+  Rng rng(2024);
+  int64_t found_total = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int num_keys = trial < 10 ? 1 + trial : static_cast<int>(
+                                                      rng.Uniform(1, 200));
+    const int universe = static_cast<int>(rng.Uniform(10, 24));
+    LatticeIndex idx;
+    std::vector<Key> keys;
+    while (idx.num_nodes() < num_keys) {
+      Key k = RandomKey(rng, 6, universe);
+      idx.Insert(k);
+      keys.push_back(std::move(k));
+    }
+    for (int e = 0; e < num_keys / 4; ++e) {
+      idx.Erase(keys[rng.Uniform(0, static_cast<int64_t>(keys.size()) - 1)]);
+    }
+    for (int r = 0; r < num_keys / 16; ++r) {
+      idx.Insert(keys[rng.Uniform(0, static_cast<int64_t>(keys.size()) - 1)]);
+    }
+    ASSERT_EQ(idx.CheckStructure(), "");
+    ASSERT_EQ(idx.posting_words(), num_keys < 2 ? 0 : (num_keys + 63) / 64);
+
+    // The union of every key, which every node is a subset of.
+    Key all;
+    for (const Key& k : keys) all.insert(all.end(), k.begin(), k.end());
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    for (int probe = 0; probe < 40; ++probe) {
+      // Query keys: the union first, then a random key or a stored one
+      // (so supersets exist).
+      Key query = probe == 0 ? all
+                  : rng.Bernoulli(0.5)
+                      ? RandomKey(rng, 8, universe + 2)
+                      : keys[rng.Uniform(0, static_cast<int64_t>(
+                                                keys.size()) - 1)];
+      std::vector<uint32_t> class_atoms;
+      std::vector<uint32_t> class_ends;
+      const auto num_classes = rng.Uniform(0, 4);
+      for (int64_t c = 0; c < num_classes; ++c) {
+        Key cls = RandomKey(rng, 3, universe + 2);
+        if (cls.empty()) cls.push_back(static_cast<uint32_t>(universe + 1));
+        class_atoms.insert(class_atoms.end(), cls.begin(), cls.end());
+        class_ends.push_back(static_cast<uint32_t>(class_atoms.size()));
+      }
+      for (Kind kind : {Kind::kNone, Kind::kAll, Kind::kSubsetOf,
+                        Kind::kSupersetOf, Kind::kHitsEvery}) {
+        LatticeIndex::Condition cond{kind, query, {}};
+        if (kind == Kind::kHitsEvery) cond = {kind, class_atoms, class_ends};
+        SCOPED_TRACE("trial " + std::to_string(trial) + " kind " +
+                     std::to_string(static_cast<int>(kind)));
+        auto holds = [&cond](KeySpan k) { return cond.Holds(k); };
+        std::vector<int> fast;
+        std::vector<int> walk;
+        std::vector<int> scan;
+        idx.Search(cond, &fast);
+        if (cond.walks_up()) {
+          idx.SearchUp(holds, &walk);
+        } else {
+          idx.SearchDown(holds, &walk);
+        }
+        idx.LinearScan(holds, &scan);
+        ASSERT_EQ(fast, walk);
+        std::sort(fast.begin(), fast.end());
+        ASSERT_EQ(fast, scan);
+        found_total += static_cast<int64_t>(fast.size());
+      }
+    }
+  }
+  EXPECT_GT(found_total, 0);
+}
+
 }  // namespace
 }  // namespace mvopt
